@@ -5,67 +5,48 @@ label, head-selection, and topic variables, parametrized so that one
 hyperparameter point transfers across model widths. Ships with its own
 reverse-mode autodiff, a masked-LM trainer, width-scaling diagnostics, and a
 neighborhood-based hyperparameter verification procedure.
+
+Public names load their submodule on first access (PEP 562), so importing
+the package, or `mupt.cli`, does not import NumPy: the CLI can still pin the
+BLAS thread pools before NumPy sizes them.
 """
-from .autodiff import (FiniteDiffReport, Var, finite_diff_check, reverse_grad,
-                       rms_norm, softmax_rows, val)
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (PARADIGMS, SCALE_CHANNELS, SCALE_RANK, HPPoint,
-                     InfoWeights, PTConfig)
-from .corpus import (BYTE_VOCAB, Corpus, decode_bytes, encode_corpus,
-                     mask_tokens, split_chunks, synth_text)
-from .diagnostics import (DIAG_HP, DIAG_WEIGHTS, CoordReport, EquivalenceReport,
-                          InitAudit, MagnitudeFit, UpdateMagnitudeReport,
-                          VarianceScan, coord_check, dense_oracle_check,
-                          energy_entropy_probe, entropy_uniform_exact,
-                          equivalence_check, init_variance_audit,
-                          logit_variance_scan, tau_cancellation_check,
-                          update_magnitude_check)
-from .errors import CheckFailure, CheckpointError, ConfigError
-from .model import (MFVIState, ModelParams, attention_logits, init_mfvi,
-                    masked_ce_loss, mlm_logits, param_count, run_mfvi,
-                    uniform_posteriors, z_logits)
-from .mup import (BIAS, HIDDEN, INPUT, OUTPUT, AdamW, WidthScaler,
-                  classify_param, group_lr, init_sigma, scale_width)
-from .rng import SeededRng
-from .search import (VerificationReport, confidence, hp_distance, min_samples,
-                     sample_neighborhood, sample_size_bound,
-                     verify_local_optimality)
-from .training import (RunRecord, SweepResult, TrainSettings, train_run,
-                       transfer_sweep)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # config
-    "PTConfig", "InfoWeights", "HPPoint", "SCALE_CHANNELS", "SCALE_RANK", "PARADIGMS",
-    # errors
-    "ConfigError", "CheckFailure", "CheckpointError",
-    # autodiff
-    "Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
-    "softmax_rows", "rms_norm",
-    # rng
-    "SeededRng",
-    # model
-    "ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "attention_logits",
-    "z_logits", "mlm_logits", "masked_ce_loss", "uniform_posteriors", "param_count",
-    # parametrization
-    "INPUT", "HIDDEN", "OUTPUT", "BIAS", "classify_param", "init_sigma",
-    "group_lr", "AdamW", "scale_width", "WidthScaler",
-    # corpus
-    "Corpus", "encode_corpus", "decode_bytes", "mask_tokens", "split_chunks",
-    "synth_text", "BYTE_VOCAB",
-    # training
-    "TrainSettings", "RunRecord", "train_run", "SweepResult", "transfer_sweep",
-    # diagnostics
-    "DIAG_WEIGHTS", "DIAG_HP", "EquivalenceReport", "equivalence_check",
-    "tau_cancellation_check", "dense_oracle_check", "CoordReport", "coord_check",
-    "UpdateMagnitudeReport", "update_magnitude_check", "InitAudit",
-    "init_variance_audit", "VarianceScan", "logit_variance_scan", "MagnitudeFit",
-    "energy_entropy_probe", "entropy_uniform_exact",
-    # search
-    "min_samples", "sample_size_bound", "confidence", "hp_distance",
-    "sample_neighborhood", "verify_local_optimality", "VerificationReport",
-    # checkpoint
-    "save_checkpoint", "load_checkpoint",
-]
+_EXPORTS = {
+    "config": ("PTConfig", "InfoWeights", "HPPoint", "SCALE_CHANNELS", "SCALE_RANK",
+               "PARADIGMS"),
+    "errors": ("ConfigError", "CheckFailure", "CheckpointError"),
+    "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
+                 "softmax_rows", "rms_norm"),
+    "rng": ("SeededRng",),
+    "model": ("ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "attention_logits",
+              "z_logits", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
+              "param_count"),
+    "mup": ("INPUT", "HIDDEN", "OUTPUT", "BIAS", "classify_param", "init_sigma",
+            "group_lr", "AdamW", "scale_width", "WidthScaler"),
+    "corpus": ("Corpus", "encode_corpus", "decode_bytes", "mask_tokens", "split_chunks",
+               "synth_text", "BYTE_VOCAB"),
+    "training": ("TrainSettings", "RunRecord", "train_run", "SweepResult",
+                 "transfer_sweep"),
+    "diagnostics": ("DIAG_WEIGHTS", "DIAG_HP", "EquivalenceReport", "equivalence_check",
+                    "tau_cancellation_check", "dense_oracle_check", "CoordReport",
+                    "coord_check", "UpdateMagnitudeReport", "update_magnitude_check",
+                    "InitAudit", "init_variance_audit", "VarianceScan",
+                    "logit_variance_scan", "MagnitudeFit", "energy_entropy_probe",
+                    "entropy_uniform_exact"),
+    "search": ("min_samples", "sample_size_bound", "confidence", "hp_distance",
+               "sample_neighborhood", "verify_local_optimality", "VerificationReport"),
+    "checkpoint": ("save_checkpoint", "load_checkpoint"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -47,9 +48,7 @@ def save_checkpoint(path, config: PTConfig, params: dict, extra: dict | None = N
         offset += nbytes
     header = {
         "format_version": FORMAT_VERSION,
-        "config": {k: getattr(config, k) for k in (
-            "width", "rank", "channels", "topics", "vocab_size", "mfvi_iters",
-            "pos_bias", "pos_buckets", "pos_clip", "rms_eps")},
+        "config": asdict(config),
         "groups": {name: mup.classify_param(name) for name in names},
         "tensors": index,
         "extra": extra or {},

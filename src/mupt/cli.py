@@ -6,8 +6,11 @@ its artifacts under --out-dir (or $MUPT_OUT_DIR, default ./artifacts),
 never anywhere else. Exit codes: 0 success, 1 bad configuration or usage,
 2 a check ran to completion and failed.
 
---threads pins the BLAS/OpenMP thread pools before numpy loads, which is
-what makes training runs bit-reproducible.
+--threads N sets the BLAS/OpenMP thread variables (default 1, unless the
+environment already sets them) before anything loads NumPy: neither
+`import mupt` nor `import mupt.cli` does, so the pools are sized as asked.
+One thread is what makes training runs bit-reproducible. Calling main()
+from a process that has already imported NumPy cannot resize its pools.
 """
 from __future__ import annotations
 
@@ -22,100 +25,107 @@ from .errors import CheckFailure, ConfigError
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-_MODEL_SMALL = {"width": 8, "rank": 2, "channels": 2, "topics": 16,
-                "vocab_size": 17, "mfvi_iters": 6, "pos_bias": True,
-                "pos_buckets": 8, "pos_clip": 4, "rms_eps": 1e-6}
-_MODEL_LADDER = {"width": 64, "rank": 16, "channels": 2, "topics": 128,
-                 "vocab_size": 259, "mfvi_iters": 6, "pos_bias": False,
-                 "pos_buckets": 32, "pos_clip": 16, "rms_eps": 1e-6}
-_HP_DEFAULT = {"lr": 3e-3, "w_unary": 0.5, "w_tern_dep": 0.25, "w_tern_head": 0.25,
-               "w_binary": 0.125, "w_attn": 0.25, "w_topic": 0.125}
-_CORPUS_DEFAULT = {"path": None, "synthetic_bytes": 1 << 18, "synthetic_seed": 13,
-                   "seq_len": 64, "tokenizer": "byte", "max_word_vocab": 8192}
-_TRAIN_DEFAULT = {"steps": 200, "batch_size": 4, "eval_interval": 100,
-                  "eval_fraction": 0.1, "max_eval_chunks": 64, "mask_ratio": 0.15,
-                  "mask_rule": "bert", "mfvi_iters": 3, "output_lr_variant": "scaled",
-                  "hidden_lr_scaling": "mup", "weight_decay": 0.01}
 
-DEFAULTS: dict[str, dict] = {
-    "train": {
-        "model": {**_MODEL_LADDER, "pos_bias": True},
-        "corpus": dict(_CORPUS_DEFAULT),
-        "train": dict(_TRAIN_DEFAULT),
-        "hp": dict(_HP_DEFAULT),
-        "save_checkpoint": True,
-    },
-    "coord-check": {
-        "model": dict(_MODEL_LADDER),
-        "paradigm": "scale_channels",
-        "widths": [64, 128, 256, 512],
-        "steps": 10,
-        "iters": 3,
-        "batch_size": 4,
-        "hp": dict(_HP_DEFAULT),
-        "hidden_lr_scaling": "mup",
-        "band": [1.0 / 3.0, 3.0],
-        "expect_stable": True,
-        "update_check": True,
-    },
-    "init-stats": {
-        "model": {**_MODEL_LADDER, "vocab_size": 64},
-        "paradigm": "scale_channels",
-        "widths": [64, 128, 256, 512],
-        "tolerance": 0.15,
-        "min_samples": 10000,
-    },
-    "equivalence-check": {
-        "model": dict(_MODEL_SMALL),
-        "paradigms": ["scale_channels", "scale_rank"],
-        "widths": [8, 16, 32],
-        "seeds": 5,
-        "iters": 3,
-        "n_tokens": 8,
-        "tolerance": 1e-12,
-        "tau_pairs": [[8, 8], [16, 8], [16, 2], [24, 1]],
-        "tau_tolerance": 1e-12,
-    },
-    "energy-probe": {
-        "model": dict(_MODEL_LADDER),
-        "paradigms": ["scale_channels", "scale_rank"],
-        "widths": [64, 128, 256, 512],
-        "n_seeds": 32,
-        "n_tokens": 16,
-        "stage": "init",
-        "entropy_band": 0.15,
-        "energy_band": 0.2,
-        "assert_bands": True,
-    },
-    "transfer-sweep": {
-        "model": dict(_MODEL_LADDER),
-        "paradigm": "scale_channels",
-        "widths": [64, 256],
-        "lr_grid": [1e-4, 10 ** -3.5, 1e-3, 10 ** -2.5, 1e-2],
-        "hp": dict(_HP_DEFAULT),
-        "corpus": {**_CORPUS_DEFAULT, "seq_len": 32, "synthetic_bytes": 1 << 19,
-                   "synthetic_seed": 17},
-        "train": dict(_TRAIN_DEFAULT),
-        "max_displacement": 1,
-    },
-    "verify-local-opt": {
-        "model": {**_MODEL_LADDER, "pos_bias": True},
-        "hp": dict(_HP_DEFAULT),
-        "p": 0.05,
-        "alpha": 0.05,
-        "n": None,
-        "scale": 0.2,
-        "noise_tol": 0.004,
-        "require_optimal": False,
-        "corpus": {**_CORPUS_DEFAULT, "seq_len": 32, "synthetic_bytes": 1 << 17},
-        "train": {**_TRAIN_DEFAULT, "steps": 40, "eval_interval": 40},
-    },
-    "plot": {
-        "csv": None,
-        "kind": "coord",
-        "out": None,
-    },
-}
+def _defaults(command: str) -> dict:
+    """Default config of one subcommand, built from the library's own defaults.
+
+    Built on demand rather than at import: the dataclasses live in modules
+    that load NumPy, which must wait until main() has pinned the threads.
+    """
+    from dataclasses import asdict
+
+    from .config import PTConfig
+    from .diagnostics import DIAG_HP
+    from .training import TrainSettings
+
+    model_small = asdict(PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
+                                  pos_buckets=8, pos_clip=4))
+    model_ladder = asdict(PTConfig(width=64, rank=16, channels=2, topics=128,
+                                   vocab_size=259, pos_bias=False))
+    hp = DIAG_HP.to_dict()
+    train = asdict(TrainSettings())
+    corpus = {"path": None, "synthetic_bytes": 1 << 18, "synthetic_seed": 13,
+              "seq_len": 64, "tokenizer": "byte", "max_word_vocab": 8192}
+    defaults = {
+        "train": {
+            "model": {**model_ladder, "pos_bias": True},
+            "corpus": corpus,
+            "train": train,
+            "hp": hp,
+            "save_checkpoint": True,
+        },
+        "coord-check": {
+            "model": model_ladder,
+            "paradigm": "scale_channels",
+            "widths": [64, 128, 256, 512],
+            "steps": 10,
+            "iters": 3,
+            "batch_size": 4,
+            "hp": hp,
+            "hidden_lr_scaling": "mup",
+            "band": [1.0 / 3.0, 3.0],
+            "expect_stable": True,
+            "update_check": True,
+        },
+        "init-stats": {
+            "model": {**model_ladder, "vocab_size": 64},
+            "paradigm": "scale_channels",
+            "widths": [64, 128, 256, 512],
+            "tolerance": 0.15,
+            "min_samples": 10000,
+        },
+        "equivalence-check": {
+            "model": model_small,
+            "paradigms": ["scale_channels", "scale_rank"],
+            "widths": [8, 16, 32],
+            "seeds": 5,
+            "iters": 3,
+            "n_tokens": 8,
+            "tolerance": 1e-12,
+            "tau_pairs": [[8, 8], [16, 8], [16, 2], [24, 1]],
+            "tau_tolerance": 1e-12,
+        },
+        "energy-probe": {
+            "model": model_ladder,
+            "paradigms": ["scale_channels", "scale_rank"],
+            "widths": [64, 128, 256, 512],
+            "n_seeds": 32,
+            "n_tokens": 16,
+            "stage": "init",
+            "entropy_band": 0.15,
+            "energy_band": 0.2,
+            "assert_bands": True,
+        },
+        "transfer-sweep": {
+            "model": model_ladder,
+            "paradigm": "scale_channels",
+            "widths": [64, 256],
+            "lr_grid": [1e-4, 10 ** -3.5, 1e-3, 10 ** -2.5, 1e-2],
+            "hp": hp,
+            "corpus": {**corpus, "seq_len": 32, "synthetic_bytes": 1 << 19,
+                       "synthetic_seed": 17},
+            "train": train,
+            "max_displacement": 1,
+        },
+        "verify-local-opt": {
+            "model": {**model_ladder, "pos_bias": True},
+            "hp": hp,
+            "p": 0.05,
+            "alpha": 0.05,
+            "n": None,
+            "scale": 0.2,
+            "noise_tol": 0.004,
+            "require_optimal": False,
+            "corpus": {**corpus, "seq_len": 32, "synthetic_bytes": 1 << 17},
+            "train": {**train, "steps": 40, "eval_interval": 40},
+        },
+        "plot": {
+            "csv": None,
+            "kind": "coord",
+            "out": None,
+        },
+    }
+    return copy.deepcopy(defaults[command])
 
 
 def _merge(defaults, override, path=""):
@@ -169,7 +179,7 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 
 def _load_config(command: str, args) -> dict:
-    cfg = copy.deepcopy(DEFAULTS[command])
+    cfg = _defaults(command)
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -199,10 +209,9 @@ def _model(cfg_model: dict):
 
 
 def _hp(cfg_hp: dict):
-    from .config import HPPoint, InfoWeights
+    from .config import HPPoint
 
-    weights = InfoWeights(**{k: v for k, v in cfg_hp.items() if k != "lr"})
-    return HPPoint(lr=cfg_hp["lr"], weights=weights)
+    return HPPoint.from_dict(cfg_hp)
 
 
 def _settings(cfg_train: dict):
@@ -211,18 +220,21 @@ def _settings(cfg_train: dict):
     return TrainSettings(**cfg_train)
 
 
-def _corpus(cfg_corpus: dict, seed: int):
+def _corpus(cfg_corpus: dict):
     from . import corpus as corpus_mod
 
-    if cfg_corpus.get("path"):
-        with open(cfg_corpus["path"], encoding="utf-8", errors="replace") as f:
-            text = f.read()
+    if cfg_corpus["path"]:
+        try:
+            with open(cfg_corpus["path"], encoding="utf-8", errors="replace") as f:
+                text = f.read()
+        except OSError as e:
+            raise ConfigError(f"cannot read corpus.path: {e}") from None
     else:
         text = corpus_mod.synth_text(cfg_corpus["synthetic_bytes"],
-                                     cfg_corpus.get("synthetic_seed", seed))
+                                     cfg_corpus["synthetic_seed"])
     return corpus_mod.encode_corpus(text, cfg_corpus["seq_len"],
-                                    tokenizer=cfg_corpus.get("tokenizer", "byte"),
-                                    max_word_vocab=cfg_corpus.get("max_word_vocab", 8192))
+                                    tokenizer=cfg_corpus["tokenizer"],
+                                    max_word_vocab=cfg_corpus["max_word_vocab"])
 
 
 def _tag(cfg: dict, seed: int) -> str:
@@ -249,7 +261,7 @@ def _cmd_train(cfg, seed, out_dir):
     from .training import train_run
 
     config = _model(cfg["model"])
-    corpus = _corpus(cfg["corpus"], seed)
+    corpus = _corpus(cfg["corpus"])
     settings = _settings(cfg["train"])
     record, params = train_run(config, _hp(cfg["hp"]), corpus, seed, settings,
                                return_params=True)
@@ -436,7 +448,7 @@ def _cmd_transfer_sweep(cfg, seed, out_dir):
     from .util import canonical_json
 
     scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
-    corpus = _corpus(cfg["corpus"], seed)
+    corpus = _corpus(cfg["corpus"])
     sweep = transfer_sweep(scaler, list(cfg["widths"]), list(cfg["lr_grid"]),
                            _hp(cfg["hp"]), corpus, seed, _settings(cfg["train"]))
     tag = _tag(cfg, seed)
@@ -473,7 +485,7 @@ def _cmd_verify(cfg, seed, out_dir):
     from .search import verify_local_optimality
 
     config = _model(cfg["model"])
-    corpus = _corpus(cfg["corpus"], seed)
+    corpus = _corpus(cfg["corpus"])
     report = verify_local_optimality(config, _hp(cfg["hp"]), corpus, seed,
                                      _settings(cfg["train"]), out_dir,
                                      p=cfg["p"], alpha=cfg["alpha"], n=cfg["n"],
@@ -488,7 +500,10 @@ def _cmd_verify(cfg, seed, out_dir):
 def _cmd_plot(cfg, seed, out_dir):
     import math
 
+    from .diagnostics import COORD_CSV_HEADER
+    from .search import VERIFY_CSV_HEADER
     from .svgplot import line_svg, scatter_svg
+    from .training import SWEEP_CSV_HEADER
 
     if not cfg["csv"]:
         raise ConfigError("plot needs a csv path (--set csv=...)")
@@ -501,9 +516,13 @@ def _cmd_plot(cfg, seed, out_dir):
     out = cfg["out"] or os.path.join(
         out_dir, os.path.splitext(os.path.basename(cfg["csv"]))[0] + ".svg")
     kind = cfg["kind"]
+    expected = {"coord": COORD_CSV_HEADER, "sweep": SWEEP_CSV_HEADER,
+                "verify": VERIFY_CSV_HEADER}
+    if kind not in expected:
+        raise ConfigError(f"unknown plot kind: {kind!r}")
+    if header != expected[kind]:
+        raise ConfigError(f"unexpected {kind} csv header: {header}")
     if kind == "coord":
-        if header != "width,probe,step,mean_abs,variance":
-            raise ConfigError(f"unexpected coord csv header: {header}")
         last_step = max(int(r[2]) for r in rows)
         series = {}
         for width_s, probe, step_s, mean_abs_s, _var in rows:
@@ -513,8 +532,6 @@ def _cmd_plot(cfg, seed, out_dir):
                  title=f"Probe magnitudes at step {last_step}",
                  xlabel="width", ylabel="mean abs", logx=True, logy=True)
     elif kind == "sweep":
-        if header != "width,lr,seed,step,split,loss":
-            raise ConfigError(f"unexpected sweep csv header: {header}")
         finals = {}
         for width_s, lr_s, _seed, step_s, split, loss_s in rows:
             if split == "eval":
@@ -527,16 +544,12 @@ def _cmd_plot(cfg, seed, out_dir):
             series.setdefault(f"width {width}", []).append((lr, loss))
         line_svg(out, sorted(series.items()), title="LR transfer across width",
                  xlabel="base learning rate", ylabel="final eval loss", logx=True)
-    elif kind == "verify":
-        if header != "sample_id,distance,loss,loss_increase_rel":
-            raise ConfigError(f"unexpected verify csv header: {header}")
+    else:
         pts = [(float(r[1]), float(r[3])) for r in rows if r[0] != "0"]
         scatter_svg(out, pts, title="Neighborhood perturbations vs base",
                     xlabel="relative HP distance from base",
                     ylabel="relative loss increase",
                     highlight=(0.0, 0.0), highlight_label="base")
-    else:
-        raise ConfigError(f"unknown plot kind: {kind!r}")
     print(f"plot: wrote {out}")
 
 

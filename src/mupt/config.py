@@ -122,5 +122,17 @@ class HPPoint:
             raise ConfigError(f"HPPoint.from_array expects {cls.DIM} values, got shape {a.shape}")
         return cls(lr=float(a[0]), weights=InfoWeights.from_array(a[1:]))
 
+    def to_dict(self) -> dict:
+        """Flat {"lr": ..., "w_unary": ..., ...}, the form configs and records use."""
+        return {"lr": self.lr, **{k: getattr(self.weights, k) for k in InfoWeights.ORDER}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "HPPoint":
+        keys = ("lr",) + InfoWeights.ORDER
+        if set(d) != set(keys):
+            raise ConfigError(f"HPPoint.from_dict expects exactly the keys {keys}, "
+                              f"got {sorted(d)}")
+        return cls(lr=d["lr"], weights=InfoWeights(**{k: d[k] for k in InfoWeights.ORDER}))
+
     def with_lr(self, lr: float) -> "HPPoint":
         return HPPoint(lr=lr, weights=self.weights)

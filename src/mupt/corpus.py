@@ -55,9 +55,6 @@ class Corpus:
     def num_chunks(self) -> int:
         return self.ids.shape[0]
 
-    def maskable(self, chunk: np.ndarray) -> np.ndarray:
-        return chunk != self.pad_id
-
     def token_mask(self, chunk: np.ndarray) -> np.ndarray:
         return chunk != self.pad_id
 
@@ -138,7 +135,7 @@ def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng, corpus: Corpus,
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"mask ratio must be in (0, 1], got {ratio}")
     seq = np.asarray(seq)
-    maskable_idx = np.flatnonzero(corpus.maskable(seq))
+    maskable_idx = np.flatnonzero(corpus.token_mask(seq))
     count = int(round(ratio * maskable_idx.size))
     if count == 0:
         raise ConfigError(

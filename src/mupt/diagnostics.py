@@ -29,11 +29,12 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model
-from .autodiff import reverse_grad, val
+from .autodiff import rms_norm, val
 from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
 from .rng import SeededRng
+from .training import train_steps
 from .util import canonical_json
 
 __all__ = [
@@ -99,6 +100,12 @@ def _pos_bias_np(config: PTConfig, params: dict, n: int) -> np.ndarray | float:
     return np.asarray(params["P_rel"])[:, buckets]
 
 
+def _np_readout(config: PTConfig, params: dict, q_z: np.ndarray) -> np.ndarray:
+    """Masked-LM logits of an oracle's label posteriors."""
+    feature = rms_norm(config.width * q_z, np.asarray(params["gamma"]), config.rms_eps)
+    return feature @ np.asarray(params["W_out"]) + np.asarray(params["b_out"])
+
+
 class _LiteralPath:
     """Energy-gradient sweep with explicit temperature factors and dense T."""
 
@@ -127,13 +134,6 @@ class _LiteralPath:
              + iw.w_binary * ((tau * m_val) * (self.q_g @ np.asarray(self.params["B"])))
              + (tau * n_val) * (iw.w_tern_dep * dep + iw.w_tern_head * head)) / tau
         self.q_z = _np_softmax(z)
-
-    def mlm(self) -> np.ndarray:
-        cfg = self.config
-        from .autodiff import rms_norm
-
-        feature = rms_norm(cfg.width * self.q_z, np.asarray(self.params["gamma"]), cfg.rms_eps)
-        return feature @ np.asarray(self.params["W_out"]) + np.asarray(self.params["b_out"])
 
 
 class _RescaledPath:
@@ -165,13 +165,6 @@ class _RescaledPath:
         z = (iw.w_unary * self.s_tok + iw.w_binary * (g_feat @ b)
              + iw.w_tern_dep * dep + iw.w_tern_head * head)
         self.q_z = _np_softmax(z)
-
-    def mlm(self) -> np.ndarray:
-        cfg = self.config
-        from .autodiff import rms_norm
-
-        feature = rms_norm(cfg.width * self.q_z, np.asarray(self.params["gamma"]), cfg.rms_eps)
-        return feature @ np.asarray(self.params["W_out"]) + np.asarray(self.params["b_out"])
 
 
 @dataclass
@@ -245,7 +238,7 @@ def equivalence_check(config: PTConfig, seed: int, n_tokens: int = 8,
     out = val(model.mlm_logits(config, params, state))
     pred = _np_softmax(out)
     for name, path in (("literal", lit), ("rescaled", res)):
-        path_out = path.mlm()
+        path_out = _np_readout(config, params, path.q_z)
         report.deviations[f"final/mlm_logits:{name}"] = scale_rel_dev(path_out, out)
         report.deviations[f"final/predictive:{name}"] = prob_rel_dev(_np_softmax(path_out), pred)
     return report
@@ -432,18 +425,6 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
         raise ConfigError("diagnostic corpus too small for the requested step count")
     root = SeededRng(seed)
     probe_chunks = corpus.ids[:batch_size]
-    # batch-level corruption, width-independent
-    batch_data = []
-    for t in range(steps):
-        rng_t = root.spawn(f"batch-mask/{t}")
-        chunks = corpus.ids[batch_size * (t + 1):batch_size * (t + 2)]
-        corrupted = np.empty_like(chunks)
-        targets = np.empty_like(chunks)
-        selected = np.empty(chunks.shape, dtype=bool)
-        for b_i in range(chunks.shape[0]):
-            corrupted[b_i], targets[b_i], selected[b_i] = corpus_mod.mask_tokens(
-                chunks[b_i], 0.15, rng_t, corpus)
-        batch_data.append((corrupted, targets, selected))
 
     mean_abs: dict[str, dict[int, list[float]]] = {p: {} for p in PROBES}
     variance: dict[str, dict[int, list[float]]] = {p: {} for p in PROBES}
@@ -478,17 +459,13 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
                 variance[p][width].append(float(probes[p].var()))
 
         record(False)
-        for t in range(steps):
-            if not diverged[width]:
-                corrupted, targets, selected = batch_data[t]
-                leaves = params.as_vars()
-                state = model.run_mfvi(config, leaves, corrupted, hp.weights, iters=iters)
-                loss = model.masked_ce_loss(
-                    model.mlm_logits(config, leaves, state), targets, selected)
-                if not math.isfinite(float(val(loss))):
-                    diverged[width] = True
-                else:
-                    opt.step(params.tensors, reverse_grad(loss, leaves))
+        # width-independent batches and corruption: the same keyed streams
+        # are spawned afresh for every width
+        batches = ((corpus.ids[batch_size * (t + 1):batch_size * (t + 2)],
+                    root.spawn(f"batch-mask/{t}")) for t in range(steps))
+        for loss in train_steps(config, params, opt, hp, corpus, batches, 0.15,
+                                "bert", iters):
+            diverged[width] = not math.isfinite(loss)
             record(diverged[width])
 
     return CoordReport(paradigm=scaler.paradigm, widths=list(widths), steps=steps,
@@ -739,15 +716,10 @@ def _trained_posteriors(config: PTConfig, params: model.ModelParams,
     corpus = _diag_corpus(32, seed, n_bytes=1 << 13)
     opt = AdamW(model.tensor_shapes(config), config.width, hp.lr)
     root = SeededRng(seed)
-    for t in range(steps):
-        chunk = corpus.ids[t % corpus.num_chunks]
-        corrupted, targets, selected = corpus_mod.mask_tokens(
-            chunk, 0.15, root.spawn(f"m{t}"), corpus)
-        leaves = params.as_vars()
-        state = model.run_mfvi(config, leaves, corrupted, hp.weights, iters=2)
-        loss = model.masked_ce_loss(model.mlm_logits(config, leaves, state),
-                                    targets, selected)
-        opt.step(params.tensors, reverse_grad(loss, leaves))
+    batches = ((corpus.ids[t % corpus.num_chunks][None], root.spawn(f"m{t}"))
+               for t in range(steps))
+    for _ in train_steps(config, params, opt, hp, corpus, batches, 0.15, "bert", 2):
+        pass
     state = model.run_mfvi(config, params.tensors,
                            tokens % config.vocab_size, hp.weights, iters=2)
     return val(state.q_z), val(state.q_h), val(state.q_g)

@@ -181,8 +181,7 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
              vline=float(base_pos), vline_label=f"base (rank {base_pos})")
 
     report = VerificationReport(
-        base_hp={"lr": base_hp.lr, **{k: getattr(base_hp.weights, k)
-                                      for k in base_hp.weights.ORDER}},
+        base_hp=base_hp.to_dict(),
         p=p, alpha=alpha, n_samples=n, confidence=confidence(n, p),
         base_loss=base_loss, rank=rank, n_better=n_better,
         n_within_noise=n_within_noise, noise_tol=noise_tol,

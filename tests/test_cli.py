@@ -92,6 +92,11 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert set(tensors) >= {"S", "U", "V", "B", "W_out"}
 
 
+def test_missing_corpus_file_is_a_config_error(tmp_path, capsys):
+    assert _run(["train", "--set", "corpus.path=/nonexistent/corpus.txt"], tmp_path) == 1
+    assert "corpus.path" in capsys.readouterr().err
+
+
 def test_train_without_checkpoint(tmp_path, capsys):
     rc = _run(["train", *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
                "--set", "model.vocab_size=259", "--set", "save_checkpoint=false"],

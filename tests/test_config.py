@@ -77,6 +77,10 @@ def test_hp_point_roundtrip():
     assert arr[0] == 3e-3
     back = HPPoint.from_array(arr)
     assert back == hp
+    d = hp.to_dict()
+    assert list(d) == ["lr", *InfoWeights.ORDER]
+    assert d["lr"] == 3e-3 and d["w_binary"] == 0.125
+    assert HPPoint.from_dict(d) == hp
 
 
 def test_hp_point_validation():
@@ -86,6 +90,10 @@ def test_hp_point_validation():
         HPPoint(lr=float("inf"))
     with pytest.raises(ConfigError):
         HPPoint.from_array(np.ones(6))
+    with pytest.raises(ConfigError):
+        HPPoint.from_dict({"lr": 1e-3})
+    with pytest.raises(ConfigError):
+        HPPoint.from_dict({**HPPoint().to_dict(), "w_extra": 1.0})
 
 
 def test_with_lr_keeps_weights():

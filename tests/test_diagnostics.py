@@ -169,6 +169,24 @@ def test_coord_check_structure():
         coord_check(TINY_LADDER, [32, 16], DIAG_HP, steps=1)
 
 
+def test_coord_check_divergence_stops_stepping():
+    # an absurd LR overflows float64 within a few steps; overflow is the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = coord_check(TINY_LADDER, [16, 32], DIAG_HP.with_lr(1e80), steps=4,
+                             seed=0, batch_size=2, iters=2)
+    for w in (16, 32):
+        assert report.diverged[w]
+        # the step whose loss is non-finite records +inf for every probe, and
+        # so does every later step; probes before it are recorded as measured
+        # (huge, or NaN once the weights overflow)
+        first_bad = report.mean_abs["nz"][w].index(math.inf)
+        assert 1 <= first_bad <= report.steps
+        for p in PROBES:
+            assert math.inf not in report.mean_abs[p][w][:first_bad]
+            assert all(x == math.inf for x in report.mean_abs[p][w][first_bad:])
+            assert all(x == math.inf for x in report.variance[p][w][first_bad:])
+
+
 def test_coord_report_band_logic():
     rep = CoordReport(paradigm="scale_channels", widths=[8, 16], steps=1,
                       mean_abs={p: {8: [1.0, 1.0], 16: [1.0, 10.0]} for p in PROBES},

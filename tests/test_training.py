@@ -14,6 +14,7 @@ from mupt.training import (
     SweepResult,
     TrainSettings,
     train_run,
+    train_steps,
     transfer_sweep,
 )
 
@@ -74,6 +75,33 @@ def test_divergence_stops_stepping():
     # once diverged, every later train loss is +inf
     first = rec.train_losses.index(math.inf)
     assert all(x == math.inf for x in rec.train_losses[first:])
+
+
+def test_train_steps_yields_inf_and_stops_after_divergence():
+    from mupt.model import ModelParams, tensor_shapes
+    from mupt.mup import AdamW
+    from mupt.rng import SeededRng
+
+    corpus = _corpus()
+    params = ModelParams.init(CFG, SeededRng(0).spawn("params"))
+    opt = AdamW(tensor_shapes(CFG), CFG.width, 1e80)
+    batches = [(corpus.ids[2 * t:2 * t + 2], SeededRng(0).spawn(f"mask/{t}"))
+               for t in range(6)]
+    steps = train_steps(CFG, params, opt, HP.with_lr(1e80), corpus, batches,
+                        0.15, "bert", 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = []
+        for loss in steps:
+            losses.append(loss)
+            if loss == math.inf:
+                break
+        frozen = {k: v.copy() for k, v in params.tensors.items()}
+        losses += list(steps)
+    assert len(losses) == 6
+    first = losses.index(math.inf)
+    assert first > 0 and all(x == math.inf for x in losses[first:])
+    for k, v in frozen.items():  # nothing stepped after the first bad loss
+        np.testing.assert_array_equal(params.tensors[k], v)
 
 
 def test_vocab_mismatch_rejected():
