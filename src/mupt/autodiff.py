@@ -8,15 +8,21 @@ float64 unless the caller hands in float32 explicitly.
 
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.
+
+Inside `with no_tape():` the same ops compute the same values but record no
+parents, so a forward-only pass frees each intermediate as soon as nothing
+holds it instead of keeping the whole tape alive until the result goes.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Mapping
 
 import numpy as np
 
 __all__ = [
     "Var",
+    "no_tape",
     "as_var",
     "val",
     "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "square",
@@ -27,6 +33,7 @@ __all__ = [
 ]
 
 _FLOATS = (np.float32, np.float64)
+_recording = True
 
 
 def _as_array(x) -> np.ndarray:
@@ -43,8 +50,11 @@ class Var:
 
     def __init__(self, value, parents=(), vjps=()) -> None:
         self.value = value if isinstance(value, np.ndarray) and value.dtype in _FLOATS else _as_array(value)
-        self._parents = parents
-        self._vjps = vjps
+        if _recording:
+            self._parents = parents
+            self._vjps = vjps
+        else:
+            self._parents = self._vjps = ()
 
     @property
     def shape(self):
@@ -88,6 +98,18 @@ class Var:
 
     def __pow__(self, p):
         return power(self, p)
+
+
+@contextmanager
+def no_tape():
+    """Forward values only: Vars made inside are leaves, so nothing differentiates
+    through them (reverse_grad gives zeros) and their inputs are not kept."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
 
 
 def as_var(x) -> Var:

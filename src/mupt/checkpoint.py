@@ -4,8 +4,10 @@ Layout: 8-byte magic, a little-endian uint64 header length, a UTF-8 JSON
 header, then each tensor's raw little-endian payload in header index order.
 The header carries the format version, the model geometry, each tensor's
 parametrization group, and an index of (name, shape, dtype, byte offset)
-entries. Loading refuses a version it does not understand and reports the
-exact byte offset of any truncation.
+entries. Loading refuses a version it does not understand, checks the index
+against the geometry (every tensor once, with its expected shape, a known
+dtype and a payload inside the file), reports the exact byte offset of any
+truncation, and turns every malformed header into a CheckpointError.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import mup
 from .config import PTConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import tensor_order, tensor_shapes
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
@@ -84,25 +86,55 @@ def load_checkpoint(path) -> tuple[PTConfig, dict, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
 
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"corrupt checkpoint header: expected a JSON object, got {type(header).__name__}")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {version!r} is not supported "
             f"(this build reads version {FORMAT_VERSION})")
 
-    config = PTConfig(**header["config"])
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointError("checkpoint header has no config object")
+    try:
+        config = PTConfig(**header["config"])
+    except (TypeError, ConfigError) as e:
+        raise CheckpointError(f"invalid config in checkpoint header: {e}") from None
+    entries, extra = header.get("tensors"), header.get("extra", {})
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint header has no tensor index list")
+    if not isinstance(extra, dict):
+        raise CheckpointError("checkpoint header extra must be a JSON object")
+    shapes = tensor_shapes(config)
     payload_start = body_start + header_len
     tensors = {}
-    for entry in header["tensors"]:
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != {"name", "shape", "dtype", "offset"}:
+            raise CheckpointError(f"malformed tensor index entry: {entry!r}")
+        name, offset = entry["name"], entry["offset"]
+        if not isinstance(name, str) or name not in shapes:
+            raise CheckpointError(f"unknown tensor {name!r} for this geometry")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} is indexed twice")
+        if entry["shape"] != list(shapes[name]):
+            raise CheckpointError(
+                f"tensor {name!r} has shape {entry['shape']!r}, expected {list(shapes[name])}")
+        if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
+            raise CheckpointError(f"unsupported dtype {entry['dtype']!r} for tensor {name!r}")
+        if type(offset) is not int or offset < 0:
+            raise CheckpointError(f"tensor {name!r} has invalid offset {offset!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = payload_start + entry["offset"]
+        count = int(np.prod(shapes[name], dtype=np.int64))
+        start = payload_start + offset
         end = start + count * dtype.itemsize
         if end > len(data):
             raise CheckpointError(
-                f"truncated checkpoint: tensor {entry['name']!r} needs bytes "
+                f"truncated checkpoint: tensor {name!r} needs bytes "
                 f"{start}..{end} but the file ends at byte {len(data)}")
         arr = np.frombuffer(data, dtype=dtype, count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(arr.dtype.newbyteorder("="))
-    return config, tensors, header.get("extra", {})
+        tensors[name] = arr.reshape(shapes[name]).astype(arr.dtype.newbyteorder("="))
+    missing = [name for name in shapes if name not in tensors]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensors {missing}")
+    return config, tensors, extra

@@ -138,8 +138,33 @@ def _merge(defaults, override, path=""):
         if isinstance(defaults[key], dict) and isinstance(value, dict):
             out[key] = _merge(defaults[key], value, where)
         else:
-            out[key] = value
+            out[key] = _checked(defaults[key], value, where)
     return out
+
+
+# Config keys that accept null, with the type each takes otherwise: every key
+# whose default is null, plus train.mfvi_iters (null: the geometry's default).
+_NULLABLE = {"corpus.path": str, "n": int, "csv": str, "out": str,
+             "train.mfvi_iters": int}
+
+
+def _checked(default, value, where: str):
+    """value, if it may replace default at config key `where`; else ConfigError.
+
+    A key takes its default's type (an int where a float is expected too);
+    a null-default key takes the type listed in _NULLABLE.
+    """
+    if value is None:
+        if where in _NULLABLE:
+            return None
+        raise ConfigError(f"{where} cannot be null")
+    expected = _NULLABLE[where] if default is None else type(default)
+    if type(value) is expected or (expected is float and type(value) is int):
+        return value
+    if expected is bool:
+        raise ConfigError(f"{where} expects true/false, got {value!r}")
+    raise ConfigError(
+        f"{where} expects {expected.__name__}, got {type(value).__name__} ({value!r})")
 
 
 def _coerce(default, raw: str, where: str):
@@ -147,19 +172,7 @@ def _coerce(default, raw: str, where: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    if default is None or value is None:
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} expects true/false, got {raw!r}")
-        return value
-    if isinstance(default, (int, float)) and isinstance(value, (int, float)) \
-            and not isinstance(value, bool):
-        return value
-    if type(default) is type(value):
-        return value
-    raise ConfigError(
-        f"{where} expects {type(default).__name__}, got {type(value).__name__} ({raw!r})")
+    return _checked(default, value, where)
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -498,21 +511,17 @@ def _cmd_verify(cfg, seed, out_dir):
 
 
 def _cmd_plot(cfg, seed, out_dir):
-    import math
-
     from .diagnostics import COORD_CSV_HEADER
     from .search import VERIFY_CSV_HEADER
-    from .svgplot import line_svg, scatter_svg
     from .training import SWEEP_CSV_HEADER
 
     if not cfg["csv"]:
         raise ConfigError("plot needs a csv path (--set csv=...)")
     try:
         with open(cfg["csv"], encoding="utf-8") as f:
-            header, *lines = [ln.strip() for ln in f if ln.strip()]
-    except FileNotFoundError:
-        raise ConfigError(f"csv not found: {cfg['csv']}") from None
-    rows = [ln.split(",") for ln in lines]
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read csv: {e}") from None
     out = cfg["out"] or os.path.join(
         out_dir, os.path.splitext(os.path.basename(cfg["csv"]))[0] + ".svg")
     kind = cfg["kind"]
@@ -520,8 +529,30 @@ def _cmd_plot(cfg, seed, out_dir):
                 "verify": VERIFY_CSV_HEADER}
     if kind not in expected:
         raise ConfigError(f"unknown plot kind: {kind!r}")
+    if not lines:
+        raise ConfigError(f"csv is empty: {cfg['csv']}")
+    header, *lines = lines
     if header != expected[kind]:
         raise ConfigError(f"unexpected {kind} csv header: {header}")
+    if not lines:
+        raise ConfigError(f"{kind} csv has no data rows: {cfg['csv']}")
+    rows = [ln.split(",") for ln in lines]
+    n_fields = header.count(",") + 1
+    for k, row in enumerate(rows, start=1):
+        if len(row) != n_fields:
+            raise ConfigError(f"csv data row {k} has {len(row)} fields, expected {n_fields}")
+    try:
+        _plot_rows(kind, rows, out)
+    except ValueError as e:
+        raise ConfigError(f"malformed {kind} csv: {e}") from None
+    print(f"plot: wrote {out}")
+
+
+def _plot_rows(kind: str, rows: list[list[str]], out: str) -> None:
+    import math
+
+    from .svgplot import line_svg, scatter_svg
+
     if kind == "coord":
         last_step = max(int(r[2]) for r in rows)
         series = {}
@@ -550,7 +581,6 @@ def _cmd_plot(cfg, seed, out_dir):
                     xlabel="relative HP distance from base",
                     ylabel="relative loss increase",
                     highlight=(0.0, 0.0), highlight_label="base")
-    print(f"plot: wrote {out}")
 
 
 _COMMANDS = {

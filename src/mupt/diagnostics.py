@@ -23,7 +23,7 @@ energy/entropy magnitudes against their predicted power laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -223,11 +223,7 @@ def equivalence_check(config: PTConfig, seed: int, n_tokens: int = 8,
     report.deviations["init/q_z:rescaled"] = prob_rel_dev(res.q_z, val(state.q_z))
 
     for t in range(1, iters + 1):
-        q_h = model.update_heads(config, params, state, iw)
-        q_g = model.update_topics(config, params, state, iw)
-        refreshed = state.with_posteriors(q_h=q_h, q_g=q_g)
-        q_z = model.update_z(config, params, refreshed, iw)
-        state = refreshed.with_posteriors(q_z=q_z, sweeps=t)
+        state = model.sweep(config, params, state, iw)[0]
         lit.sweep()
         res.sweep()
         for name, path in (("literal", lit), ("rescaled", res)):
@@ -261,13 +257,10 @@ def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
         iw = InfoWeights()
 
     state = model.init_mfvi(config, params, tokens, iw)
-    q_h = model.update_heads(config, params, state, iw)
-    q_g = model.update_topics(config, params, state, iw)
-    refreshed = state.with_posteriors(q_h=q_h, q_g=q_g)
-    prod = val(model.z_logits(config, params, refreshed, iw))
+    swept, _, _, prod = model.sweep(config, params, state, iw)
 
     u, v, b = (np.asarray(params[k]) for k in ("U", "V", "B"))
-    q_z, q_hv, q_gv = val(state.q_z), val(q_h), val(q_g)
+    q_z, q_hv, q_gv = val(state.q_z), val(swept.q_h), val(swept.q_g)
     s_tok = np.asarray(params["S"])[tokens]
     n_val, m_val = config.width, config.topics
     a_dep = np.matmul(q_z[None], v)
@@ -277,7 +270,7 @@ def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
     lit = (iw.w_unary * (tau * s_tok)
            + iw.w_binary * ((tau * m_val) * (q_gv @ b))
            + (tau * n_val) * (iw.w_tern_dep * dep + iw.w_tern_head * head)) / tau
-    return scale_rel_dev(lit, prod)
+    return scale_rel_dev(lit, val(prod))
 
 
 def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[str, float]:
@@ -291,13 +284,12 @@ def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[s
     tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (n_tokens,)))
     iw = InfoWeights()
     state = model.init_mfvi(config, params, tokens, iw)
-    q_h = model.update_heads(config, params, state, iw)
-    refreshed = state.with_posteriors(q_h=q_h, q_g=model.update_topics(config, params, state, iw))
+    swept, f_prod, _, _ = model.sweep(config, params, state, iw)
+    refreshed = replace(state, q_h=swept.q_h, q_g=swept.q_g)
 
     nz = config.width * val(state.q_z)
     t_dense = _dense_t(params)
     f_dense = np.einsum("ia,cab,jb->cij", nz, t_dense, nz) / config.rank
-    f_prod = val(model.attention_logits(config, params, state))
 
     only = {"w_unary": 0.0, "w_binary": 0.0, "w_tern_dep": 0.0, "w_tern_head": 0.0,
             "w_attn": iw.w_attn, "w_topic": iw.w_topic}
@@ -305,11 +297,11 @@ def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[s
                                   InfoWeights(**{**only, "w_tern_dep": 1.0})))
     head_prod = val(model.z_logits(config, params, refreshed,
                                    InfoWeights(**{**only, "w_tern_head": 1.0})))
-    q_hv = val(q_h)
+    q_hv = val(swept.q_h)
     dep_dense = np.einsum("cij,cab,jb->ia", q_hv, t_dense, nz)
     head_dense = np.einsum("cji,cba,jb->ia", q_hv, t_dense, nz)
     return {
-        "attn_logits": scale_rel_dev(f_dense, f_prod),
+        "attn_logits": scale_rel_dev(f_dense, val(f_prod)),
         "tern_dep": scale_rel_dev(dep_dense, dep_prod),
         "tern_head": scale_rel_dev(head_dense, head_prod),
     }
@@ -375,27 +367,19 @@ class CoordReport:
 
 
 def _probe_forward(config: PTConfig, params: dict, tokens: np.ndarray,
-                   token_mask, iw: InfoWeights, iters: int):
+                   iw: InfoWeights, iters: int):
     """One value-only forward capturing the probed tensors at the last sweep."""
-    state = model.init_mfvi(config, params, tokens, iw, token_mask)
-    f_last = z_last = g_last = None
+    state = model.init_mfvi(config, params, tokens, iw)
+    logits = (None, None, None)
     for _ in range(iters):
-        f_last = model.attention_logits(config, params, state)
-        q_h = model.update_heads(config, params, state, iw)
-        g_logits = model.topic_logits(config, params, state, iw)
-        q_g = model.update_topics(config, params, state, iw)
-        refreshed = state.with_posteriors(q_h=q_h, q_g=q_g)
-        z_last = model.z_logits(config, params, refreshed, iw)
-        state = refreshed.with_posteriors(q_z=model.update_z(config, params, refreshed, iw))
-        g_last = g_logits
-    nz = config.width * val(state.q_z)
-    out = val(model.mlm_logits(config, params, state))
+        state, *logits = model.sweep(config, params, state, iw)
+    f_last, g_last, z_last = logits
     return {
-        "nz": nz,
+        "nz": config.width * val(state.q_z),
         "attn_logits": val(f_last),
         "z_logits": val(z_last),
         "topic_logits": val(g_last),
-        "out_logits": out,
+        "out_logits": val(model.mlm_logits(config, params, state)),
     }
 
 
@@ -449,8 +433,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
                     mean_abs[p][width].append(math.inf)
                     variance[p][width].append(math.inf)
                 return
-            probes = _probe_forward(config, params.tensors, probe_chunks, None,
-                                    hp.weights, iters)
+            probes = _probe_forward(config, params.tensors, probe_chunks, hp.weights, iters)
             if nz0 is None:
                 nz0 = probes["nz"].copy()
             probes["delta_nz"] = probes["nz"] - nz0

@@ -2,9 +2,11 @@
 
 Each position i carries a label variable Z_i with N values, one head-selection
 variable H_i^(c) per channel c pointing at another position, and a topic
-variable G_i with M values. Inference is synchronous mean-field: every sweep
-recomputes head and topic posteriors from the current label posteriors, then
-recomputes the label posteriors from those.
+variable G_i with M values. Inference is synchronous mean-field, and `sweep`
+is the one place a sweep is written: it recomputes head and topic posteriors
+from the current label posteriors, then the label posteriors from those, and
+hands back the three logit tensors it passed through softmax. `run_mfvi` is
+init_mfvi plus `iters` sweeps; the diagnostics step `sweep` themselves.
 
 All update formulas below are the temperature-cancelled closed forms, written
 in terms of the quasi-distributions
@@ -29,14 +31,14 @@ positions; masked-out positions neither attend nor get attended to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from . import mup
-from .autodiff import Var, val
+from .autodiff import Var
 from .config import PTConfig, InfoWeights
 from .errors import ConfigError
 from .rng import SeededRng
@@ -45,7 +47,7 @@ __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
     "param_group_report", "position_buckets", "init_mfvi", "attention_logits",
     "update_heads", "topic_logits", "update_topics", "z_logits", "update_z",
-    "run_mfvi", "quasi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
+    "sweep", "run_mfvi", "quasi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
 
 ParamsLike = Mapping[str, Union[Var, np.ndarray]]
@@ -148,16 +150,6 @@ class MFVIState:
     token_mask: np.ndarray | None = None
     sweeps: int = 0
 
-    def with_posteriors(self, q_z=None, q_h=None, q_g=None, sweeps=None) -> "MFVIState":
-        return MFVIState(
-            tokens=self.tokens,
-            q_z=self.q_z if q_z is None else q_z,
-            q_h=self.q_h if q_h is None else q_h,
-            q_g=self.q_g if q_g is None else q_g,
-            token_mask=self.token_mask,
-            sweeps=self.sweeps if sweeps is None else sweeps,
-        )
-
 
 def position_buckets(n: int, n_buckets: int, clip: int) -> np.ndarray:
     """Bucket index of the clipped signed offset i - j, shape (n, n).
@@ -196,7 +188,7 @@ def _valid_rows(token_mask: np.ndarray | None, batched: bool):
 
 def quasi(q, count: int):
     """Quasi-distribution count * q; rows then average to exactly 1."""
-    return ad.mul(q, float(count)) if isinstance(q, Var) else q * float(count)
+    return ad.mul(q, float(count))
 
 
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
@@ -214,7 +206,7 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
         raise ConfigError("token id out of range")
     batched = tokens.ndim == 2
 
-    s_rows = ad.take(ad.as_var(params["S"]), tokens)
+    s_rows = ad.take(params["S"], tokens)
     q_z = ad.softmax_rows(ad.mul(s_rows, iw.w_unary))
 
     support = _attn_mask(n, token_mask, batched)
@@ -243,41 +235,31 @@ def _channel_batched(x, batched: bool):
     """Insert the channel broadcast axis before (n, feature) dims."""
     if not batched:
         return x
-    shp = val(x).shape
-    return ad.reshape(x, (shp[0], 1) + shp[1:]) if isinstance(x, Var) else x.reshape((shp[0], 1) + shp[1:])
+    return ad.reshape(x, x.shape[:1] + (1,) + x.shape[1:])
 
 
-def attention_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
-                     channel: int | None = None):
+def attention_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
     """Bilinear head logits F, all channels stacked: (..., C, n, n).
 
     F[c, i, j] = (1/r) (Nz[i] U_c) . (Nz[j] V_c), plus the learned
-    relative-position bias when the geometry enables it. Pass channel to get
-    one (..., n, n) slice.
+    relative-position bias when the geometry enables it.
     """
-    batched = state.tokens.ndim == 2
     n = state.tokens.shape[-1]
-    nz = quasi(state.q_z, config.width)
-    nz_b = _channel_batched(nz, batched)
-    q = ad.matmul(nz_b, ad.as_var(params["U"]))
-    k = ad.matmul(nz_b, ad.as_var(params["V"]))
+    nz_b = _channel_batched(quasi(state.q_z, config.width), state.tokens.ndim == 2)
+    q = ad.matmul(nz_b, params["U"])
+    k = ad.matmul(nz_b, params["V"])
     f = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / config.rank)
     if config.pos_bias:
         buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
-        prel = ad.take(ad.swapaxes(ad.as_var(params["P_rel"]), 0, 1), buckets)
+        prel = ad.take(ad.swapaxes(params["P_rel"], 0, 1), buckets)
         f = ad.add(f, ad.transpose(prel, (2, 0, 1)))
-    if channel is None:
-        return f
-    if not 0 <= channel < config.channels:
-        raise ConfigError(f"channel {channel} out of range for {config.channels} channels")
-    if batched:
-        f = ad.swapaxes(f, 0, 1)
-    return ad.take(f, np.asarray(channel))
+    return f
 
 
 def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
                  iw: InfoWeights):
-    """New head posteriors: softmax of w_attn * F over j != i (exact zeros off-support)."""
+    """(F, Q_h): the head logits and their softmax of w_attn * F over j != i,
+    exact zeros off-support."""
     batched = state.tokens.ndim == 2
     f = attention_logits(config, params, state)
     mask = _attn_mask(state.tokens.shape[-1], state.token_mask, batched)
@@ -285,21 +267,22 @@ def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
     rows_valid = _valid_rows(state.token_mask, batched)
     if rows_valid is not None:
         q_h = ad.mul(q_h, rows_valid)
-    return q_h
+    return f, q_h
 
 
 def topic_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
                  iw: InfoWeights):
     """Pre-softmax topic logits w_topic * (M/N) * Nz B^T, shape (..., n, M)."""
     nz = quasi(state.q_z, config.width)
-    return ad.mul(ad.matmul(nz, ad.swapaxes(ad.as_var(params["B"]), 0, 1)),
+    return ad.mul(ad.matmul(nz, ad.swapaxes(params["B"], 0, 1)),
                   iw.w_topic * (config.topics / config.width))
 
 
 def update_topics(config: PTConfig, params: ParamsLike, state: MFVIState,
                   iw: InfoWeights):
-    """New topic posteriors: softmax of the topic logits."""
-    return ad.softmax_rows(topic_logits(config, params, state, iw))
+    """(topic logits, Q_g): the topic logits and their softmax."""
+    logits = topic_logits(config, params, state, iw)
+    return logits, ad.softmax_rows(logits)
 
 
 def z_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
@@ -310,11 +293,8 @@ def z_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
     dependent (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and
     as somebody's head (column i of Q_h, direction V_c U_c^T).
     """
-    batched = state.tokens.ndim == 2
-    nz = quasi(state.q_z, config.width)
-    nz_b = _channel_batched(nz, batched)
-    u = ad.as_var(params["U"])
-    v = ad.as_var(params["V"])
+    nz_b = _channel_batched(quasi(state.q_z, config.width), state.tokens.ndim == 2)
+    u, v = params["U"], params["V"]
 
     a_dep = ad.matmul(nz_b, v)                       # (.., C, n, r) = Nz V_c
     a_head = ad.matmul(nz_b, u)                      # (.., C, n, r) = Nz U_c
@@ -324,9 +304,8 @@ def z_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
     dep = ad.reduce_sum(dep, axis=-3)                # sum channels -> (.., n, N)
     head = ad.reduce_sum(head, axis=-3)
 
-    s_rows = ad.take(ad.as_var(params["S"]), state.tokens)
-    ng = quasi(state.q_g, config.topics)
-    binary = ad.matmul(ng, ad.as_var(params["B"]))
+    s_rows = ad.take(params["S"], state.tokens)
+    binary = ad.matmul(quasi(state.q_g, config.topics), params["B"])
 
     return ad.add(
         ad.add(ad.mul(s_rows, iw.w_unary), ad.mul(binary, iw.w_binary)),
@@ -336,38 +315,45 @@ def z_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
 
 def update_z(config: PTConfig, params: ParamsLike, state: MFVIState,
              iw: InfoWeights):
-    """New label posteriors: softmax of the label logits."""
-    return ad.softmax_rows(z_logits(config, params, state, iw))
+    """(label logits, Q_z): the label logits and their softmax."""
+    logits = z_logits(config, params, state, iw)
+    return logits, ad.softmax_rows(logits)
+
+
+def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeights):
+    """One synchronous sweep: (next state, F, topic logits, label logits).
+
+    Q_h and Q_g come from the incoming Q_z, then Q_z from the refreshed Q_h,
+    Q_g and the incoming Q_z's messages. The topic and label logits are
+    exactly what the sweep passed through softmax; F is the head softmax's
+    input before the w_attn factor.
+    """
+    f, q_h = update_heads(config, params, state, iw)
+    g, q_g = update_topics(config, params, state, iw)
+    refreshed = replace(state, q_h=q_h, q_g=q_g)
+    z, q_z = update_z(config, params, refreshed, iw)
+    return replace(refreshed, q_z=q_z, sweeps=state.sweeps + 1), f, g, z
 
 
 def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
              token_mask: np.ndarray | None = None,
              iters: int | None = None) -> MFVIState:
-    """Full inference: init, then `iters` synchronous sweeps.
-
-    Each sweep computes Q_h and Q_g from the incoming Q_z, then Q_z from the
-    refreshed Q_h, Q_g and the incoming Q_z's messages.
-    """
+    """Full inference: init, then `iters` synchronous sweeps."""
     if iters is None:
         iters = config.mfvi_iters
     if iters < 0:
         raise ConfigError(f"iters must be >= 0, got {iters}")
     state = init_mfvi(config, params, tokens, iw, token_mask)
-    for t in range(iters):
-        q_h = update_heads(config, params, state, iw)
-        q_g = update_topics(config, params, state, iw)
-        refreshed = state.with_posteriors(q_h=q_h, q_g=q_g)
-        q_z = update_z(config, params, refreshed, iw)
-        state = refreshed.with_posteriors(q_z=q_z, sweeps=t + 1)
+    for _ in range(iters):
+        state = sweep(config, params, state, iw)[0]
     return state
 
 
 def mlm_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
     """Vocabulary logits: rms-normalized quasi-labels through the output map."""
     nz = quasi(state.q_z, config.width)
-    feature = ad.rms_norm(nz, ad.as_var(params["gamma"]), config.rms_eps)
-    return ad.add(ad.matmul(feature, ad.as_var(params["W_out"])),
-                  ad.as_var(params["b_out"]))
+    feature = ad.rms_norm(nz, params["gamma"], config.rms_eps)
+    return ad.add(ad.matmul(feature, params["W_out"]), params["b_out"])
 
 
 def masked_ce_loss(logits, targets, positions):

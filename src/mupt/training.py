@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model
-from .autodiff import reverse_grad, val
+from .autodiff import no_tape, reverse_grad, val
 from .config import HPPoint, PTConfig
 from .corpus import Corpus
 from .errors import ConfigError
@@ -130,11 +130,16 @@ def _batch_loss(config: PTConfig, params, hp: HPPoint, corrupted, targets,
 
 def evaluate(config: PTConfig, params: dict, hp: HPPoint,
              eval_batches: list[tuple], iters: int | None) -> float:
-    """Position-weighted mean loss over pre-corrupted eval batches."""
+    """Position-weighted mean loss over pre-corrupted eval batches.
+
+    Runs without a tape: a taped pass would hold every intermediate until its
+    loss is read, and the heap would be trimmed and faulted back each pass.
+    """
     total, count = 0.0, 0
     for corrupted, targets, selected, token_mask in eval_batches:
-        loss = _batch_loss(config, params, hp, corrupted, targets, selected,
-                           token_mask, iters)
+        with no_tape():
+            loss = _batch_loss(config, params, hp, corrupted, targets, selected,
+                               token_mask, iters)
         k = int(selected.sum())
         total += float(val(loss)) * k
         count += k

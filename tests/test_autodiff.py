@@ -130,6 +130,19 @@ def test_reverse_grad_returns_exact_zeros_for_untouched_params():
     assert (grads["unused"] == 0.0).all()
 
 
+def test_no_tape_same_values_no_parents_and_restores():
+    x = ad.Var(np.array([[0.5, -1.0, 2.0]]))
+    taped = ad.softmax_rows(ad.mul(ad.exp(x), 3.0))
+    with ad.no_tape():
+        bare = ad.softmax_rows(ad.mul(ad.exp(x), 3.0))
+    assert np.array_equal(bare.value, taped.value)
+    assert bare._parents == () and taped._parents != ()
+    with pytest.raises(ZeroDivisionError):
+        with ad.no_tape():
+            1 / 0
+    assert ad.mul(x, 2.0)._parents[0] is x
+
+
 def test_finite_diff_check_passes_on_smooth_composite():
     rng = SeededRng(3)
     w0 = np.asarray(rng.normal((4, 3), 0.5))

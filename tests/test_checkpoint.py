@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round-trips and hostile-input handling."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -122,3 +123,68 @@ def test_header_is_inspectable_json(tmp_path):
     assert names == list(tensor_order(CFG))
     offsets = [e["offset"] for e in header["tensors"]]
     assert offsets == sorted(offsets) and offsets[0] == 0
+
+
+
+_DROP = object()
+
+
+def _rewrite_header(path, key_path, value):
+    """Set (or with _DROP, delete) one header entry; an empty key path
+    replaces the whole header."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(raw[start:start + header_len])
+    if not key_path:
+        header = value
+    else:
+        node = header
+        for key in key_path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[key_path[-1]]
+        else:
+            node[key_path[-1]] = value
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + header_len:])
+
+
+S_ENTRY = {"name": "S", "shape": [17, 8], "dtype": "float64", "offset": 0}
+
+
+@pytest.mark.parametrize("key_path, value, message", [
+    ((), [1], "expected a JSON object, got list"),
+    (("config",), _DROP, "no config object"),
+    (("config",), [8, 2], "no config object"),
+    (("config", "depth"), 3, "invalid config"),
+    (("config", "width"), -8, "invalid config"),
+    (("config", "pos_buckets"), "many", "invalid config"),
+    (("tensors",), _DROP, "no tensor index"),
+    (("tensors",), {"S": 0}, "no tensor index"),
+    (("extra",), [1], "extra must be a JSON object"),
+    (("tensors", 0), 5, "malformed tensor index entry"),
+    (("tensors", 0, "offset"), _DROP, "malformed tensor index entry"),
+    (("tensors", 0, "name"), "Q", "unknown tensor 'Q'"),
+    (("tensors", 0, "name"), ["S"], "unknown tensor"),
+    (("tensors", 1), S_ENTRY, "indexed twice"),
+    (("tensors", 0, "shape"), [1, 8], "has shape [1, 8], expected [17, 8]"),
+    (("tensors", 0, "shape"), "17x8", "has shape"),
+    (("tensors", 0, "dtype"), "float16", "unsupported dtype 'float16'"),
+    (("tensors", 0, "dtype"), ["float64"], "unsupported dtype"),
+    (("tensors", -1, "offset"), -8, "invalid offset -8"),
+    (("tensors", -1, "offset"), 8.0, "invalid offset 8.0"),
+    (("tensors", -1, "offset"), True, "invalid offset True"),
+    (("tensors", -1, "offset"), 1 << 40, "truncated checkpoint"),
+    (("tensors", -1), _DROP, "lacks tensors ['P_rel']"),
+], ids=["list-header", "no-config", "config-not-object", "unknown-config-key",
+        "bad-config-value", "config-wrong-type", "no-index", "index-not-list",
+        "extra-not-object", "entry-not-object", "entry-missing-field", "unknown-name",
+        "unhashable-name", "duplicate-entry", "wrong-shape", "shape-not-list",
+        "unknown-dtype", "unhashable-dtype", "negative-offset", "float-offset",
+        "bool-offset", "offset-past-end", "dropped-entry"])
+def test_malformed_header_is_a_checkpoint_error(tmp_path, key_path, value, message):
+    path = _save(tmp_path)
+    _rewrite_header(path, key_path, value)
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(path)

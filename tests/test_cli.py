@@ -50,6 +50,54 @@ def test_set_type_checking(tmp_path, capsys):
     assert _run(["train", "--set", "badformat"], tmp_path) == 1
 
 
+@pytest.mark.parametrize("command, assignment, message", [
+    ("train", "train.steps=null", "train.steps cannot be null"),
+    ("train", "corpus.synthetic_seed=null", "corpus.synthetic_seed cannot be null"),
+    ("train", "train.steps=2.5", "train.steps expects int"),
+    ("train", "corpus.path=7", "corpus.path expects str"),
+    ("verify-local-opt", "n=abc", "n expects int"),
+    ("verify-local-opt", "n=true", "n expects int"),
+    ("plot", "out=[1]", "out expects str"),
+])
+def test_set_rejects_null_and_wrong_types(tmp_path, capsys, command, assignment, message):
+    assert _run([command, "--set", assignment, "--print-config"], tmp_path) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_set_accepts_null_only_where_allowed(tmp_path, capsys):
+    rc = _run(["verify-local-opt", "--set", "n=null", "--set", "corpus.path=null",
+               "--set", "train.mfvi_iters=null", "--set", "hp.lr=1", "--print-config"],
+              tmp_path)
+    assert rc == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg["n"] is None and cfg["corpus"]["path"] is None
+    assert cfg["train"]["mfvi_iters"] is None and cfg["hp"]["lr"] == 1
+    assert _run(["verify-local-opt", "--set", "n=12", "--print-config"], tmp_path) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 12
+
+    bad = tmp_path / "null.json"
+    bad.write_text(json.dumps({"train": {"steps": None}}))
+    assert main(["train", "--config", str(bad), "--print-config"]) == 1
+    assert "train.steps cannot be null" in capsys.readouterr().err
+
+
+def test_every_null_default_is_listed_as_nullable():
+    from mupt.cli import _COMMANDS, _NULLABLE, _defaults
+
+    def leaves(node, path=""):
+        for key, value in node.items():
+            where = f"{path}.{key}" if path else key
+            if isinstance(value, dict):
+                yield from leaves(value, where)
+            else:
+                yield where, value
+
+    for command in _COMMANDS:
+        for where, value in leaves(_defaults(command)):
+            if value is None:
+                assert where in _NULLABLE, (command, where)
+
+
 def test_config_file_merge_and_rejection(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"train": {"steps": 7}}))
@@ -186,3 +234,25 @@ def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
                "--set", 'paradigms=["scale_channels"]', "--set", "iters=1"])
     assert rc == 0
     assert any(n.startswith("equivalence-") for n in os.listdir(target))
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    ("coord", None, "csv is empty"),
+    ("coord", "", "no data rows"),
+    ("coord", "64,nz,0,1.0\n", "data row 1 has 4 fields, expected 5"),
+    ("coord", "64,nz,0,1.0,0.5,7\n", "data row 1 has 6 fields, expected 5"),
+    ("coord", "64,nz,zero,1.0,0.5\n", "malformed coord csv"),
+    ("sweep", "64,0.01,0,1,eval\n", "data row 1 has 5 fields, expected 6"),
+    ("verify", "1,0.2,3.0\n", "data row 1 has 3 fields, expected 4"),
+])
+def test_plot_rejects_malformed_csv(tmp_path, capsys, kind, body, message):
+    from mupt.diagnostics import COORD_CSV_HEADER
+    from mupt.search import VERIFY_CSV_HEADER
+    from mupt.training import SWEEP_CSV_HEADER
+
+    header = {"coord": COORD_CSV_HEADER, "sweep": SWEEP_CSV_HEADER,
+              "verify": VERIFY_CSV_HEADER}[kind]
+    path = tmp_path / "bad.csv"
+    path.write_text("" if body is None else header + "\n" + body)
+    assert _run(["plot", "--set", f"csv={path}", "--set", f"kind={kind}"], tmp_path) == 1
+    assert message in capsys.readouterr().err

@@ -25,6 +25,7 @@ from mupt.model import (
     position_buckets,
     quasi,
     run_mfvi,
+    sweep,
     tensor_order,
     tensor_shapes,
     uniform_posteriors,
@@ -67,18 +68,13 @@ def test_attention_logits_hand_case():
     np.testing.assert_allclose(f[0, 0, 1], 0.16, atol=1e-14)
     np.testing.assert_allclose(f[0, 1, 0], 0.12, atol=1e-14)
 
-    single = val(attention_logits(cfg, params, state, channel=0))
-    np.testing.assert_array_equal(single, f[0])
-    with pytest.raises(ConfigError):
-        attention_logits(cfg, params, state, channel=1)
-
 
 def test_update_heads_two_tokens_deterministic():
     # with only one candidate head per position the posterior is a point mass
     cfg = _tiny_config()
     params = _tiny_params(cfg)
     state = init_mfvi(cfg, params, np.array([0, 1]), IW)
-    q_h = val(update_heads(cfg, params, state, IW))
+    q_h = val(update_heads(cfg, params, state, IW)[1])
     np.testing.assert_array_equal(np.diagonal(q_h, axis1=-2, axis2=-1), 0.0)
     np.testing.assert_allclose(q_h[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
@@ -91,7 +87,7 @@ def test_topic_update_hand_case():
     state = MFVIState(tokens=np.array([0, 1]), q_z=Var(q_z),
                       q_h=np.zeros((1, 2, 2)), q_g=np.full((2, 2), 0.5))
     # topic logits = (M/N) Nz B^T = [ln 2, 0] per row
-    q_g = val(update_topics(cfg, params, state, IW))
+    q_g = val(update_topics(cfg, params, state, IW)[1])
     np.testing.assert_allclose(q_g, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-14)
 
 
@@ -239,6 +235,44 @@ def test_token_mask_zeroes_padding():
     np.testing.assert_array_equal(q_h[:, :, mask == False], 0.0)  # noqa: E712
     np.testing.assert_array_equal(q_h[:, mask == False, :], 0.0)  # noqa: E712
     np.testing.assert_allclose(q_h[:, mask].sum(-1), 1.0, atol=1e-12)
+
+
+def _masked_batch_setup():
+    cfg = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
+                   pos_bias=True, pos_buckets=8, pos_clip=4)
+    rng = SeededRng(5)
+    params = ModelParams.init(cfg, rng.spawn("params")).tensors
+    params["P_rel"] = rng.spawn("p_rel").normal(params["P_rel"].shape, 1.0)
+    tokens = rng.spawn("tokens").integers(0, cfg.vocab_size, (3, 6))
+    mask = np.ones((3, 6), dtype=bool)
+    mask[1, 4:] = False
+    mask[2, 3:] = False
+    return cfg, params, tokens, mask
+
+
+def test_run_mfvi_is_iterated_sweep():
+    cfg, params, tokens, mask = _masked_batch_setup()
+    state = init_mfvi(cfg, params, tokens, IW, token_mask=mask)
+    for _ in range(3):
+        state = sweep(cfg, params, state, IW)[0]
+    ref = run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=3)
+    assert state.sweeps == ref.sweeps == 3
+    for name in ("q_z", "q_h", "q_g"):
+        np.testing.assert_array_equal(val(getattr(state, name)), val(getattr(ref, name)))
+
+
+def test_sweep_logits_reproduce_posteriors():
+    cfg, params, tokens, mask = _masked_batch_setup()
+    state = run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=1)
+    swept, f, g, z = sweep(cfg, params, state, IW)
+    support = ~np.eye(tokens.shape[-1], dtype=bool)[None, None] & mask[:, None, None, :]
+    q_h = val(ad.softmax_rows(val(f) * IW.w_attn, support)) * mask[:, None, :, None]
+    np.testing.assert_array_equal(q_h, val(swept.q_h))
+    np.testing.assert_array_equal(val(ad.softmax_rows(val(g))), val(swept.q_g))
+    np.testing.assert_array_equal(val(ad.softmax_rows(val(z))), val(swept.q_z))
+    # F is read off the incoming state, before any posterior is refreshed
+    np.testing.assert_array_equal(val(f), val(attention_logits(cfg, params, state)))
+    assert swept.sweeps == state.sweeps + 1
 
 
 def test_input_validation():

@@ -172,3 +172,24 @@ def test_sweep_result_displacement():
     sweep = SweepResult(widths=[8, 16, 32], lr_grid=[0.1, 0.2],
                         records={}, best_lr_index={8: 0, 16: 1, 32: 1})
     assert sweep.argmin_displacement == 1
+
+
+def test_evaluate_without_tape_matches_taped_loss_bitwise():
+    from mupt import autodiff as ad
+    from mupt import model
+    from mupt.corpus import split_chunks
+    from mupt.rng import SeededRng
+    from mupt.training import _batch_loss, build_eval_batches, evaluate
+
+    corpus = _corpus()
+    _, eval_idx = split_chunks(corpus, 0.25, SeededRng(0).spawn("split"))
+    batches = build_eval_batches(CFG, corpus, eval_idx, SETTINGS, SeededRng(0).spawn("mask"))
+    leaves = {k: ad.Var(v) for k, v in model.ModelParams.init(CFG, SeededRng(1)).tensors.items()}
+    total, count = 0.0, 0
+    for corrupted, targets, selected, token_mask in batches:
+        loss = _batch_loss(CFG, leaves, HP, corrupted, targets, selected, token_mask, 2)
+        assert any(np.any(g) for g in ad.reverse_grad(loss, leaves).values())
+        total += float(ad.val(loss)) * int(selected.sum())
+        count += int(selected.sum())
+    assert evaluate(CFG, leaves, HP, batches, 2) == total / count
+    assert ad.mul(leaves["S"], 1.0)._parents   # the tape records again afterwards
