@@ -32,8 +32,7 @@ _EXPORTS = {
                  "transfer_sweep"),
     "diagnostics": ("DIAG_WEIGHTS", "DIAG_HP", "EquivalenceReport", "equivalence_check",
                     "tau_cancellation_check", "dense_oracle_check", "CoordReport",
-                    "coord_check", "UpdateMagnitudeReport", "update_magnitude_check",
-                    "InitAudit", "init_variance_audit", "VarianceScan",
+                    "coord_check", "InitAudit", "init_variance_audit", "VarianceScan",
                     "logit_variance_scan", "MagnitudeFit", "energy_entropy_probe",
                     "entropy_uniform_exact"),
     "search": ("min_samples", "sample_size_bound", "confidence", "hp_distance",

@@ -1,31 +1,36 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Var wraps an ndarray plus the recipe for pushing a cotangent back to its
-parents. Building blocks are deliberately few: elementwise arithmetic, batched
-matmul, axis reductions, gathers, and two fused primitives (softmax_rows,
-logsumexp) whose closed-form vjps keep the backward pass exact. Everything is
-float64 unless the caller hands in float32 explicitly.
+A Var wraps an ndarray. Whether it is on the tape follows from its inputs:
+
+  - `Var(x)` is a leaf on the tape, a parameter for reverse_grad;
+  - every other operand (an ndarray, a scalar) is wrapped by `as_var` as a
+    constant, off the tape;
+  - an op's result is on the tape iff at least one input is, and it links
+    back, with the recipe for pushing a cotangent through, to exactly those
+    inputs. An op on constants keeps no links, so a forward pass on plain
+    arrays builds no tape and frees each intermediate as soon as nothing
+    holds it, and no cotangent is ever computed for a constant.
+
+The ops are deliberately few: add, sub, mul, div, sqrt, square; batched
+matmul, transpose, swapaxes, reshape; reduce_sum, reduce_mean; the gathers
+take and take_along; and the fused rows primitives logsumexp, softmax_rows,
+log_softmax_rows and rms_norm, whose closed-form vjps keep the backward pass
+exact. Everything is float64 unless the caller hands in float32 explicitly.
 
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.
-
-Inside `with no_tape():` the same ops compute the same values but record no
-parents, so a forward-only pass frees each intermediate as soon as nothing
-holds it instead of keeping the whole tape alive until the result goes.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Mapping
 
 import numpy as np
 
 __all__ = [
     "Var",
-    "no_tape",
     "as_var",
     "val",
-    "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "square",
+    "add", "sub", "mul", "div", "sqrt", "square",
     "matmul", "transpose", "swapaxes", "reshape",
     "reduce_sum", "reduce_mean", "take", "take_along",
     "logsumexp", "softmax_rows", "rms_norm", "log_softmax_rows",
@@ -33,7 +38,6 @@ __all__ = [
 ]
 
 _FLOATS = (np.float32, np.float64)
-_recording = True
 
 
 def _as_array(x) -> np.ndarray:
@@ -44,17 +48,14 @@ def _as_array(x) -> np.ndarray:
 
 
 class Var:
-    """A node in the computation tape: a value plus parent back-links."""
+    """An ndarray value, on the tape (with links to its taped inputs) or not."""
 
-    __slots__ = ("value", "_parents", "_vjps")
+    __slots__ = ("value", "on_tape", "_parents", "_vjps")
 
-    def __init__(self, value, parents=(), vjps=()) -> None:
+    def __init__(self, value, on_tape: bool = True) -> None:
         self.value = value if isinstance(value, np.ndarray) and value.dtype in _FLOATS else _as_array(value)
-        if _recording:
-            self._parents = parents
-            self._vjps = vjps
-        else:
-            self._parents = self._vjps = ()
+        self.on_tape = on_tape
+        self._parents = self._vjps = ()
 
     @property
     def shape(self):
@@ -65,55 +66,22 @@ class Var:
         return self.value.ndim
 
     def __repr__(self) -> str:
-        return f"Var(shape={self.value.shape}, leaf={not self._parents})"
-
-    # operator sugar; scalars and ndarrays on either side are fine
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-
-@contextmanager
-def no_tape():
-    """Forward values only: Vars made inside are leaves, so nothing differentiates
-    through them (reverse_grad gives zeros) and their inputs are not kept."""
-    global _recording
-    prev, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = prev
+        return f"Var(shape={self.value.shape}, on_tape={self.on_tape}, leaf={not self._parents})"
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    """x itself if it is a Var, else x as a constant."""
+    return x if isinstance(x, Var) else Var(x, on_tape=False)
+
+
+def _node(value, inputs: tuple, vjps: tuple) -> Var:
+    """An op's result, linked to the inputs on the tape and their vjps only."""
+    out = Var(value, on_tape=False)
+    links = [(a, vjp) for a, vjp in zip(inputs, vjps) if a.on_tape]
+    if links:
+        out.on_tape = True
+        out._parents, out._vjps = zip(*links)
+    return out
 
 
 def val(x) -> np.ndarray:
@@ -133,64 +101,42 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value + b.value, (a, b),
-               (lambda g: _unbroadcast(g, a.value.shape),
-                lambda g: _unbroadcast(g, b.value.shape)))
+    return _node(a.value + b.value, (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value - b.value, (a, b),
-               (lambda g: _unbroadcast(g, a.value.shape),
-                lambda g: _unbroadcast(-g, b.value.shape)))
+    return _node(a.value - b.value, (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(a.value * b.value, (a, b),
-               (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                lambda g: _unbroadcast(g * a.value, b.value.shape)))
+    return _node(a.value * b.value, (a, b),
+                 (lambda g: _unbroadcast(g * b.value, a.value.shape),
+                  lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     out = a.value / b.value
-    return Var(out, (a, b),
-               (lambda g: _unbroadcast(g / b.value, a.value.shape),
-                lambda g: _unbroadcast(-g * out / b.value, b.value.shape)))
-
-
-def neg(a) -> Var:
-    a = as_var(a)
-    return Var(-a.value, (a,), (lambda g: -g,))
-
-
-def power(a, p) -> Var:
-    a = as_var(a)
-    p = float(p)
-    return Var(a.value ** p, (a,), (lambda g: g * p * a.value ** (p - 1.0),))
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    out = np.exp(a.value)
-    return Var(out, (a,), (lambda g: g * out,))
-
-
-def log(a) -> Var:
-    a = as_var(a)
-    return Var(np.log(a.value), (a,), (lambda g: g / a.value,))
+    return _node(out, (a, b),
+                 (lambda g: _unbroadcast(g / b.value, a.value.shape),
+                  lambda g: _unbroadcast(-g * out / b.value, b.value.shape)))
 
 
 def sqrt(a) -> Var:
     a = as_var(a)
     out = np.sqrt(a.value)
-    return Var(out, (a,), (lambda g: g * (0.5 / out),))
+    return _node(out, (a,), (lambda g: g * (0.5 / out),))
 
 
 def square(a) -> Var:
     a = as_var(a)
-    return Var(a.value * a.value, (a,), (lambda g: g * (2.0 * a.value),))
+    return _node(a.value * a.value, (a,), (lambda g: g * (2.0 * a.value),))
 
 
 def matmul(a, b) -> Var:
@@ -205,25 +151,25 @@ def matmul(a, b) -> Var:
     def vjp_b(g):
         return _unbroadcast(np.matmul(a.value.swapaxes(-1, -2), g), b.value.shape)
 
-    return Var(np.matmul(a.value, b.value), (a, b), (vjp_a, vjp_b))
+    return _node(np.matmul(a.value, b.value), (a, b), (vjp_a, vjp_b))
 
 
 def transpose(a, axes) -> Var:
     a = as_var(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Var(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
+    return _node(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def swapaxes(a, i, j) -> Var:
     a = as_var(a)
-    return Var(a.value.swapaxes(i, j), (a,), (lambda g: g.swapaxes(i, j),))
+    return _node(a.value.swapaxes(i, j), (a,), (lambda g: g.swapaxes(i, j),))
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
     old = a.value.shape
-    return Var(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    return _node(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Var:
@@ -237,7 +183,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Var:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, in_shape).copy()
 
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), (vjp,))
+    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), (vjp,))
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Var:
@@ -264,7 +210,7 @@ def take(a, indices, axis: int = 0) -> Var:
         np.add.at(out, idx, g)
         return out
 
-    return Var(a.value[idx], (a,), (vjp,))
+    return _node(a.value[idx], (a,), (vjp,))
 
 
 def take_along(a, indices, axis: int = -1) -> Var:
@@ -281,7 +227,7 @@ def take_along(a, indices, axis: int = -1) -> Var:
         np.add.at(out, full, g)
         return out
 
-    return Var(np.take_along_axis(a.value, idx, axis=ax), (a,), (vjp,))
+    return _node(np.take_along_axis(a.value, idx, axis=ax), (a,), (vjp,))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Var:
@@ -300,28 +246,24 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Var:
             g = np.expand_dims(g, axis)
         return g * soft
 
-    return Var(out, (a,), (vjp,))
+    return _node(out, (a,), (vjp,))
 
 
-def softmax_rows(x, mask=None):
+def softmax_rows(x, mask=None) -> Var:
     """Row-stochastic softmax over the last axis.
 
     mask, if given, is boolean and broadcastable to x: False entries are
     excluded from the support and come out exactly 0. A row whose support is
     empty has no normalizable distribution and is an error.
-
-    Returns the same kind it was given: ndarray in, ndarray out; Var in,
-    Var on the tape out.
     """
-    if isinstance(x, Var):
-        p = _softmax_np(x.value, mask)
+    x = as_var(x)
+    p = _softmax_np(x.value, mask)
 
-        def vjp(g):
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            return p * (g - inner)
+    def vjp(g):
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        return p * (g - inner)
 
-        return Var(p, (x,), (vjp,))
-    return _softmax_np(_as_array(x), mask)
+    return _node(p, (x,), (vjp,))
 
 
 def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
@@ -338,18 +280,11 @@ def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def rms_norm(x, gain, eps: float = 1e-6):
-    """x / sqrt(mean(x^2) + eps) * gain over the last axis.
-
-    Ndarray in, ndarray out; Var in, Var out (gain may be either kind).
-    """
-    if isinstance(x, Var) or isinstance(gain, Var):
-        x = as_var(x)
-        ms = reduce_mean(square(x), axis=-1, keepdims=True)
-        return mul(div(x, sqrt(add(ms, eps))), gain)
-    x = _as_array(x)
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    return x / np.sqrt(ms + eps) * _as_array(gain)
+def rms_norm(x, gain, eps: float = 1e-6) -> Var:
+    """x / sqrt(mean(x^2) + eps) * gain over the last axis."""
+    x = as_var(x)
+    ms = reduce_mean(square(x), axis=-1, keepdims=True)
+    return mul(div(x, sqrt(add(ms, eps))), gain)
 
 
 def log_softmax_rows(x) -> Var:
@@ -450,12 +385,13 @@ def finite_diff_check(loss_fn: Callable[[dict[str, Var]], Var],
 
     loss_fn must be a deterministic pure function of its parameters; this is
     verified by evaluating the base point twice and requiring bit equality.
-    Every coordinate of every parameter is probed with a symmetric step.
+    Every coordinate of every parameter is probed with a symmetric step. The
+    probes hand loss_fn plain arrays, so only the gradient pass builds a tape.
     """
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
 
     def eval_loss(values: Mapping[str, np.ndarray]) -> float:
-        out = loss_fn({k: Var(v.copy()) for k, v in values.items()})
+        out = loss_fn({k: v.copy() for k, v in values.items()})
         v = val(out)
         if v.shape != ():
             raise ValueError("loss_fn must return a scalar")

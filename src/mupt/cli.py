@@ -65,7 +65,6 @@ def _defaults(command: str) -> dict:
             "hidden_lr_scaling": "mup",
             "band": [1.0 / 3.0, 3.0],
             "expect_stable": True,
-            "update_check": True,
         },
         "init-stats": {
             "model": {**model_ladder, "vocab_size": 64},
@@ -267,8 +266,6 @@ def _write(path: str, text: str) -> str:
 
 
 def _cmd_train(cfg, seed, out_dir):
-    import numpy as np
-
     from .checkpoint import save_checkpoint
     from .svgplot import line_svg
     from .training import train_run
@@ -280,10 +277,8 @@ def _cmd_train(cfg, seed, out_dir):
                                return_params=True)
     tag = _tag(cfg, seed)
     json_path = _write(os.path.join(out_dir, f"run-{tag}.json"), record.to_json())
-    curve = [("train", [(i + 1, x) for i, x in enumerate(record.train_losses)
-                        if np.isfinite(x)]),
-             ("eval", [(s, x) for s, x in zip(record.eval_steps, record.eval_losses)
-                       if np.isfinite(x)])]
+    curve = [("train", list(enumerate(record.train_losses, start=1))),
+             ("eval", list(zip(record.eval_steps, record.eval_losses)))]
     svg_path = os.path.join(out_dir, f"run-{tag}-loss.svg")
     line_svg(svg_path, curve, title="Masked LM training", xlabel="step",
              ylabel="loss (nats)")
@@ -303,16 +298,18 @@ def _cmd_train(cfg, seed, out_dir):
 
 
 def _cmd_coord_check(cfg, seed, out_dir):
-    from .diagnostics import (coord_check, coord_summary_json, update_magnitude_check,
-                              write_coord_csv)
+    from .diagnostics import coord_check, coord_summary_json, write_coord_csv
     from .mup import WidthScaler
 
+    band = cfg["band"]
+    if not (len(band) == 2 and all(type(x) in (int, float) for x in band)
+            and 0 < band[0] < band[1]):
+        raise ConfigError(f"band must be [lo, hi] with 0 < lo < hi, got {band}")
+    lo, hi = band
     scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
-    hp = _hp(cfg["hp"])
-    report = coord_check(scaler, list(cfg["widths"]), hp, steps=cfg["steps"],
+    report = coord_check(scaler, list(cfg["widths"]), _hp(cfg["hp"]), steps=cfg["steps"],
                          seed=seed, batch_size=cfg["batch_size"], iters=cfg["iters"],
                          hidden_lr_scaling=cfg["hidden_lr_scaling"])
-    lo, hi = cfg["band"]
     violations = report.band_violations(lo, hi)
     tag = _tag(cfg, seed)
     csv_path = os.path.join(out_dir, f"coord-{tag}.csv")
@@ -327,12 +324,10 @@ def _cmd_coord_check(cfg, seed, out_dir):
         print(f"  {v}")
     print(f"  wrote {csv_path}")
     print(f"  wrote {json_path}")
-    if cfg["update_check"]:
-        um = update_magnitude_check(scaler, list(cfg["widths"]), hp, seed=seed,
-                                    hidden_lr_scaling=cfg["hidden_lr_scaling"],
-                                    batch_size=cfg["batch_size"], iters=cfg["iters"])
-        ratios = ", ".join(f"{r:.2f}" for r in um.consecutive_ratios)
-        print(f"  one-step update ratios: [{ratios}], end-to-end {um.end_to_end_ratio:.2f}")
+    if report.steps:
+        ratios = ", ".join(f"{r:.2f}" for r in report.ratio_table("delta_nz", 1))
+        print(f"  one-step update ratios: [{ratios}], "
+              f"end-to-end {report.end_to_end_ratio('delta_nz', 1):.2f}")
     if stable != cfg["expect_stable"]:
         raise CheckFailure(
             f"expected {'stability' if cfg['expect_stable'] else 'band violations'} "
@@ -549,15 +544,13 @@ def _cmd_plot(cfg, seed, out_dir):
 
 
 def _plot_rows(kind: str, rows: list[list[str]], out: str) -> None:
-    import math
-
     from .svgplot import line_svg, scatter_svg
 
     if kind == "coord":
         last_step = max(int(r[2]) for r in rows)
         series = {}
         for width_s, probe, step_s, mean_abs_s, _var in rows:
-            if int(step_s) == last_step and math.isfinite(float(mean_abs_s)):
+            if int(step_s) == last_step:
                 series.setdefault(probe, []).append((int(width_s), float(mean_abs_s)))
         line_svg(out, sorted(series.items()),
                  title=f"Probe magnitudes at step {last_step}",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model
-from .autodiff import rms_norm, val
+from .autodiff import _softmax_np, val
 from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
@@ -42,7 +42,7 @@ __all__ = [
     "prob_rel_dev", "scale_rel_dev",
     "EquivalenceReport", "equivalence_check", "tau_cancellation_check",
     "dense_oracle_check",
-    "CoordReport", "coord_check", "update_magnitude_check", "UpdateMagnitudeReport",
+    "CoordReport", "coord_check",
     "InitAudit", "init_variance_audit",
     "VarianceScan", "logit_variance_scan",
     "MagnitudeFit", "energy_entropy_probe", "entropy_uniform_exact",
@@ -79,8 +79,6 @@ def scale_rel_dev(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _np_softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    from .autodiff import _softmax_np
-
     return _softmax_np(np.asarray(x, dtype=np.float64), mask)
 
 
@@ -102,7 +100,9 @@ def _pos_bias_np(config: PTConfig, params: dict, n: int) -> np.ndarray | float:
 
 def _np_readout(config: PTConfig, params: dict, q_z: np.ndarray) -> np.ndarray:
     """Masked-LM logits of an oracle's label posteriors."""
-    feature = rms_norm(config.width * q_z, np.asarray(params["gamma"]), config.rms_eps)
+    x = config.width * q_z
+    ms = np.mean(x * x, axis=-1, keepdims=True)
+    feature = x / np.sqrt(ms + config.rms_eps) * np.asarray(params["gamma"])
     return feature @ np.asarray(params["W_out"]) + np.asarray(params["b_out"])
 
 
@@ -383,6 +383,12 @@ def _probe_forward(config: PTConfig, params: dict, tokens: np.ndarray,
     }
 
 
+def _check_ladder(widths: list[int]) -> None:
+    """A width-scaling fit needs at least two widths."""
+    if len(widths) < 2:
+        raise ConfigError(f"a width ladder needs at least 2 widths, got {list(widths)}")
+
+
 def _diag_corpus(seq_len: int, seed: int, n_bytes: int = 1 << 15):
     return corpus_mod.encode_corpus(corpus_mod.synth_text(n_bytes, seed), seq_len)
 
@@ -397,8 +403,12 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
     same base LR; only the geometry (and with it the grouped LRs) changes.
     hidden_lr_scaling="constant" is the deliberately mis-scaled control.
     """
+    _check_ladder(widths)
     if sorted(widths) != list(widths):
         raise ConfigError("widths must be ascending")
+    if steps < 0 or batch_size < 1 or iters < 1:
+        raise ConfigError(f"coord_check needs steps >= 0, batch_size >= 1 and iters >= 1, "
+                          f"got {steps}, {batch_size} and {iters}")
     base = scaler.base
     seq_len = 32
     corpus = _diag_corpus(seq_len, seed)
@@ -453,36 +463,6 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
 
     return CoordReport(paradigm=scaler.paradigm, widths=list(widths), steps=steps,
                        mean_abs=mean_abs, variance=variance, diverged=diverged)
-
-
-@dataclass
-class UpdateMagnitudeReport:
-    """Size of the first optimizer step's effect on the label coordinates."""
-
-    widths: list[int]
-    delta: dict[int, float]
-    hidden_lr_scaling: str
-
-    @property
-    def consecutive_ratios(self) -> list[float]:
-        vals = [self.delta[w] for w in self.widths]
-        return [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
-
-    @property
-    def end_to_end_ratio(self) -> float:
-        lo, hi = self.delta[self.widths[0]], self.delta[self.widths[-1]]
-        return hi / lo if lo > 0 else math.inf
-
-
-def update_magnitude_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
-                           seed: int = 0, hidden_lr_scaling: str = "mup",
-                           **kw) -> UpdateMagnitudeReport:
-    """mean |Nz after one optimizer step - Nz at init| per width."""
-    report = coord_check(scaler, widths, hp, steps=1, seed=seed,
-                         hidden_lr_scaling=hidden_lr_scaling, **kw)
-    delta = {w: report.mean_abs["delta_nz"][w][1] for w in widths}
-    return UpdateMagnitudeReport(widths=list(widths), delta=delta,
-                                 hidden_lr_scaling=hidden_lr_scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +551,7 @@ def logit_variance_scan(scaler: WidthScaler, widths: list[int], n_seeds: int = 2
     control_sigma replaces the width-scaled output init with a constant sigma,
     flipping the predicted slope from -1 to +1.
     """
+    _check_ladder(widths)
     base = scaler.base
     tok_rng = SeededRng(seed0).spawn("tokens")
     tokens = np.asarray(tok_rng.integers(0, base.vocab_size, (n_tokens,)))
@@ -661,6 +642,7 @@ def energy_entropy_probe(scaler: WidthScaler, widths: list[int], n_seeds: int = 
     """
     if stage not in ("init", "trained"):
         raise ConfigError(f"stage must be 'init' or 'trained', got {stage!r}")
+    _check_ladder(widths)
     base = scaler.base
     tok_rng = SeededRng(seed0).spawn("probe-tokens")
     tokens = np.asarray(tok_rng.integers(0, base.vocab_size, (n_tokens,)))

@@ -127,7 +127,9 @@ class ModelParams:
         return sum(t.size for t in self.tensors.values())
 
     def as_vars(self) -> dict[str, Var]:
-        """Leaf Vars sharing this instance's storage, for one backward pass."""
+        """Leaf Vars sharing this instance's storage, for one backward pass.
+
+        A forward on `tensors` themselves builds no tape."""
         return {k: Var(v) for k, v in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
@@ -227,7 +229,7 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
 
     g_shape = tokens.shape + (config.topics,)
     q_g = np.full(g_shape, 1.0 / config.topics, dtype=np.float64)
-    return MFVIState(tokens=tokens, q_z=q_z, q_h=Var(q_h), q_g=Var(q_g),
+    return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
                      token_mask=token_mask, sweeps=0)
 
 

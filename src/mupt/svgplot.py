@@ -2,7 +2,8 @@
 
 Only what the experiment artifacts need: linear or log axes, 1-2-5 tick
 ladders, point markers, polylines, and one optional highlighted point. Output
-is plain text SVG, stable across runs for identical inputs.
+is plain text SVG, stable across runs for identical inputs. Points with a
+non-finite coordinate (a diverged run's +inf or NaN loss) are left out.
 """
 from __future__ import annotations
 
@@ -74,6 +75,10 @@ class _Axis:
         return _ticks(self.lo, self.hi, self.log)
 
 
+def _finite(points) -> list:
+    return [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+
+
 def _frame(xs, ys, title, xlabel, ylabel, logx, logy):
     if not xs:
         raise ConfigError("nothing to plot")
@@ -106,6 +111,7 @@ def scatter_svg(path, points, title: str = "", xlabel: str = "", ylabel: str = "
                 highlight: tuple[float, float] | None = None,
                 highlight_label: str = "") -> None:
     """Write a scatter chart; highlight marks one special point in red."""
+    points = _finite(points)
     xs = [p[0] for p in points] + ([highlight[0]] if highlight else [])
     ys = [p[1] for p in points] + ([highlight[1]] if highlight else [])
     parts, xa, ya = _frame(xs, ys, title, xlabel, ylabel, logx, logy)
@@ -128,6 +134,7 @@ def line_svg(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
              logx: bool = False, logy: bool = False,
              vline: float | None = None, vline_label: str = "") -> None:
     """Write a line chart. series: list of (label, [(x, y), ...])."""
+    series = [(label, _finite(pts)) for label, pts in series]
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     parts, xa, ya = _frame(xs, ys, title, xlabel, ylabel, logx, logy)

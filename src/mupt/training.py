@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model
-from .autodiff import no_tape, reverse_grad, val
+from .autodiff import reverse_grad, val
 from .config import HPPoint, PTConfig
 from .corpus import Corpus
 from .errors import ConfigError
@@ -130,16 +130,11 @@ def _batch_loss(config: PTConfig, params, hp: HPPoint, corrupted, targets,
 
 def evaluate(config: PTConfig, params: dict, hp: HPPoint,
              eval_batches: list[tuple], iters: int | None) -> float:
-    """Position-weighted mean loss over pre-corrupted eval batches.
-
-    Runs without a tape: a taped pass would hold every intermediate until its
-    loss is read, and the heap would be trimmed and faulted back each pass.
-    """
+    """Position-weighted mean loss over pre-corrupted eval batches."""
     total, count = 0.0, 0
     for corrupted, targets, selected, token_mask in eval_batches:
-        with no_tape():
-            loss = _batch_loss(config, params, hp, corrupted, targets, selected,
-                               token_mask, iters)
+        loss = _batch_loss(config, params, hp, corrupted, targets, selected,
+                           token_mask, iters)
         k = int(selected.sum())
         total += float(val(loss)) * k
         count += k
@@ -205,8 +200,9 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
               return_params: bool = False):
     """Train from scratch; returns a RunRecord (and the params if asked).
 
-    A non-finite training loss marks the run diverged: stepping stops, the
-    remaining per-step records hold +inf, and the final eval loss is +inf.
+    A non-finite training or eval loss marks the run diverged: stepping
+    stops, and every later training and eval record, the final eval loss
+    among them, holds +inf.
     """
     if corpus.vocab_size != config.vocab_size:
         raise ConfigError(
@@ -231,19 +227,21 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
     diverged = False
 
     def run_eval(step: int) -> None:
+        nonlocal diverged
         eval_steps.append(step)
-        if diverged:
-            eval_losses.append(math.inf)
-            return
-        eval_losses.append(evaluate(config, params.tensors, hp, eval_batches, iters))
+        if not diverged:
+            loss = evaluate(config, params.tensors, hp, eval_batches, iters)
+            diverged = not math.isfinite(loss)
+        eval_losses.append(math.inf if diverged else loss)
 
     run_eval(0)
     data_rng = root.spawn("data")
     batches = ((corpus.ids[idx], root.spawn(f"mask/{step}")) for step, idx in enumerate(
         _batches(train_idx, settings.batch_size, settings.steps, data_rng), start=1))
-    for step, loss in enumerate(
-            train_steps(config, params, opt, hp, corpus, batches, settings.mask_ratio,
-                        settings.mask_rule, iters), start=1):
+    losses = train_steps(config, params, opt, hp, corpus, batches, settings.mask_ratio,
+                         settings.mask_rule, iters)
+    for step in range(1, settings.steps + 1):
+        loss = math.inf if diverged else next(losses)
         train_losses.append(loss)
         diverged = not math.isfinite(loss)
         if step % settings.eval_interval == 0 and step < settings.steps:

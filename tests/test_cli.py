@@ -176,13 +176,30 @@ def test_coord_check_small(tmp_path, capsys):
     rc = _run(["coord-check", "--set", "model.width=16", "--set", "model.rank=4",
                "--set", "model.topics=32", "--set", "widths=[16,32]",
                "--set", "steps=1", "--set", "batch_size=2", "--set", "iters=2",
-               "--set", "band=[0.05,20.0]", "--set", "update_check=true"], tmp_path)
+               "--set", "band=[0.05,20.0]"], tmp_path)
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "one-step update ratios" in out
     names = os.listdir(tmp_path)
     assert any(n.startswith("coord-") and n.endswith(".csv") for n in names)
     assert any(n.startswith("coord-") and n.endswith(".json") for n in names)
+
+
+@pytest.mark.parametrize("command, assignment, message", [
+    ("coord-check", "iters=0", "iters >= 1"),
+    ("coord-check", "steps=-1", "steps >= 0"),
+    ("coord-check", "batch_size=0", "batch_size >= 1"),
+    ("coord-check", "widths=[64]", "at least 2 widths"),
+    ("coord-check", "widths=[]", "at least 2 widths"),
+    ("coord-check", "band=[1]", "band must be [lo, hi]"),
+    ("coord-check", "band=[3.0,0.5]", "band must be [lo, hi]"),
+    ("coord-check", "band=[0,3.0]", "band must be [lo, hi]"),
+    ("coord-check", 'band=["a","b"]', "band must be [lo, hi]"),
+    ("energy-probe", "widths=[64]", "at least 2 widths"),
+])
+def test_bad_ladder_inputs_are_config_errors(tmp_path, capsys, command, assignment, message):
+    assert _run([command, "--set", assignment], tmp_path) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_init_stats_small(tmp_path, capsys):

@@ -31,7 +31,6 @@ from mupt.diagnostics import (
     prob_rel_dev,
     scale_rel_dev,
     tau_cancellation_check,
-    update_magnitude_check,
     write_coord_csv,
 )
 from mupt.errors import ConfigError
@@ -201,14 +200,18 @@ def test_coord_report_band_logic():
     assert rep.ratio_table("nz", 1) == [10.0]
 
 
-def test_update_magnitude_check():
-    rep = update_magnitude_check(TINY_LADDER, [16, 32], DIAG_HP, seed=0,
-                                 batch_size=2, iters=2)
-    assert set(rep.delta) == {16, 32}
-    assert all(v > 0 for v in rep.delta.values())
-    assert len(rep.consecutive_ratios) == 1
-    assert rep.end_to_end_ratio == pytest.approx(rep.delta[32] / rep.delta[16])
-    assert rep.hidden_lr_scaling == "mup"
+def test_one_step_update_ratios_from_coord_check():
+    # the CLI's one-step update ratios come from step 1 of the main ladder
+    rep = coord_check(TINY_LADDER, [16, 32], DIAG_HP, steps=2, seed=0,
+                      batch_size=2, iters=2)
+    delta = {w: rep.mean_abs["delta_nz"][w][1] for w in (16, 32)}
+    assert all(v > 0 for v in delta.values())
+    assert rep.ratio_table("delta_nz", 1) == [delta[32] / delta[16]]
+    assert rep.end_to_end_ratio("delta_nz", 1) == delta[32] / delta[16]
+    # a one-step ladder measures the same first step bit for bit
+    one = coord_check(TINY_LADDER, [16, 32], DIAG_HP, steps=1, seed=0,
+                      batch_size=2, iters=2)
+    assert {w: one.mean_abs["delta_nz"][w][1] for w in (16, 32)} == delta
 
 
 def test_energy_probe_structure_and_loose_slopes():

@@ -1,5 +1,7 @@
 """The package namespace: lazy public names and a NumPy-free CLI import."""
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -36,3 +38,10 @@ def test_public_names_are_unique_and_unknown_names_raise():
     assert mupt.train_run is mupt.training.train_run
     with pytest.raises(AttributeError, match="no_such_name"):
         mupt.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(mupt.__path__)))
+def test_every_module_export_resolves(module):
+    mod = importlib.import_module(f"mupt.{module}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing

@@ -63,3 +63,18 @@ def test_single_point_degenerate_ranges(tmp_path):
     path = tmp_path / "one.svg"
     scatter_svg(path, [(1.0, 1.0)])
     _load(path)
+
+
+def test_non_finite_points_are_left_out(tmp_path):
+    # a diverged run records +inf losses, and an overflowed one NaN
+    path = tmp_path / "d.svg"
+    line_svg(path, [("run", [(1, 2.0), (2, float("inf")), (3, float("nan"))])])
+    scatter_svg(tmp_path / "s.svg", [(0.1, float("nan")), (0.2, 1.0)])
+    for name in ("d.svg", "s.svg"):
+        _, text = _load(tmp_path / name)
+        assert "nan" not in text and "inf" not in text
+    assert _load(path)[1].count("<circle") == 1
+    with pytest.raises(ConfigError, match="nothing to plot"):
+        line_svg(tmp_path / "e.svg", [("run", [(1, float("inf")), (2, float("nan"))])])
+    with pytest.raises(ConfigError, match="nothing to plot"):
+        scatter_svg(tmp_path / "e.svg", [(float("inf"), 1.0)])

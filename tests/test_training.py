@@ -184,12 +184,28 @@ def test_evaluate_without_tape_matches_taped_loss_bitwise():
     corpus = _corpus()
     _, eval_idx = split_chunks(corpus, 0.25, SeededRng(0).spawn("split"))
     batches = build_eval_batches(CFG, corpus, eval_idx, SETTINGS, SeededRng(0).spawn("mask"))
-    leaves = {k: ad.Var(v) for k, v in model.ModelParams.init(CFG, SeededRng(1)).tensors.items()}
+    params = model.ModelParams.init(CFG, SeededRng(1))
+    leaves = params.as_vars()
     total, count = 0.0, 0
     for corrupted, targets, selected, token_mask in batches:
         loss = _batch_loss(CFG, leaves, HP, corrupted, targets, selected, token_mask, 2)
         assert any(np.any(g) for g in ad.reverse_grad(loss, leaves).values())
         total += float(ad.val(loss)) * int(selected.sum())
         count += int(selected.sum())
-    assert evaluate(CFG, leaves, HP, batches, 2) == total / count
-    assert ad.mul(leaves["S"], 1.0)._parents   # the tape records again afterwards
+    assert evaluate(CFG, params.tensors, HP, batches, 2) == total / count
+
+
+def test_nan_eval_loss_is_divergence():
+    # at lr 1e80 the second step's training loss is still finite but the
+    # parameters it leaves behind evaluate to NaN; that cell must lose
+    base = PTConfig(width=64, rank=16, channels=2, topics=128, vocab_size=259,
+                    pos_bias=False)
+    settings = TrainSettings(steps=2, batch_size=4, eval_interval=100, max_eval_chunks=8)
+    sweep = transfer_sweep(WidthScaler(base, "scale_channels"), [64], [1e-3, 1e80], HP,
+                           encode_corpus(synth_text(1 << 12, 17), seq_len=16), seed=0,
+                           settings=settings)
+    assert sweep.best_lr_index == {64: 0}
+    rec = sweep.records[(64, 1e80)]
+    assert all(math.isfinite(x) for x in rec.train_losses)
+    assert rec.diverged and rec.final_eval_loss == math.inf
+    assert rec.eval_losses == [sweep.records[(64, 1e-3)].eval_losses[0], math.inf]
