@@ -32,9 +32,10 @@ print(f"predict at positions {np.flatnonzero(selected).tolist()}")
 
 # Inference: synchronous sweeps over label, head-selection, and topic
 # posteriors. Rows of each posterior are distributions. DIAG_WEIGHTS damps
-# the topic/label feedback so random-init posteriors stay informative.
-state = run_mfvi(config, params.tensors, corrupted, DIAG_WEIGHTS, iters=3)
-q_z, q_h, q_g = val(state.q_z), val(state.q_h), val(state.q_g)
+# the topic/label feedback so random-init posteriors stay informative. The
+# model takes a batch of sequences; this one is a batch of one.
+state = run_mfvi(config, params.tensors, corrupted[None], DIAG_WEIGHTS, iters=3)
+q_z, q_h, q_g = val(state.q_z)[0], val(state.q_h)[0], val(state.q_g)[0]
 print(f"\nafter {state.sweeps} sweeps:")
 print(f"  q_z {q_z.shape}: label posterior per token, rows sum to "
       f"{q_z.sum(axis=-1).min():.6f}..{q_z.sum(axis=-1).max():.6f}")
@@ -52,8 +53,8 @@ print(f"  label entropy per token: min {ent.min():.3f}, max {ent.max():.3f} "
 nz = config.width * q_z
 print(f"  quasi-distribution rows average to {nz.mean(axis=-1).mean():.6f}")
 
-logits = val(mlm_logits(config, params.tensors, state))
+logits = val(mlm_logits(config, params.tensors, state))[0]
 loss = val(masked_ce_loss(mlm_logits(config, params.tensors, state),
-                          targets, selected))
+                          targets[None], selected[None]))
 print(f"\nmasked-LM head: logits {logits.shape}, loss at init {loss:.4f} "
       f"(uniform prediction would be {np.log(config.vocab_size):.4f})")

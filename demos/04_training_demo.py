@@ -2,7 +2,7 @@
 
 Covers the full loop: corpus encoding, training with grouped learning rates,
 the reproducible run record, checkpoint save/load, and an SVG loss curve.
-Takes about half a minute.
+Takes a few seconds.
 
 Run: python3 demos/04_training_demo.py
 """

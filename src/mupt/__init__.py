@@ -21,9 +21,8 @@ _EXPORTS = {
     "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
                  "softmax_rows", "rms_norm"),
     "rng": ("SeededRng",),
-    "model": ("ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "attention_logits",
-              "z_logits", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
-              "param_count"),
+    "model": ("ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "mlm_logits",
+              "masked_ce_loss", "uniform_posteriors", "param_count"),
     "mup": ("INPUT", "HIDDEN", "OUTPUT", "BIAS", "classify_param", "init_sigma",
             "group_lr", "AdamW", "scale_width", "WidthScaler"),
     "corpus": ("Corpus", "encode_corpus", "decode_bytes", "mask_tokens", "split_chunks",

@@ -13,9 +13,11 @@ A Var wraps an ndarray. Whether it is on the tape follows from its inputs:
 
 The ops are deliberately few: add, sub, mul, div, sqrt, square; batched
 matmul, transpose, swapaxes, reshape; reduce_sum, reduce_mean; the gathers
-take and take_along; and the fused rows primitives logsumexp, softmax_rows,
-log_softmax_rows and rms_norm, whose closed-form vjps keep the backward pass
-exact. Everything is float64 unless the caller hands in float32 explicitly.
+take and take_along; and the fused rows primitives logsumexp and softmax_rows,
+whose closed-form vjps keep the backward pass exact. rms_norm and
+log_softmax_rows are not primitives: they compose square, reduce_mean, add,
+sqrt, div and mul, and sub and logsumexp. Everything is float64 unless the
+caller hands in float32 explicitly.
 
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.

@@ -216,22 +216,22 @@ def equivalence_check(config: PTConfig, seed: int, n_tokens: int = 8,
     report = EquivalenceReport(width=config.width, seed=seed, sweeps=iters,
                                tolerance=tolerance)
 
-    state = model.init_mfvi(config, params, tokens, iw)
+    state = model.init_mfvi(config, params, tokens[None], iw)
     lit = _LiteralPath(config, params, tokens, iw)
     res = _RescaledPath(config, params, tokens, iw)
-    report.deviations["init/q_z:literal"] = prob_rel_dev(lit.q_z, val(state.q_z))
-    report.deviations["init/q_z:rescaled"] = prob_rel_dev(res.q_z, val(state.q_z))
+    report.deviations["init/q_z:literal"] = prob_rel_dev(lit.q_z, val(state.q_z)[0])
+    report.deviations["init/q_z:rescaled"] = prob_rel_dev(res.q_z, val(state.q_z)[0])
 
     for t in range(1, iters + 1):
         state = model.sweep(config, params, state, iw)[0]
         lit.sweep()
         res.sweep()
         for name, path in (("literal", lit), ("rescaled", res)):
-            report.deviations[f"sweep{t}/q_h:{name}"] = prob_rel_dev(path.q_h, val(state.q_h))
-            report.deviations[f"sweep{t}/q_g:{name}"] = prob_rel_dev(path.q_g, val(state.q_g))
-            report.deviations[f"sweep{t}/q_z:{name}"] = prob_rel_dev(path.q_z, val(state.q_z))
+            report.deviations[f"sweep{t}/q_h:{name}"] = prob_rel_dev(path.q_h, val(state.q_h)[0])
+            report.deviations[f"sweep{t}/q_g:{name}"] = prob_rel_dev(path.q_g, val(state.q_g)[0])
+            report.deviations[f"sweep{t}/q_z:{name}"] = prob_rel_dev(path.q_z, val(state.q_z)[0])
 
-    out = val(model.mlm_logits(config, params, state))
+    out = val(model.mlm_logits(config, params, state))[0]
     pred = _np_softmax(out)
     for name, path in (("literal", lit), ("rescaled", res)):
         path_out = _np_readout(config, params, path.q_z)
@@ -256,11 +256,11 @@ def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
     if iw is None:
         iw = InfoWeights()
 
-    state = model.init_mfvi(config, params, tokens, iw)
+    state = model.init_mfvi(config, params, tokens[None], iw)
     swept, _, _, prod = model.sweep(config, params, state, iw)
 
     u, v, b = (np.asarray(params[k]) for k in ("U", "V", "B"))
-    q_z, q_hv, q_gv = val(state.q_z), val(swept.q_h), val(swept.q_g)
+    q_z, q_hv, q_gv = val(state.q_z)[0], val(swept.q_h)[0], val(swept.q_g)[0]
     s_tok = np.asarray(params["S"])[tokens]
     n_val, m_val = config.width, config.topics
     a_dep = np.matmul(q_z[None], v)
@@ -270,7 +270,7 @@ def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
     lit = (iw.w_unary * (tau * s_tok)
            + iw.w_binary * ((tau * m_val) * (q_gv @ b))
            + (tau * n_val) * (iw.w_tern_dep * dep + iw.w_tern_head * head)) / tau
-    return scale_rel_dev(lit, val(prod))
+    return scale_rel_dev(lit, val(prod)[0])
 
 
 def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[str, float]:
@@ -283,25 +283,25 @@ def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[s
     params = model.ModelParams.init(config, rng.spawn("params")).tensors
     tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (n_tokens,)))
     iw = InfoWeights()
-    state = model.init_mfvi(config, params, tokens, iw)
+    state = model.init_mfvi(config, params, tokens[None], iw)
     swept, f_prod, _, _ = model.sweep(config, params, state, iw)
     refreshed = replace(state, q_h=swept.q_h, q_g=swept.q_g)
 
-    nz = config.width * val(state.q_z)
+    nz = config.width * val(state.q_z)[0]
     t_dense = _dense_t(params)
     f_dense = np.einsum("ia,cab,jb->cij", nz, t_dense, nz) / config.rank
 
     only = {"w_unary": 0.0, "w_binary": 0.0, "w_tern_dep": 0.0, "w_tern_head": 0.0,
             "w_attn": iw.w_attn, "w_topic": iw.w_topic}
-    dep_prod = val(model.z_logits(config, params, refreshed,
-                                  InfoWeights(**{**only, "w_tern_dep": 1.0})))
-    head_prod = val(model.z_logits(config, params, refreshed,
-                                   InfoWeights(**{**only, "w_tern_head": 1.0})))
-    q_hv = val(swept.q_h)
+    dep_prod = val(model.update_z(config, params, refreshed,
+                                  InfoWeights(**{**only, "w_tern_dep": 1.0}))[0])[0]
+    head_prod = val(model.update_z(config, params, refreshed,
+                                   InfoWeights(**{**only, "w_tern_head": 1.0}))[0])[0]
+    q_hv = val(swept.q_h)[0]
     dep_dense = np.einsum("cij,cab,jb->ia", q_hv, t_dense, nz)
     head_dense = np.einsum("cji,cba,jb->ia", q_hv, t_dense, nz)
     return {
-        "attn_logits": scale_rel_dev(f_dense, val(f_prod)),
+        "attn_logits": scale_rel_dev(f_dense, val(f_prod)[0]),
         "tern_dep": scale_rel_dev(dep_dense, dep_prod),
         "tern_head": scale_rel_dev(head_dense, head_prod),
     }
@@ -318,6 +318,16 @@ PROBES = ("nz", "delta_nz", "attn_logits", "z_logits", "topic_logits", "out_logi
 BAND_PROBES = ("nz", "attn_logits", "z_logits", "delta_nz")
 
 
+def _ratio(a: float, b: float) -> float:
+    """b / a of two mean-abs values: 0/0 is 1, and a zero a or a non-finite b
+    is inf."""
+    if a == 0.0 and b == 0.0:
+        return 1.0
+    if a == 0.0 or not math.isfinite(b):
+        return math.inf
+    return b / a
+
+
 @dataclass
 class CoordReport:
     """mean-abs / variance of each probe per width per step (0 = at init)."""
@@ -332,24 +342,11 @@ class CoordReport:
     def ratio_table(self, probe: str, step: int) -> list[float]:
         """mean-abs ratios between consecutive widths at one step."""
         vals = [self.mean_abs[probe][w][step] for w in self.widths]
-        out = []
-        for a, b in zip(vals, vals[1:]):
-            if a == 0.0 and b == 0.0:
-                out.append(1.0)
-            elif a == 0.0 or not math.isfinite(b):
-                out.append(math.inf)
-            else:
-                out.append(b / a)
-        return out
+        return [_ratio(a, b) for a, b in zip(vals, vals[1:])]
 
     def end_to_end_ratio(self, probe: str, step: int) -> float:
-        lo = self.mean_abs[probe][self.widths[0]][step]
-        hi = self.mean_abs[probe][self.widths[-1]][step]
-        if lo == 0.0 and hi == 0.0:
-            return 1.0
-        if lo == 0.0 or not math.isfinite(hi):
-            return math.inf
-        return hi / lo
+        vals = self.mean_abs[probe]
+        return _ratio(vals[self.widths[0]][step], vals[self.widths[-1]][step])
 
     def band_violations(self, lo: float = 1.0 / 3.0, hi: float = 3.0,
                         probes=BAND_PROBES, from_step: int = 0) -> list[str]:
@@ -395,8 +392,7 @@ def _diag_corpus(seq_len: int, seed: int, n_bytes: int = 1 << 15):
 
 def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
                 steps: int = 10, seed: int = 0, batch_size: int = 4,
-                iters: int = 3, hidden_lr_scaling: str = "mup",
-                output_lr_variant: str = "scaled") -> CoordReport:
+                iters: int = 3, hidden_lr_scaling: str = "mup") -> CoordReport:
     """Track probe magnitudes across a width ladder while training.
 
     Every width sees identical token batches, identical corruption, and the
@@ -428,8 +424,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
         config = scaler.config_at(width).with_(pos_bias=False)
         params = model.ModelParams.init(config, SeededRng(seed).spawn("params"))
         opt = AdamW(model.tensor_shapes(config), width, hp.lr,
-                    hidden_lr_scaling=hidden_lr_scaling,
-                    output_lr_variant=output_lr_variant)
+                    hidden_lr_scaling=hidden_lr_scaling)
         for p in PROBES:
             mean_abs[p][width] = []
             variance[p][width] = []
@@ -502,14 +497,12 @@ def init_variance_audit(config: PTConfig, seed: int = 0,
     while True:
         params = model.ModelParams.init(config, SeededRng(seed).spawn(f"audit/{replica}"))
         for name, tensor in params.tensors.items():
-            group = mup.classify_param(name)
-            sigma = 0.0 if name in mup.ZERO_INIT_NAMES else mup.init_sigma(group, config.width)
-            if sigma == 0.0:
+            if mup.tensor_sigma(name, config.width) == 0.0:
                 if replica == 0:
                     zero_names.append(name)
                     zeros_ok = zeros_ok and bool(np.all(tensor == 0.0))
                 continue
-            groups.setdefault(group, []).append(np.asarray(tensor).ravel())
+            groups.setdefault(mup.classify_param(name), []).append(np.asarray(tensor).ravel())
         counts = {g: int(sum(a.size for a in arrs)) for g, arrs in groups.items()}
         if all(c >= min_samples for c in counts.values()):
             break
@@ -566,7 +559,7 @@ def logit_variance_scan(scaler: WidthScaler, widths: list[int], n_seeds: int = 2
             if control_sigma is not None:
                 params.tensors["W_out"] = rng.spawn("const-wout").normal(
                     params.tensors["W_out"].shape, control_sigma)
-            state = model.run_mfvi(config, params.tensors, tokens, iw, iters=iters)
+            state = model.run_mfvi(config, params.tensors, tokens[None], iw, iters=iters)
             samples.append(val(model.mlm_logits(config, params.tensors, state)).ravel())
         variances.append(float(np.concatenate(samples).var()))
     slope = float(np.polyfit(np.log(widths), np.log(variances), 1)[0])
@@ -686,8 +679,8 @@ def _trained_posteriors(config: PTConfig, params: model.ModelParams,
     for _ in train_steps(config, params, opt, hp, corpus, batches, 0.15, "bert", 2):
         pass
     state = model.run_mfvi(config, params.tensors,
-                           tokens % config.vocab_size, hp.weights, iters=2)
-    return val(state.q_z), val(state.q_h), val(state.q_g)
+                           (tokens % config.vocab_size)[None], hp.weights, iters=2)
+    return val(state.q_z)[0], val(state.q_h)[0], val(state.q_g)[0]
 
 
 # ---------------------------------------------------------------------------

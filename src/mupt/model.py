@@ -25,9 +25,9 @@ so every message stays width-stable by construction:
 The low-rank factors U_c V_c^T are never materialized here; dense-product
 oracles live with the diagnostics.
 
-Shapes: single sequences use (n, N) / (C, n, n) / (n, M); batched calls add a
-leading batch axis to tokens and to every posterior. token_mask marks real
-positions; masked-out positions neither attend nor get attended to.
+Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
+(B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
+real positions; masked-out positions neither attend nor get attended to.
 """
 from __future__ import annotations
 
@@ -41,13 +41,13 @@ from . import mup
 from .autodiff import Var
 from .config import PTConfig, InfoWeights
 from .errors import ConfigError
-from .rng import SeededRng
+from .rng import SeededRng, gaussian_tensor
 
 __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
-    "param_group_report", "position_buckets", "init_mfvi", "attention_logits",
-    "update_heads", "topic_logits", "update_topics", "z_logits", "update_z",
-    "sweep", "run_mfvi", "quasi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
+    "param_group_report", "position_buckets", "init_mfvi", "update_heads",
+    "update_topics", "update_z", "sweep", "run_mfvi", "quasi", "mlm_logits",
+    "masked_ce_loss", "uniform_posteriors",
 ]
 
 ParamsLike = Mapping[str, Union[Var, np.ndarray]]
@@ -88,11 +88,10 @@ def param_group_report(config: PTConfig, eta: float,
     report = {}
     for name, shape in tensor_shapes(config).items():
         group = mup.classify_param(name)
-        sigma = 0.0 if name in mup.ZERO_INIT_NAMES else mup.init_sigma(group, config.width)
         report[name] = {
             "group": group,
             "shape": list(shape),
-            "init_sigma": sigma,
+            "init_sigma": mup.tensor_sigma(name, config.width),
             "lr": mup.group_lr(group, eta, config.width, output_lr_variant),
         }
     return report
@@ -112,14 +111,10 @@ class ModelParams:
         Each tensor is drawn from its own child stream, so adding or removing
         a tensor never shifts any other tensor's draw.
         """
-        tensors = {}
-        for name, shape in tensor_shapes(config).items():
-            group = mup.classify_param(name)
-            if name in mup.ZERO_INIT_NAMES:
-                value = np.zeros(shape, dtype=np.float64)
-            else:
-                value = mup.init_param(group, shape, config.width, rng.spawn(f"init/{name}"))
-            tensors[name] = value.astype(dtype, copy=False)
+        tensors = {
+            name: gaussian_tensor(rng.spawn(f"init/{name}"), shape,
+                                  mup.tensor_sigma(name, config.width)).astype(dtype, copy=False)
+            for name, shape in tensor_shapes(config).items()}
         return cls(config=config, tensors=tensors)
 
     @property
@@ -140,9 +135,9 @@ class ModelParams:
 class MFVIState:
     """Posteriors after some number of sweeps, plus what produced them.
 
-    q_z: (n, N) labels; q_h: (C, n, n) head selections, row [c, i, :] is
-    position i's distribution over heads j != i; q_g: (n, M) topics. Batched
-    states carry a leading batch axis on all three and on tokens/token_mask.
+    q_z: (B, n, N) labels; q_h: (B, C, n, n) head selections, row [b, c, i, :]
+    is position i's distribution over heads j != i; q_g: (B, n, M) topics.
+    tokens and token_mask are (B, n).
     """
 
     tokens: np.ndarray
@@ -169,28 +164,30 @@ def position_buckets(n: int, n_buckets: int, clip: int) -> np.ndarray:
     return buckets.astype(np.int64)
 
 
-def _attn_mask(n: int, token_mask: np.ndarray | None, batched: bool) -> np.ndarray:
+def _attn_mask(n: int, token_mask: np.ndarray | None) -> np.ndarray:
     """Boolean support of the head distributions: j != i and j is real."""
-    off_diag = ~np.eye(n, dtype=bool)
+    off_diag = ~np.eye(n, dtype=bool)[None, None]
     if token_mask is None:
-        return off_diag[None] if not batched else off_diag[None, None]
-    tm = np.asarray(token_mask, dtype=bool)
-    if batched:
-        return off_diag[None, None] & tm[:, None, None, :]
-    return off_diag[None] & tm[None, None, :]
+        return off_diag
+    return off_diag & np.asarray(token_mask, dtype=bool)[:, None, None, :]
 
 
-def _valid_rows(token_mask: np.ndarray | None, batched: bool):
+def _valid_rows(token_mask: np.ndarray | None):
     """Multiplier zeroing head rows of padding positions, or None."""
     if token_mask is None:
         return None
-    tm = np.asarray(token_mask, dtype=np.float64)
-    return tm[:, None, :, None] if batched else tm[None, :, None]
+    return np.asarray(token_mask, dtype=np.float64)[:, None, :, None]
 
 
 def quasi(q, count: int):
     """Quasi-distribution count * q; rows then average to exactly 1."""
     return ad.mul(q, float(count))
+
+
+def _per_channel_quasi(config: PTConfig, state: MFVIState):
+    """Nz with a channel broadcast axis: (B, 1, n, N)."""
+    nz = quasi(state.q_z, config.width)
+    return ad.reshape(nz, nz.shape[:1] + (1,) + nz.shape[1:])
 
 
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
@@ -199,126 +196,96 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
     tokens = np.asarray(tokens)
     if not np.issubdtype(tokens.dtype, np.integer):
         raise ConfigError("tokens must be integers")
-    if tokens.ndim not in (1, 2):
-        raise ConfigError(f"tokens must be 1-D or 2-D, got ndim {tokens.ndim}")
-    n = tokens.shape[-1]
+    if tokens.ndim != 2:
+        raise ConfigError(f"tokens must have shape (batch, n), got ndim {tokens.ndim}")
+    batch, n = tokens.shape
     if n < 2:
         raise ConfigError("head selection undefined for single-token sequence")
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise ConfigError("token id out of range")
-    batched = tokens.ndim == 2
+    if token_mask is not None and np.shape(token_mask) != tokens.shape:
+        raise ConfigError(f"token_mask must have the tokens' shape {tokens.shape}, "
+                          f"got {np.shape(token_mask)}")
 
     s_rows = ad.take(params["S"], tokens)
     q_z = ad.softmax_rows(ad.mul(s_rows, iw.w_unary))
 
-    support = _attn_mask(n, token_mask, batched)
+    support = _attn_mask(n, token_mask)
     counts = support.sum(axis=-1, keepdims=True)
-    rows_valid = _valid_rows(token_mask, batched)
-    if token_mask is not None:
-        tm = np.asarray(token_mask, dtype=bool)
-        valid_counts = counts[..., 0][tm[:, None, :]] if batched else counts[..., 0][tm[None, :]]
-        if (valid_counts == 0).any():
-            raise ConfigError("degenerate distribution support: a position has no head candidates")
+    rows_valid = _valid_rows(token_mask)
     uniform_h = np.where(support, 1.0, 0.0) / np.maximum(counts, 1)
     if rows_valid is not None:
+        # a real position's head candidates are the other real positions of its row
+        if (rows_valid.sum(axis=2) == 1).any():
+            raise ConfigError("degenerate distribution support: a position has no head candidates")
         uniform_h = uniform_h * rows_valid
-    # broadcast per-channel (and per-batch) to full shape
-    target = ((tokens.shape[0], config.channels, n, n) if batched
-              else (config.channels, n, n))
-    q_h = np.broadcast_to(uniform_h, target).copy()
+    q_h = np.broadcast_to(uniform_h, (batch, config.channels, n, n)).copy()
 
-    g_shape = tokens.shape + (config.topics,)
-    q_g = np.full(g_shape, 1.0 / config.topics, dtype=np.float64)
+    q_g = np.full((batch, n, config.topics), 1.0 / config.topics, dtype=np.float64)
     return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
                      token_mask=token_mask, sweeps=0)
 
 
-def _channel_batched(x, batched: bool):
-    """Insert the channel broadcast axis before (n, feature) dims."""
-    if not batched:
-        return x
-    return ad.reshape(x, x.shape[:1] + (1,) + x.shape[1:])
+def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
+                 iw: InfoWeights):
+    """(F, Q_h): the bilinear head logits of all channels, (B, C, n, n), and
+    the softmax of w_attn * F over j != i, exact zeros off-support.
 
-
-def attention_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
-    """Bilinear head logits F, all channels stacked: (..., C, n, n).
-
-    F[c, i, j] = (1/r) (Nz[i] U_c) . (Nz[j] V_c), plus the learned
+    F[b, c, i, j] = (1/r) (Nz[i] U_c) . (Nz[j] V_c), plus the learned
     relative-position bias when the geometry enables it.
     """
     n = state.tokens.shape[-1]
-    nz_b = _channel_batched(quasi(state.q_z, config.width), state.tokens.ndim == 2)
-    q = ad.matmul(nz_b, params["U"])
-    k = ad.matmul(nz_b, params["V"])
+    nz_c = _per_channel_quasi(config, state)
+    q = ad.matmul(nz_c, params["U"])
+    k = ad.matmul(nz_c, params["V"])
     f = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / config.rank)
     if config.pos_bias:
         buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
         prel = ad.take(ad.swapaxes(params["P_rel"], 0, 1), buckets)
         f = ad.add(f, ad.transpose(prel, (2, 0, 1)))
-    return f
-
-
-def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
-                 iw: InfoWeights):
-    """(F, Q_h): the head logits and their softmax of w_attn * F over j != i,
-    exact zeros off-support."""
-    batched = state.tokens.ndim == 2
-    f = attention_logits(config, params, state)
-    mask = _attn_mask(state.tokens.shape[-1], state.token_mask, batched)
-    q_h = ad.softmax_rows(ad.mul(f, iw.w_attn), mask)
-    rows_valid = _valid_rows(state.token_mask, batched)
+    q_h = ad.softmax_rows(ad.mul(f, iw.w_attn), _attn_mask(n, state.token_mask))
+    rows_valid = _valid_rows(state.token_mask)
     if rows_valid is not None:
         q_h = ad.mul(q_h, rows_valid)
     return f, q_h
 
 
-def topic_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
-                 iw: InfoWeights):
-    """Pre-softmax topic logits w_topic * (M/N) * Nz B^T, shape (..., n, M)."""
-    nz = quasi(state.q_z, config.width)
-    return ad.mul(ad.matmul(nz, ad.swapaxes(params["B"], 0, 1)),
-                  iw.w_topic * (config.topics / config.width))
-
-
 def update_topics(config: PTConfig, params: ParamsLike, state: MFVIState,
                   iw: InfoWeights):
-    """(topic logits, Q_g): the topic logits and their softmax."""
-    logits = topic_logits(config, params, state, iw)
+    """(topic logits, Q_g): w_topic * (M/N) * Nz B^T, (B, n, M), and its softmax."""
+    nz = quasi(state.q_z, config.width)
+    logits = ad.mul(ad.matmul(nz, ad.swapaxes(params["B"], 0, 1)),
+                    iw.w_topic * (config.topics / config.width))
     return logits, ad.softmax_rows(logits)
 
 
-def z_logits(config: PTConfig, params: ParamsLike, state: MFVIState,
+def update_z(config: PTConfig, params: ParamsLike, state: MFVIState,
              iw: InfoWeights):
-    """Pre-softmax label logits: unary + topic message + both ternary messages.
+    """(label logits, Q_z): unary + topic message + both ternary messages,
+    (B, n, N), and their softmax.
 
     The head posteriors in `state` weight messages in both directions: as the
     dependent (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and
     as somebody's head (column i of Q_h, direction V_c U_c^T).
     """
-    nz_b = _channel_batched(quasi(state.q_z, config.width), state.tokens.ndim == 2)
+    nz_c = _per_channel_quasi(config, state)
     u, v = params["U"], params["V"]
 
-    a_dep = ad.matmul(nz_b, v)                       # (.., C, n, r) = Nz V_c
-    a_head = ad.matmul(nz_b, u)                      # (.., C, n, r) = Nz U_c
+    a_dep = ad.matmul(nz_c, v)                       # (B, C, n, r) = Nz V_c
+    a_head = ad.matmul(nz_c, u)                      # (B, C, n, r) = Nz U_c
     dep = ad.matmul(ad.matmul(state.q_h, a_dep), ad.swapaxes(u, -1, -2))
     head = ad.matmul(ad.matmul(ad.swapaxes(state.q_h, -1, -2), a_head),
                      ad.swapaxes(v, -1, -2))
-    dep = ad.reduce_sum(dep, axis=-3)                # sum channels -> (.., n, N)
+    dep = ad.reduce_sum(dep, axis=-3)                # sum channels -> (B, n, N)
     head = ad.reduce_sum(head, axis=-3)
 
     s_rows = ad.take(params["S"], state.tokens)
     binary = ad.matmul(quasi(state.q_g, config.topics), params["B"])
 
-    return ad.add(
+    logits = ad.add(
         ad.add(ad.mul(s_rows, iw.w_unary), ad.mul(binary, iw.w_binary)),
         ad.add(ad.mul(dep, iw.w_tern_dep), ad.mul(head, iw.w_tern_head)),
     )
-
-
-def update_z(config: PTConfig, params: ParamsLike, state: MFVIState,
-             iw: InfoWeights):
-    """(label logits, Q_z): the label logits and their softmax."""
-    logits = z_logits(config, params, state, iw)
     return logits, ad.softmax_rows(logits)
 
 
@@ -379,7 +346,8 @@ def masked_ce_loss(logits, targets, positions):
 
 
 def uniform_posteriors(config: PTConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exactly uniform (q_z, q_h, q_g) for an n-token sequence (plain arrays)."""
+    """Exactly uniform (q_z, q_h, q_g) of one n-token sequence, without the batch
+    axis: plain (n, N) / (C, n, n) / (n, M) arrays for the NumPy oracles."""
     if n < 2:
         raise ConfigError("head selection undefined for single-token sequence")
     q_z = np.full((n, config.width), 1.0 / config.width)

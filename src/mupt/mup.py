@@ -21,11 +21,10 @@ import numpy as np
 
 from .config import PTConfig, SCALE_CHANNELS, SCALE_RANK, PARADIGMS
 from .errors import ConfigError
-from .rng import SeededRng, gaussian_tensor
 
 __all__ = [
     "INPUT", "HIDDEN", "OUTPUT", "BIAS", "GROUPS",
-    "OUTPUT_LR_VARIANTS", "classify_param", "init_sigma", "init_param",
+    "OUTPUT_LR_VARIANTS", "classify_param", "init_sigma", "tensor_sigma",
     "group_lr", "AdamW", "WidthScaler", "scale_width",
 ]
 
@@ -75,9 +74,10 @@ def init_sigma(group: str, width: int) -> float:
     raise ConfigError(f"unknown parameter group: {group!r}")
 
 
-def init_param(group: str, shape, width: int, rng: SeededRng) -> np.ndarray:
-    """Draw one tensor at its group's width-indexed scale."""
-    return gaussian_tensor(rng, shape, init_sigma(group, width))
+def tensor_sigma(name: str, width: int) -> float:
+    """Initialization scale of one named tensor at width N: its group's scale,
+    or 0 for the zero-initialized tensors."""
+    return 0.0 if name in ZERO_INIT_NAMES else init_sigma(classify_param(name), width)
 
 
 def group_lr(group: str, eta: float, width: int,

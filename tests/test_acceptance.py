@@ -93,8 +93,8 @@ def test_criterion_3_gradients_match_finite_differences(acceptance_record):
     iw = InfoWeights()
 
     def loss_fn(leaves):
-        state = run_mfvi(config, leaves, corrupted, iw, iters=2)
-        return masked_ce_loss(mlm_logits(config, leaves, state), tokens, selected)
+        state = run_mfvi(config, leaves, corrupted[None], iw, iters=2)
+        return masked_ce_loss(mlm_logits(config, leaves, state), tokens[None], selected[None])
 
     report = finite_diff_check(loss_fn, params.tensors, rtol=1e-6, atol=1e-8)
     acceptance_record(

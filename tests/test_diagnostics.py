@@ -200,6 +200,18 @@ def test_coord_report_band_logic():
     assert rep.ratio_table("nz", 1) == [10.0]
 
 
+def test_coord_ratio_rule():
+    # 0/0 is 1; a zero smaller-width value or a non-finite larger-width one is inf
+    cases = [(0.0, 0.0, 1.0), (0.0, 2.0, math.inf), (1.0, math.inf, math.inf),
+             (1.0, math.nan, math.inf), (2.0, 1.0, 0.5), (2.0, 0.0, 0.0)]
+    for lo, hi, want in cases:
+        rep = CoordReport(paradigm="scale_channels", widths=[8, 16, 32], steps=0,
+                          mean_abs={"nz": {8: [lo], 16: [lo], 32: [hi]}},
+                          variance={}, diverged={})
+        assert rep.ratio_table("nz", 0) == [1.0, want]
+        assert rep.end_to_end_ratio("nz", 0) == want
+
+
 def test_one_step_update_ratios_from_coord_check():
     # the CLI's one-step update ratios come from step 1 of the main ladder
     rep = coord_check(TINY_LADDER, [16, 32], DIAG_HP, steps=2, seed=0,

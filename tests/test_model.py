@@ -16,7 +16,6 @@ from mupt.errors import ConfigError
 from mupt.model import (
     MFVIState,
     ModelParams,
-    attention_logits,
     init_mfvi,
     masked_ce_loss,
     mlm_logits,
@@ -31,7 +30,7 @@ from mupt.model import (
     uniform_posteriors,
     update_heads,
     update_topics,
-    z_logits,
+    update_z,
 )
 from mupt.rng import SeededRng
 
@@ -59,10 +58,10 @@ def test_attention_logits_hand_case():
     params["U"] = np.array([[[0.3], [0.1]]])
     params["V"] = np.array([[[0.2], [0.2]]])
 
-    state = init_mfvi(cfg, params, np.array([0, 1]), IW)
-    np.testing.assert_allclose(val(state.q_z), [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
+    state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
+    np.testing.assert_allclose(val(state.q_z)[0], [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
-    f = val(attention_logits(cfg, params, state))
+    f = val(update_heads(cfg, params, state, IW)[0])[0]
     assert f.shape == (1, 2, 2)
     # Nz = [[1, 1], [0.5, 1.5]]; q = [0.4, 0.3]; k = [0.4, 0.4]
     np.testing.assert_allclose(f[0, 0, 1], 0.16, atol=1e-14)
@@ -73,8 +72,8 @@ def test_update_heads_two_tokens_deterministic():
     # with only one candidate head per position the posterior is a point mass
     cfg = _tiny_config()
     params = _tiny_params(cfg)
-    state = init_mfvi(cfg, params, np.array([0, 1]), IW)
-    q_h = val(update_heads(cfg, params, state, IW)[1])
+    state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
+    q_h = val(update_heads(cfg, params, state, IW)[1])[0]
     np.testing.assert_array_equal(np.diagonal(q_h, axis1=-2, axis2=-1), 0.0)
     np.testing.assert_allclose(q_h[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
@@ -83,11 +82,12 @@ def test_topic_update_hand_case():
     cfg = _tiny_config(topics=2)
     params = _tiny_params(cfg)
     params["B"] = np.array([[np.log(2.0) / 2, np.log(2.0) / 2], [0.0, 0.0]])
-    q_z = np.full((2, 2), 0.5)
-    state = MFVIState(tokens=np.array([0, 1]), q_z=Var(q_z),
-                      q_h=np.zeros((1, 2, 2)), q_g=np.full((2, 2), 0.5))
+    q_z = np.full((1, 2, 2), 0.5)
+    state = MFVIState(tokens=np.array([[0, 1]]), q_z=Var(q_z),
+                      q_h=np.zeros((1, 1, 2, 2)), q_g=np.full((1, 2, 2), 0.5))
     # topic logits = (M/N) Nz B^T = [ln 2, 0] per row
-    q_g = val(update_topics(cfg, params, state, IW)[1])
+    g, q_g = (val(x)[0] for x in update_topics(cfg, params, state, IW))
+    np.testing.assert_allclose(g, [[np.log(2.0), 0.0]] * 2, atol=1e-15)
     np.testing.assert_allclose(q_g, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-14)
 
 
@@ -98,17 +98,17 @@ def test_z_logits_decompose_by_weights():
     params["S"] = np.array([[1.0, 2.0], [3.0, 4.0]])
     params["B"] = np.array([[0.5, -0.5], [0.25, 0.0]])
     tokens = np.array([0, 1])
-    state = init_mfvi(cfg, params, tokens, InfoWeights(w_unary=1.0))
+    state = init_mfvi(cfg, params, tokens[None], InfoWeights(w_unary=1.0))
 
     only_unary = InfoWeights(w_unary=1.0, w_tern_dep=0.0, w_tern_head=0.0,
                              w_binary=0.0, w_attn=0.0, w_topic=0.0)
-    lz = val(z_logits(cfg, params, state, only_unary))
+    lz = val(update_z(cfg, params, state, only_unary)[0])[0]
     np.testing.assert_allclose(lz, params["S"][tokens], atol=1e-15)
 
     only_binary = InfoWeights(w_unary=0.0, w_tern_dep=0.0, w_tern_head=0.0,
                               w_binary=1.0, w_attn=0.0, w_topic=0.0)
-    lz = val(z_logits(cfg, params, state, only_binary))
-    ng = val(quasi(state.q_g, cfg.topics))
+    lz = val(update_z(cfg, params, state, only_binary)[0])[0]
+    ng = val(quasi(state.q_g, cfg.topics))[0]
     np.testing.assert_allclose(lz, ng @ params["B"], atol=1e-14)
 
 
@@ -118,10 +118,10 @@ def test_mlm_logits_hand_case():
     params["gamma"] = np.ones(2)
     params["W_out"] = np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 1.0]])
     params["b_out"] = np.array([0.1, 0.2, 0.3])
-    q_z = np.full((2, 2), 0.5)  # Nz = [1, 1], rms = 1, feature = [1, 1]
-    state = MFVIState(tokens=np.array([0, 1]), q_z=Var(q_z),
-                      q_h=np.zeros((1, 2, 2)), q_g=np.full((2, 2), 0.5))
-    out = val(mlm_logits(cfg, params, state))
+    q_z = np.full((1, 2, 2), 0.5)  # Nz = [1, 1], rms = 1, feature = [1, 1]
+    state = MFVIState(tokens=np.array([[0, 1]]), q_z=Var(q_z),
+                      q_h=np.zeros((1, 1, 2, 2)), q_g=np.full((1, 2, 2), 0.5))
+    out = val(mlm_logits(cfg, params, state))[0]
     np.testing.assert_allclose(out, [[1.6, 2.2, 1.3]] * 2, atol=1e-14)
 
 
@@ -152,21 +152,20 @@ def test_position_bias_enters_attention():
     cfg = _tiny_config(pos_bias=True, pos_buckets=4, pos_clip=2)
     params = _tiny_params(cfg)
     params["P_rel"] = np.array([[1.0, 2.0, 3.0, 4.0]])
-    state = init_mfvi(cfg, params, np.array([0, 1, 0]), IW)
-    f = val(attention_logits(cfg, params, state))
+    state = init_mfvi(cfg, params, np.array([[0, 1, 0]]), IW)
+    f = val(update_heads(cfg, params, state, IW)[0])
     # all bilinear terms are zero, so F is exactly the bucketed bias table
     buckets = position_buckets(3, 4, 2)
-    np.testing.assert_array_equal(f[0], params["P_rel"][0][buckets])
+    np.testing.assert_array_equal(f[0, 0], params["P_rel"][0][buckets])
 
 
 # ------------------------------------------------------------------ invariants
 
-def _random_setup(seed=0, n=6, batched=False):
+def _random_setup(seed=0, n=6, batch=1):
     cfg = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17, pos_bias=False)
     rng = SeededRng(seed)
     params = ModelParams.init(cfg, rng.spawn("params"))
-    shape = (3, n) if batched else (n,)
-    tokens = rng.spawn("tokens").integers(0, cfg.vocab_size, shape)
+    tokens = rng.spawn("tokens").integers(0, cfg.vocab_size, (batch, n))
     return cfg, params.tensors, tokens
 
 
@@ -192,45 +191,46 @@ def test_quasi_rows_average_to_one():
 
 
 def test_batched_matches_single():
-    cfg, params, tokens = _random_setup(seed=2, batched=True)
+    # each row of a batch is exactly that row run as a batch of one
+    cfg, params, tokens = _random_setup(seed=2, batch=3)
     batched = run_mfvi(cfg, params, tokens, IW, iters=3)
     out_b = val(mlm_logits(cfg, params, batched))
     for b in range(tokens.shape[0]):
-        single = run_mfvi(cfg, params, tokens[b], IW, iters=3)
-        np.testing.assert_allclose(val(batched.q_z)[b], val(single.q_z), atol=1e-13)
-        np.testing.assert_allclose(val(batched.q_h)[b], val(single.q_h), atol=1e-13)
-        np.testing.assert_allclose(val(batched.q_g)[b], val(single.q_g), atol=1e-13)
-        np.testing.assert_allclose(out_b[b], val(mlm_logits(cfg, params, single)), atol=1e-13)
+        single = run_mfvi(cfg, params, tokens[b:b + 1], IW, iters=3)
+        for name in ("q_z", "q_h", "q_g"):
+            np.testing.assert_array_equal(val(getattr(batched, name))[b],
+                                          val(getattr(single, name))[0])
+        np.testing.assert_array_equal(out_b[b], val(mlm_logits(cfg, params, single))[0])
 
 
 def test_permutation_equivariance_without_position_bias():
     cfg, params, tokens = _random_setup(seed=3)
-    perm = SeededRng(9).permutation(tokens.shape[0])
+    perm = SeededRng(9).permutation(tokens.shape[-1])
     a = run_mfvi(cfg, params, tokens, IW, iters=3)
-    b = run_mfvi(cfg, params, tokens[perm], IW, iters=3)
-    np.testing.assert_allclose(val(b.q_z), val(a.q_z)[perm], atol=1e-12)
-    np.testing.assert_allclose(val(b.q_g), val(a.q_g)[perm], atol=1e-12)
-    np.testing.assert_allclose(val(b.q_h), val(a.q_h)[:, perm][:, :, perm], atol=1e-12)
-    np.testing.assert_allclose(
-        val(mlm_logits(cfg, params, b)), val(mlm_logits(cfg, params, a))[perm], atol=1e-12)
+    b = run_mfvi(cfg, params, tokens[:, perm], IW, iters=3)
+    np.testing.assert_allclose(val(b.q_z), val(a.q_z)[:, perm], atol=1e-12)
+    np.testing.assert_allclose(val(b.q_g), val(a.q_g)[:, perm], atol=1e-12)
+    np.testing.assert_allclose(val(b.q_h), val(a.q_h)[:, :, perm][..., perm], atol=1e-12)
+    np.testing.assert_allclose(val(mlm_logits(cfg, params, b)),
+                               val(mlm_logits(cfg, params, a))[:, perm], atol=1e-12)
 
 
 def test_zero_params_give_uniform_fixed_point():
     cfg = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17, pos_bias=False)
     params = {name: np.zeros(shape) for name, shape in tensor_shapes(cfg).items()}
-    tokens = np.array([0, 5, 3, 16, 2])
+    tokens = np.array([[0, 5, 3, 16, 2]])
     state = run_mfvi(cfg, params, tokens, IW, iters=4)
     q_z, q_h, q_g = uniform_posteriors(cfg, 5)
-    np.testing.assert_array_equal(val(state.q_z), q_z)
-    np.testing.assert_array_equal(val(state.q_h), q_h)
-    np.testing.assert_array_equal(val(state.q_g), q_g)
+    np.testing.assert_array_equal(val(state.q_z)[0], q_z)
+    np.testing.assert_array_equal(val(state.q_h)[0], q_h)
+    np.testing.assert_array_equal(val(state.q_g)[0], q_g)
 
 
 def test_token_mask_zeroes_padding():
     cfg, params, tokens = _random_setup(seed=4)
     mask = np.array([True, True, True, True, False, False])
-    state = run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=2)
-    q_h = val(state.q_h)
+    state = run_mfvi(cfg, params, tokens, IW, token_mask=mask[None], iters=2)
+    q_h = val(state.q_h)[0]
     # padded positions are never selected as heads and select none themselves
     np.testing.assert_array_equal(q_h[:, :, mask == False], 0.0)  # noqa: E712
     np.testing.assert_array_equal(q_h[:, mask == False, :], 0.0)  # noqa: E712
@@ -271,23 +271,29 @@ def test_sweep_logits_reproduce_posteriors():
     np.testing.assert_array_equal(val(ad.softmax_rows(val(g))), val(swept.q_g))
     np.testing.assert_array_equal(val(ad.softmax_rows(val(z))), val(swept.q_z))
     # F is read off the incoming state, before any posterior is refreshed
-    np.testing.assert_array_equal(val(f), val(attention_logits(cfg, params, state)))
+    np.testing.assert_array_equal(val(f), val(update_heads(cfg, params, state, IW)[0]))
     assert swept.sweeps == state.sweeps + 1
 
 
 def test_input_validation():
     cfg, params, _ = _random_setup()
+    for tokens in (np.array([0, 1]), np.zeros((1, 2, 2), dtype=int)):
+        with pytest.raises(ConfigError, match=r"shape \(batch, n\)"):
+            init_mfvi(cfg, params, tokens, IW)
     with pytest.raises(ConfigError, match="single-token"):
-        init_mfvi(cfg, params, np.array([3]), IW)
+        init_mfvi(cfg, params, np.array([[3]]), IW)
     with pytest.raises(ConfigError, match="out of range"):
-        init_mfvi(cfg, params, np.array([0, 17]), IW)
+        init_mfvi(cfg, params, np.array([[0, 17]]), IW)
     with pytest.raises(ConfigError, match="integers"):
-        init_mfvi(cfg, params, np.array([0.0, 1.0]), IW)
+        init_mfvi(cfg, params, np.array([[0.0, 1.0]]), IW)
+    for mask in (np.ones(2, dtype=bool), np.ones((1, 3), dtype=bool)):
+        with pytest.raises(ConfigError, match="token_mask must have"):
+            init_mfvi(cfg, params, np.array([[0, 1], [1, 0]]), IW, token_mask=mask)
     with pytest.raises(ConfigError, match="degenerate distribution support"):
-        init_mfvi(cfg, params, np.array([0, 1, 2]), IW,
-                  token_mask=np.array([True, False, False]))
+        init_mfvi(cfg, params, np.array([[0, 1, 2], [0, 1, 2]]), IW,
+                  token_mask=np.array([[True, True, False], [True, False, False]]))
     with pytest.raises(ConfigError, match="iters"):
-        run_mfvi(cfg, params, np.array([0, 1]), IW, iters=-1)
+        run_mfvi(cfg, params, np.array([[0, 1]]), IW, iters=-1)
 
 
 # ------------------------------------------------------------------- plumbing

@@ -6,7 +6,8 @@ from mupt import mup
 from mupt.config import PTConfig, SCALE_CHANNELS, SCALE_RANK
 from mupt.errors import ConfigError
 from mupt.model import param_count
-from mupt.mup import AdamW, WidthScaler, classify_param, group_lr, init_sigma, scale_width
+from mupt.mup import (AdamW, WidthScaler, classify_param, group_lr, init_sigma, scale_width,
+                      tensor_sigma)
 
 BASE = PTConfig(width=64, rank=16, channels=2, topics=128, vocab_size=64, pos_bias=False)
 
@@ -31,6 +32,17 @@ def test_init_sigma_values():
     assert init_sigma("bias", 64) == 0.0
     with pytest.raises(ConfigError):
         init_sigma("nope", 64)
+
+
+def test_tensor_sigma_values():
+    # the group's scale, except for the zero-initialized position table
+    assert tensor_sigma("S", 64) == 1.0
+    assert tensor_sigma("U", 64) == 0.125
+    assert tensor_sigma("W_out", 64) == 1.0 / 64
+    assert tensor_sigma("b_out", 64) == 0.0
+    assert tensor_sigma("P_rel", 64) == 0.0
+    with pytest.raises(ConfigError):
+        tensor_sigma("mystery", 64)
 
 
 def test_group_lr_table():
