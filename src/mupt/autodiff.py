@@ -275,7 +275,7 @@ def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
             raise ValueError("softmax_rows: degenerate distribution support (a row is fully masked)")
         shifted = np.where(mask, x, -np.inf)
         m = shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(shifted - m), 0.0)
+        e = np.exp(shifted - m)  # exactly 0 off-support: every row has support
     else:
         m = x.max(axis=-1, keepdims=True)
         e = np.exp(x - m)

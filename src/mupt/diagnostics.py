@@ -23,7 +23,7 @@ energy/entropy magnitudes against their predicted power laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -285,7 +285,6 @@ def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[s
     iw = InfoWeights()
     state = model.init_mfvi(config, params, tokens[None], iw)
     swept, f_prod, _, _ = model.sweep(config, params, state, iw)
-    refreshed = replace(state, q_h=swept.q_h, q_g=swept.q_g)
 
     nz = config.width * val(state.q_z)[0]
     t_dense = _dense_t(params)
@@ -293,10 +292,11 @@ def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[s
 
     only = {"w_unary": 0.0, "w_binary": 0.0, "w_tern_dep": 0.0, "w_tern_head": 0.0,
             "w_attn": iw.w_attn, "w_topic": iw.w_topic}
-    dep_prod = val(model.update_z(config, params, refreshed,
-                                  InfoWeights(**{**only, "w_tern_dep": 1.0}))[0])[0]
-    head_prod = val(model.update_z(config, params, refreshed,
-                                   InfoWeights(**{**only, "w_tern_head": 1.0}))[0])[0]
+    # w_attn and w_topic as in iw, so these sweeps refresh Q_h and Q_g as above
+    dep_prod = val(model.sweep(config, params, state,
+                               InfoWeights(**{**only, "w_tern_dep": 1.0}))[3])[0]
+    head_prod = val(model.sweep(config, params, state,
+                                InfoWeights(**{**only, "w_tern_head": 1.0}))[3])[0]
     q_hv = val(swept.q_h)[0]
     dep_dense = np.einsum("cij,cab,jb->ia", q_hv, t_dense, nz)
     head_dense = np.einsum("cji,cba,jb->ia", q_hv, t_dense, nz)

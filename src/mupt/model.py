@@ -23,7 +23,13 @@ so every message stays width-stable by construction:
                      + w_head sum_c sum_j Q_h[c,j,i] (V_c (U_c^T Nz[j]))
 
 The low-rank factors U_c V_c^T are never materialized here; dense-product
-oracles live with the diagnostics.
+oracles live with the diagnostics. U and V are stored as (C, N, r) and used
+stacked as (N, C*r), column block c*r:(c+1)*r holding channel c, so that
+`low_rank_products` forms Nz U and Nz V of every channel as one
+(B*n, N) @ (N, C*r) GEMM each, once per sweep, for both the head logits and
+the label messages. The ternary messages apply Q_h per channel in r
+dimensions and sum over channels inside a single (B*n, C*r) @ (C*r, N) GEMM
+against the stacked factor; no (B, C, n, N) tensor is formed.
 
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
@@ -45,9 +51,9 @@ from .rng import SeededRng, gaussian_tensor
 
 __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
-    "param_group_report", "position_buckets", "init_mfvi", "update_heads",
-    "update_topics", "update_z", "sweep", "run_mfvi", "quasi", "mlm_logits",
-    "masked_ce_loss", "uniform_posteriors",
+    "param_group_report", "position_buckets", "init_mfvi", "low_rank_products",
+    "update_heads", "update_topics", "update_z", "sweep", "run_mfvi", "quasi",
+    "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
 
 ParamsLike = Mapping[str, Union[Var, np.ndarray]]
@@ -184,12 +190,6 @@ def quasi(q, count: int):
     return ad.mul(q, float(count))
 
 
-def _per_channel_quasi(config: PTConfig, state: MFVIState):
-    """Nz with a channel broadcast axis: (B, 1, n, N)."""
-    nz = quasi(state.q_z, config.width)
-    return ad.reshape(nz, nz.shape[:1] + (1,) + nz.shape[1:])
-
-
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
               token_mask: np.ndarray | None = None) -> MFVIState:
     """Sweep-0 posteriors: unary-only labels, uniform heads and topics."""
@@ -226,18 +226,44 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
                      token_mask=token_mask, sweeps=0)
 
 
+def low_rank_products(config: PTConfig, params: ParamsLike, state: MFVIState):
+    """(Nz U, Nz V, U_s, V_s): the stacked factors U_s, V_s of shape (N, C*r),
+    column c*r + k holding U[c][:, k] (and V), and Nz of `state` flattened to
+    (B*n, N) times each of them, (B*n, C*r)."""
+    width, stacked = config.width, config.channels * config.rank
+    u_s = ad.reshape(ad.transpose(params["U"], (1, 0, 2)), (width, stacked))
+    v_s = ad.reshape(ad.transpose(params["V"], (1, 0, 2)), (width, stacked))
+    nz = ad.reshape(quasi(state.q_z, width), (-1, width))
+    return ad.matmul(nz, u_s), ad.matmul(nz, v_s), u_s, v_s
+
+
+def _per_channel(config: PTConfig, x, batch: int):
+    """(B*n, C*r) -> the (B, C, n, r) view with channels ahead of positions."""
+    x = ad.reshape(x, (batch, -1, config.channels, config.rank))
+    return ad.transpose(x, (0, 2, 1, 3))
+
+
+def _channel_sum(config: PTConfig, per_channel, factor_t):
+    """sum_c per_channel[:, c] @ factor_c^T as one GEMM: (B, C, n, r) against
+    the transposed stacked factor (C*r, N) gives (B*n, N)."""
+    stacked = ad.reshape(ad.transpose(per_channel, (0, 2, 1, 3)),
+                         (-1, config.channels * config.rank))
+    return ad.matmul(stacked, factor_t)
+
+
 def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
-                 iw: InfoWeights):
+                 iw: InfoWeights, products):
     """(F, Q_h): the bilinear head logits of all channels, (B, C, n, n), and
     the softmax of w_attn * F over j != i, exact zeros off-support.
 
     F[b, c, i, j] = (1/r) (Nz[i] U_c) . (Nz[j] V_c), plus the learned
-    relative-position bias when the geometry enables it.
+    relative-position bias when the geometry enables it. `products` is
+    `low_rank_products` of this state.
     """
-    n = state.tokens.shape[-1]
-    nz_c = _per_channel_quasi(config, state)
-    q = ad.matmul(nz_c, params["U"])
-    k = ad.matmul(nz_c, params["V"])
+    batch, n = state.tokens.shape
+    nz_u, nz_v = products[:2]
+    q = _per_channel(config, nz_u, batch)
+    k = _per_channel(config, nz_v, batch)
     f = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / config.rank)
     if config.pos_bias:
         buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
@@ -253,39 +279,43 @@ def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
 def update_topics(config: PTConfig, params: ParamsLike, state: MFVIState,
                   iw: InfoWeights):
     """(topic logits, Q_g): w_topic * (M/N) * Nz B^T, (B, n, M), and its softmax."""
-    nz = quasi(state.q_z, config.width)
+    nz = ad.reshape(quasi(state.q_z, config.width), (-1, config.width))
     logits = ad.mul(ad.matmul(nz, ad.swapaxes(params["B"], 0, 1)),
                     iw.w_topic * (config.topics / config.width))
+    logits = ad.reshape(logits, state.tokens.shape + (config.topics,))
     return logits, ad.softmax_rows(logits)
 
 
 def update_z(config: PTConfig, params: ParamsLike, state: MFVIState,
-             iw: InfoWeights):
+             iw: InfoWeights, products):
     """(label logits, Q_z): unary + topic message + both ternary messages,
     (B, n, N), and their softmax.
 
     The head posteriors in `state` weight messages in both directions: as the
     dependent (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and
-    as somebody's head (column i of Q_h, direction V_c U_c^T).
+    as somebody's head (column i of Q_h, direction V_c U_c^T). `products` is
+    `low_rank_products` of the Q_z the messages are sent from; Q_h is applied
+    per channel in r dimensions and the channel sum happens inside the GEMM
+    against the stacked factor.
     """
-    nz_c = _per_channel_quasi(config, state)
-    u, v = params["U"], params["V"]
+    batch = state.tokens.shape[0]
+    nz_u, nz_v, u_s, v_s = products
+    q_h = state.q_h
+    dep = _channel_sum(config, ad.matmul(q_h, _per_channel(config, nz_v, batch)),
+                       ad.swapaxes(u_s, 0, 1))
+    head = _channel_sum(config, ad.matmul(ad.swapaxes(q_h, -1, -2),
+                                          _per_channel(config, nz_u, batch)),
+                        ad.swapaxes(v_s, 0, 1))
 
-    a_dep = ad.matmul(nz_c, v)                       # (B, C, n, r) = Nz V_c
-    a_head = ad.matmul(nz_c, u)                      # (B, C, n, r) = Nz U_c
-    dep = ad.matmul(ad.matmul(state.q_h, a_dep), ad.swapaxes(u, -1, -2))
-    head = ad.matmul(ad.matmul(ad.swapaxes(state.q_h, -1, -2), a_head),
-                     ad.swapaxes(v, -1, -2))
-    dep = ad.reduce_sum(dep, axis=-3)                # sum channels -> (B, n, N)
-    head = ad.reduce_sum(head, axis=-3)
-
-    s_rows = ad.take(params["S"], state.tokens)
-    binary = ad.matmul(quasi(state.q_g, config.topics), params["B"])
+    s_rows = ad.take(params["S"], state.tokens.reshape(-1))
+    ng = ad.reshape(quasi(state.q_g, config.topics), (-1, config.topics))
+    binary = ad.matmul(ng, params["B"])
 
     logits = ad.add(
         ad.add(ad.mul(s_rows, iw.w_unary), ad.mul(binary, iw.w_binary)),
         ad.add(ad.mul(dep, iw.w_tern_dep), ad.mul(head, iw.w_tern_head)),
     )
+    logits = ad.reshape(logits, state.tokens.shape + (config.width,))
     return logits, ad.softmax_rows(logits)
 
 
@@ -293,14 +323,16 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     """One synchronous sweep: (next state, F, topic logits, label logits).
 
     Q_h and Q_g come from the incoming Q_z, then Q_z from the refreshed Q_h,
-    Q_g and the incoming Q_z's messages. The topic and label logits are
+    Q_g and the incoming Q_z's messages; Nz U and Nz V are formed once, by
+    `low_rank_products`, and shared by both. The topic and label logits are
     exactly what the sweep passed through softmax; F is the head softmax's
     input before the w_attn factor.
     """
-    f, q_h = update_heads(config, params, state, iw)
+    products = low_rank_products(config, params, state)
+    f, q_h = update_heads(config, params, state, iw, products)
     g, q_g = update_topics(config, params, state, iw)
     refreshed = replace(state, q_h=q_h, q_g=q_g)
-    z, q_z = update_z(config, params, refreshed, iw)
+    z, q_z = update_z(config, params, refreshed, iw, products)
     return replace(refreshed, q_z=q_z, sweeps=state.sweeps + 1), f, g, z
 
 

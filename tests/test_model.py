@@ -13,6 +13,7 @@ from mupt import autodiff as ad
 from mupt.autodiff import Var, val
 from mupt.config import InfoWeights, PTConfig
 from mupt.errors import ConfigError
+from mupt.mup import PARADIGMS, scale_width
 from mupt.model import (
     MFVIState,
     ModelParams,
@@ -28,6 +29,7 @@ from mupt.model import (
     tensor_order,
     tensor_shapes,
     uniform_posteriors,
+    low_rank_products,
     update_heads,
     update_topics,
     update_z,
@@ -61,7 +63,8 @@ def test_attention_logits_hand_case():
     state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
     np.testing.assert_allclose(val(state.q_z)[0], [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
-    f = val(update_heads(cfg, params, state, IW)[0])[0]
+    f = val(update_heads(cfg, params, state, IW,
+                         low_rank_products(cfg, params, state))[0])[0]
     assert f.shape == (1, 2, 2)
     # Nz = [[1, 1], [0.5, 1.5]]; q = [0.4, 0.3]; k = [0.4, 0.4]
     np.testing.assert_allclose(f[0, 0, 1], 0.16, atol=1e-14)
@@ -73,7 +76,8 @@ def test_update_heads_two_tokens_deterministic():
     cfg = _tiny_config()
     params = _tiny_params(cfg)
     state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
-    q_h = val(update_heads(cfg, params, state, IW)[1])[0]
+    q_h = val(update_heads(cfg, params, state, IW,
+                           low_rank_products(cfg, params, state))[1])[0]
     np.testing.assert_array_equal(np.diagonal(q_h, axis1=-2, axis2=-1), 0.0)
     np.testing.assert_allclose(q_h[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
@@ -102,12 +106,13 @@ def test_z_logits_decompose_by_weights():
 
     only_unary = InfoWeights(w_unary=1.0, w_tern_dep=0.0, w_tern_head=0.0,
                              w_binary=0.0, w_attn=0.0, w_topic=0.0)
-    lz = val(update_z(cfg, params, state, only_unary)[0])[0]
+    products = low_rank_products(cfg, params, state)
+    lz = val(update_z(cfg, params, state, only_unary, products)[0])[0]
     np.testing.assert_allclose(lz, params["S"][tokens], atol=1e-15)
 
     only_binary = InfoWeights(w_unary=0.0, w_tern_dep=0.0, w_tern_head=0.0,
                               w_binary=1.0, w_attn=0.0, w_topic=0.0)
-    lz = val(update_z(cfg, params, state, only_binary)[0])[0]
+    lz = val(update_z(cfg, params, state, only_binary, products)[0])[0]
     ng = val(quasi(state.q_g, cfg.topics))[0]
     np.testing.assert_allclose(lz, ng @ params["B"], atol=1e-14)
 
@@ -153,7 +158,7 @@ def test_position_bias_enters_attention():
     params = _tiny_params(cfg)
     params["P_rel"] = np.array([[1.0, 2.0, 3.0, 4.0]])
     state = init_mfvi(cfg, params, np.array([[0, 1, 0]]), IW)
-    f = val(update_heads(cfg, params, state, IW)[0])
+    f = val(update_heads(cfg, params, state, IW, low_rank_products(cfg, params, state))[0])
     # all bilinear terms are zero, so F is exactly the bucketed bias table
     buckets = position_buckets(3, 4, 2)
     np.testing.assert_array_equal(f[0, 0], params["P_rel"][0][buckets])
@@ -237,9 +242,12 @@ def test_token_mask_zeroes_padding():
     np.testing.assert_allclose(q_h[:, mask].sum(-1), 1.0, atol=1e-12)
 
 
-def _masked_batch_setup():
+def _masked_batch_setup(paradigm=None):
+    """Width 8 with position bias and padding; width 16 under `paradigm` if given."""
     cfg = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
                    pos_bias=True, pos_buckets=8, pos_clip=4)
+    if paradigm is not None:
+        cfg = scale_width(cfg, 16, paradigm)
     rng = SeededRng(5)
     params = ModelParams.init(cfg, rng.spawn("params")).tensors
     params["P_rel"] = rng.spawn("p_rel").normal(params["P_rel"].shape, 1.0)
@@ -271,8 +279,67 @@ def test_sweep_logits_reproduce_posteriors():
     np.testing.assert_array_equal(val(ad.softmax_rows(val(g))), val(swept.q_g))
     np.testing.assert_array_equal(val(ad.softmax_rows(val(z))), val(swept.q_z))
     # F is read off the incoming state, before any posterior is refreshed
-    np.testing.assert_array_equal(val(f), val(update_heads(cfg, params, state, IW)[0]))
+    products = low_rank_products(cfg, params, state)
+    np.testing.assert_array_equal(val(f), val(update_heads(cfg, params, state, IW, products)[0]))
     assert swept.sweeps == state.sweeps + 1
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_fused_ternary_messages_equal_per_channel_sum(paradigm):
+    # the channel sum inside one GEMM against the stacked factor equals the
+    # plain sum over channels of Q_h[c] (Nz V_c) U_c^T and of its transpose
+    cfg, params, tokens, mask = _masked_batch_setup(paradigm)
+    state = run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=2)
+    nz, q_h = cfg.width * val(state.q_z), val(state.q_h)
+    u, v = params["U"], params["V"]
+    dep_ref = sum(q_h[:, c] @ (nz @ v[c]) @ u[c].T for c in range(cfg.channels))
+    head_ref = sum(q_h[:, c].swapaxes(-1, -2) @ (nz @ u[c]) @ v[c].T
+                   for c in range(cfg.channels))
+
+    products = low_rank_products(cfg, params, state)
+    none = dict(w_unary=0.0, w_binary=0.0, w_tern_dep=0.0, w_tern_head=0.0)
+    dep = val(update_z(cfg, params, state, InfoWeights(**{**none, "w_tern_dep": 1.0}),
+                       products)[0])
+    head = val(update_z(cfg, params, state, InfoWeights(**{**none, "w_tern_head": 1.0}),
+                        products)[0])
+    # an entry that cancels to far below the others' size carries their
+    # rounding error, hence the floor at 1e-13 of the largest entry
+    for got, ref in ((dep, dep_ref), (head, head_ref)):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_stacked_factor_columns_are_channels():
+    cfg, params, tokens, mask = _masked_batch_setup("scale_channels")
+    state = init_mfvi(cfg, params, tokens, IW, token_mask=mask)
+    nz_u, nz_v, u_s, v_s = low_rank_products(cfg, params, state)
+    r = cfg.rank
+    assert val(u_s).shape == val(v_s).shape == (cfg.width, cfg.channels * r)
+    assert val(nz_u).shape == val(nz_v).shape == (tokens.size, cfg.channels * r)
+    for c in range(cfg.channels):
+        np.testing.assert_array_equal(val(u_s)[:, c * r:(c + 1) * r], params["U"][c])
+        np.testing.assert_array_equal(val(v_s)[:, c * r:(c + 1) * r], params["V"][c])
+
+
+def test_sweep_forms_low_rank_products_once_and_no_channel_expansion(monkeypatch):
+    cfg, params, tokens, mask = _masked_batch_setup("scale_channels")
+    batch, n = tokens.shape
+    c, width, r = cfg.channels, cfg.width, cfg.rank
+    assert cfg.topics != c * r  # keeps Nz B^T apart from Nz U and Nz V
+    shapes = []
+    matmul = ad.matmul
+
+    def recording(a, b):
+        out = matmul(a, b)
+        shapes.append((val(a).shape, val(b).shape, val(out).shape))
+        return out
+
+    monkeypatch.setattr(ad, "matmul", recording)
+    iters = 3
+    mlm_logits(cfg, params, run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=iters))
+    assert shapes
+    assert all(out != (batch, c, n, width) for _, _, out in shapes)
+    low_rank = [s for s in shapes if s[:2] == ((batch * n, width), (width, c * r))]
+    assert len(low_rank) == 2 * iters
 
 
 def test_input_validation():
