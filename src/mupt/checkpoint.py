@@ -97,8 +97,10 @@ def load_checkpoint(path) -> tuple[PTConfig, dict, dict]:
 
     if not isinstance(header.get("config"), dict):
         raise CheckpointError("checkpoint header has no config object")
+    # Files written before the sweep count left the geometry carry it here.
+    fields = {k: v for k, v in header["config"].items() if k != "mfvi_iters"}
     try:
-        config = PTConfig(**header["config"])
+        config = PTConfig(**fields)
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"invalid config in checkpoint header: {e}") from None
     entries, extra = header.get("tensors"), header.get("extra", {})

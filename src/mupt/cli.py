@@ -64,7 +64,6 @@ def _defaults(command: str) -> dict:
             "hp": hp,
             "hidden_lr_scaling": "mup",
             "band": [1.0 / 3.0, 3.0],
-            "expect_stable": True,
         },
         "init-stats": {
             "model": {**model_ladder, "vocab_size": 64},
@@ -93,7 +92,6 @@ def _defaults(command: str) -> dict:
             "stage": "init",
             "entropy_band": 0.15,
             "energy_band": 0.2,
-            "assert_bands": True,
         },
         "transfer-sweep": {
             "model": model_ladder,
@@ -141,10 +139,9 @@ def _merge(defaults, override, path=""):
     return out
 
 
-# Config keys that accept null, with the type each takes otherwise: every key
-# whose default is null, plus train.mfvi_iters (null: the geometry's default).
-_NULLABLE = {"corpus.path": str, "n": int, "csv": str, "out": str,
-             "train.mfvi_iters": int}
+# Config keys that accept null, with the type each takes otherwise: exactly the
+# keys whose default is null.
+_NULLABLE = {"corpus.path": str, "n": int, "csv": str, "out": str}
 
 
 def _checked(default, value, where: str):
@@ -249,6 +246,17 @@ def _corpus(cfg_corpus: dict):
                                     max_word_vocab=cfg_corpus["max_word_vocab"])
 
 
+def _listed(cfg: dict, key: str) -> list:
+    """cfg[key] as a list, refused if empty or repeating an entry: a check
+    over nothing checks nothing, and a repeat checks nothing new."""
+    items = list(cfg[key])
+    if not items:
+        raise ConfigError(f"{key} must not be empty")
+    if len({json.dumps(x) for x in items}) != len(items):
+        raise ConfigError(f"{key} must not repeat an entry, got {items}")
+    return items
+
+
 def _tag(cfg: dict, seed: int) -> str:
     from .util import short_hash
 
@@ -317,6 +325,7 @@ def _cmd_coord_check(cfg, seed, out_dir):
     json_path = _write(os.path.join(out_dir, f"coord-{tag}.json"),
                        coord_summary_json(report, lo, hi))
     stable = not violations
+    expect_stable = cfg["hidden_lr_scaling"] == "mup"
     print(f"coord-check[{cfg['hidden_lr_scaling']}]: "
           f"{'stable' if stable else f'{len(violations)} band violations'} "
           f"over widths {cfg['widths']}")
@@ -328,9 +337,9 @@ def _cmd_coord_check(cfg, seed, out_dir):
         ratios = ", ".join(f"{r:.2f}" for r in report.ratio_table("delta_nz", 1))
         print(f"  one-step update ratios: [{ratios}], "
               f"end-to-end {report.end_to_end_ratio('delta_nz', 1):.2f}")
-    if stable != cfg["expect_stable"]:
+    if stable != expect_stable:
         raise CheckFailure(
-            f"expected {'stability' if cfg['expect_stable'] else 'band violations'} "
+            f"expected {'stability' if expect_stable else 'band violations'} "
             f"but observed the opposite")
 
 
@@ -342,7 +351,7 @@ def _cmd_init_stats(cfg, seed, out_dir):
     scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
     tol = cfg["tolerance"]
     rows, ok = [], True
-    for width in cfg["widths"]:
+    for width in _listed(cfg, "widths"):
         audit = init_variance_audit(scaler.config_at(width), seed=seed,
                                     min_samples=cfg["min_samples"])
         rows.append({"width": width, "pooled_variance": audit.pooled_variance,
@@ -369,10 +378,13 @@ def _cmd_equivalence(cfg, seed, out_dir):
 
     base = _model(cfg["model"])
     tol = cfg["tolerance"]
+    if cfg["seeds"] < 1:
+        raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
+    widths, tau_pairs = _listed(cfg, "widths"), _listed(cfg, "tau_pairs")
     results, worst = [], (0.0, "")
-    for paradigm in cfg["paradigms"]:
+    for paradigm in _listed(cfg, "paradigms"):
         scaler = WidthScaler(base, paradigm)
-        for width in cfg["widths"]:
+        for width in widths:
             config = scaler.config_at(width)
             for s in range(cfg["seeds"]):
                 rep = equivalence_check(config, seed=seed + s, n_tokens=cfg["n_tokens"],
@@ -384,7 +396,7 @@ def _cmd_equivalence(cfg, seed, out_dir):
     print(f"equivalence-check: {len(results)} combos, max deviation "
           f"{worst[0]:.3e} at {worst[1]} (tol {tol:g})")
     tau_worst = 0.0
-    for n_val, r_val in cfg["tau_pairs"]:
+    for n_val, r_val in tau_pairs:
         dev = tau_cancellation_check(n_val, r_val, seed=seed)
         tau_worst = max(tau_worst, dev)
         print(f"  temperature cancellation N={n_val} r={r_val} "
@@ -409,7 +421,7 @@ def _cmd_energy_probe(cfg, seed, out_dir):
     base = _model(cfg["model"])
     widths = list(cfg["widths"])
     out, failures = {}, []
-    for paradigm in cfg["paradigms"]:
+    for paradigm in _listed(cfg, "paradigms"):
         fits = energy_entropy_probe(WidthScaler(base, paradigm), widths,
                                     n_seeds=cfg["n_seeds"], n_tokens=cfg["n_tokens"],
                                     seed0=seed, stage=cfg["stage"])
@@ -442,7 +454,7 @@ def _cmd_energy_probe(cfg, seed, out_dir):
                   canonical_json({"schema_version": "1", "stage": cfg["stage"],
                                   "fits": out, "uniform_exact_rel": rel}))
     print(f"  wrote {path}")
-    if cfg["assert_bands"] and cfg["stage"] == "init":
+    if cfg["stage"] == "init":
         if rel > 1e-12:
             raise CheckFailure(f"uniform entropy closed form off by {rel:.3e}")
         if failures:
@@ -455,9 +467,12 @@ def _cmd_transfer_sweep(cfg, seed, out_dir):
     from .training import transfer_sweep
     from .util import canonical_json
 
+    widths = _listed(cfg, "widths")
+    if len(widths) < 2:  # one width is displaced by 0 by construction
+        raise ConfigError(f"a transfer sweep needs at least 2 widths, got {widths}")
     scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
     corpus = _corpus(cfg["corpus"])
-    sweep = transfer_sweep(scaler, list(cfg["widths"]), list(cfg["lr_grid"]),
+    sweep = transfer_sweep(scaler, widths, list(cfg["lr_grid"]),
                            _hp(cfg["hp"]), corpus, seed, _settings(cfg["train"]))
     tag = _tag(cfg, seed)
     csv_path = _write(os.path.join(out_dir, f"sweep-{tag}.csv"),

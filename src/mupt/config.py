@@ -36,14 +36,13 @@ class PTConfig:
     channels: int
     topics: int
     vocab_size: int
-    mfvi_iters: int = 6
     pos_bias: bool = True
     pos_buckets: int = 32
     pos_clip: int = 16
     rms_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("width", "rank", "channels", "topics", "vocab_size", "mfvi_iters"):
+        for name in ("width", "rank", "channels", "topics", "vocab_size"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")

@@ -5,10 +5,9 @@ specials follow (MASK 256, PAD 257, UNK 258; UNK is unreachable for bytes but
 keeps the id layout shared with the word tokenizer). A word tokenizer with a
 frequency-capped vocabulary is available behind the same Corpus shape.
 
-Masking follows the standard corruption rule: round(ratio * maskable) distinct
+Masking follows BERT's corruption rule: round(ratio * maskable) distinct
 positions are selected; of those, 80% become MASK, 10% a random plain token,
-10% stay unchanged ("bert" rule), or all become MASK ("pure" rule). Targets
-are defined at selected positions only.
+and 10% stay unchanged. Targets are defined at selected positions only.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from .errors import ConfigError
 from .rng import SeededRng
 
 __all__ = [
-    "MASK_ID", "PAD_ID", "UNK_ID", "BYTE_VOCAB", "MASK_RULES",
+    "MASK_ID", "PAD_ID", "UNK_ID", "BYTE_VOCAB",
     "Corpus", "encode_corpus", "decode_bytes", "mask_tokens",
     "synth_text", "split_chunks",
 ]
@@ -29,8 +28,6 @@ MASK_ID = 256
 PAD_ID = 257
 UNK_ID = 258
 BYTE_VOCAB = 259
-
-MASK_RULES = ("bert", "pure")
 
 
 @dataclass
@@ -121,8 +118,8 @@ def decode_bytes(corpus: Corpus, ids: np.ndarray | None = None) -> bytes:
     return bytes(flat[flat < 256].astype(np.uint8).tobytes())
 
 
-def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng, corpus: Corpus,
-                mask_rule: str = "bert") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng,
+                corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corrupt one sequence; returns (corrupted, targets, selected).
 
     selected is boolean over positions; targets carries the original token at
@@ -130,8 +127,6 @@ def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng, corpus: Corpus,
     maskable, and a ratio that rounds to zero selected positions is an error
     rather than a silent no-op.
     """
-    if mask_rule not in MASK_RULES:
-        raise ConfigError(f"mask_rule must be one of {MASK_RULES}, got {mask_rule!r}")
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"mask ratio must be in (0, 1], got {ratio}")
     seq = np.asarray(seq)
@@ -148,14 +143,10 @@ def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng, corpus: Corpus,
     selected[chosen] = True
     targets = np.where(selected, seq, 0)
 
-    if mask_rule == "pure":
-        corrupted[chosen] = corpus.mask_id
-    else:
-        u = rng.uniform(0.0, 1.0, chosen.shape)
-        replacements = rng.integers(0, corpus.n_plain, chosen.shape)
-        new = np.where(u < 0.8, corpus.mask_id,
-                       np.where(u < 0.9, replacements, seq[chosen]))
-        corrupted[chosen] = new
+    u = rng.uniform(0.0, 1.0, chosen.shape)
+    replacements = rng.integers(0, corpus.n_plain, chosen.shape)
+    corrupted[chosen] = np.where(u < 0.8, corpus.mask_id,
+                                 np.where(u < 0.9, replacements, seq[chosen]))
     return corrupted, targets, selected
 
 

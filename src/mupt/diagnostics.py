@@ -197,16 +197,14 @@ class EquivalenceReport:
                 f"at {self.worst or '-'} ({status}, tol={self.tolerance:g})")
 
 
-def equivalence_check(config: PTConfig, seed: int, n_tokens: int = 8,
-                      iw: InfoWeights | None = None, iters: int | None = None,
+def equivalence_check(config: PTConfig, seed: int, iters: int, n_tokens: int = 8,
+                      iw: InfoWeights | None = None,
                       tolerance: float = 1e-9) -> EquivalenceReport:
     """Run all three paths on one random model and compare every sweep.
 
     Raises nothing on deviation; the report carries pass/fail so callers can
     decide (the CLI exits 2, the acceptance test asserts at its own 1e-12).
     """
-    if iters is None:
-        iters = config.mfvi_iters
     rng = SeededRng(seed)
     params = model.ModelParams.init(config, rng.spawn("params")).tensors
     tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (n_tokens,)))
@@ -381,9 +379,11 @@ def _probe_forward(config: PTConfig, params: dict, tokens: np.ndarray,
 
 
 def _check_ladder(widths: list[int]) -> None:
-    """A width-scaling fit needs at least two widths."""
+    """A width-scaling fit needs at least two widths, none of them repeated."""
     if len(widths) < 2:
         raise ConfigError(f"a width ladder needs at least 2 widths, got {list(widths)}")
+    if len(set(widths)) != len(widths):
+        raise ConfigError(f"a width ladder must not repeat a width, got {list(widths)}")
 
 
 def _diag_corpus(seq_len: int, seed: int, n_bytes: int = 1 << 15):
@@ -451,8 +451,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
         # are spawned afresh for every width
         batches = ((corpus.ids[batch_size * (t + 1):batch_size * (t + 2)],
                     root.spawn(f"batch-mask/{t}")) for t in range(steps))
-        for loss in train_steps(config, params, opt, hp, corpus, batches, 0.15,
-                                "bert", iters):
+        for loss in train_steps(config, params, opt, hp, corpus, batches, 0.15, iters):
             diverged[width] = not math.isfinite(loss)
             record(diverged[width])
 
@@ -676,7 +675,7 @@ def _trained_posteriors(config: PTConfig, params: model.ModelParams,
     root = SeededRng(seed)
     batches = ((corpus.ids[t % corpus.num_chunks][None], root.spawn(f"m{t}"))
                for t in range(steps))
-    for _ in train_steps(config, params, opt, hp, corpus, batches, 0.15, "bert", 2):
+    for _ in train_steps(config, params, opt, hp, corpus, batches, 0.15, 2):
         pass
     state = model.run_mfvi(config, params.tensors,
                            (tokens % config.vocab_size)[None], hp.weights, iters=2)

@@ -51,7 +51,7 @@ from .rng import SeededRng, gaussian_tensor
 
 __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
-    "param_group_report", "position_buckets", "init_mfvi", "low_rank_products",
+    "position_buckets", "init_mfvi", "low_rank_products",
     "update_heads", "update_topics", "update_z", "sweep", "run_mfvi", "quasi",
     "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
@@ -86,21 +86,6 @@ def tensor_shapes(config: PTConfig) -> dict[str, tuple[int, ...]]:
 
 def param_count(config: PTConfig) -> int:
     return sum(int(np.prod(s)) for s in tensor_shapes(config).values())
-
-
-def param_group_report(config: PTConfig, eta: float,
-                       output_lr_variant: str = "scaled") -> dict[str, dict]:
-    """Tensor name -> {group, shape, init_sigma, lr} for one geometry."""
-    report = {}
-    for name, shape in tensor_shapes(config).items():
-        group = mup.classify_param(name)
-        report[name] = {
-            "group": group,
-            "shape": list(shape),
-            "init_sigma": mup.tensor_sigma(name, config.width),
-            "lr": mup.group_lr(group, eta, config.width, output_lr_variant),
-        }
-    return report
 
 
 @dataclass
@@ -337,11 +322,8 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
 
 
 def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
-             token_mask: np.ndarray | None = None,
-             iters: int | None = None) -> MFVIState:
+             token_mask: np.ndarray | None = None, *, iters: int) -> MFVIState:
     """Full inference: init, then `iters` synchronous sweeps."""
-    if iters is None:
-        iters = config.mfvi_iters
     if iters < 0:
         raise ConfigError(f"iters must be >= 0, got {iters}")
     state = init_mfvi(config, params, tokens, iw, token_mask)

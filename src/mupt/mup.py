@@ -4,14 +4,13 @@ Tensors fall into four groups that scale differently with the width N:
 
     input   (S, gamma, P_rel)   init N(0, 1),      LR eta
     hidden  (U, V, B)           init N(0, 1/N),    LR eta / N
-    output  (W_out)             init N(0, 1/N^2),  LR eta / N (default)
+    output  (W_out)             init N(0, 1/N^2),  LR eta / N
     bias    (b_out)             init 0,            LR eta
 
-The output-LR default follows the grouped table; output_lr_variant="unit-mult"
-switches to the alternative reading in which the output multiplier is 1 and
-the output LR stays at eta. hidden_lr_scaling="constant" is a deliberately
-mis-scaled negative control for the diagnostics and must never be used for
-real training.
+This table is the one source of every init scale and learning rate.
+hidden_lr_scaling="constant" (hidden LR eta at every width) is a deliberately
+mis-scaled negative control for the coordinate check and must never be used
+for real training.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .errors import ConfigError
 
 __all__ = [
     "INPUT", "HIDDEN", "OUTPUT", "BIAS", "GROUPS",
-    "OUTPUT_LR_VARIANTS", "classify_param", "init_sigma", "tensor_sigma",
+    "classify_param", "init_sigma", "tensor_sigma",
     "group_lr", "AdamW", "WidthScaler", "scale_width",
 ]
 
@@ -33,8 +32,6 @@ HIDDEN = "hidden"
 OUTPUT = "output"
 BIAS = "bias"
 GROUPS = (INPUT, HIDDEN, OUTPUT, BIAS)
-
-OUTPUT_LR_VARIANTS = ("scaled", "unit-mult")
 
 _GROUP_OF = {
     "S": INPUT,
@@ -81,11 +78,8 @@ def tensor_sigma(name: str, width: int) -> float:
 
 
 def group_lr(group: str, eta: float, width: int,
-             output_lr_variant: str = "scaled",
              hidden_lr_scaling: str = "mup") -> float:
     """Per-group learning rate at width N for base rate eta."""
-    if output_lr_variant not in OUTPUT_LR_VARIANTS:
-        raise ConfigError(f"output_lr_variant must be one of {OUTPUT_LR_VARIANTS}, got {output_lr_variant!r}")
     if hidden_lr_scaling not in ("mup", "constant"):
         raise ConfigError(f"hidden_lr_scaling must be 'mup' or 'constant', got {hidden_lr_scaling!r}")
     if group in (INPUT, BIAS):
@@ -93,7 +87,7 @@ def group_lr(group: str, eta: float, width: int,
     if group == HIDDEN:
         return eta if hidden_lr_scaling == "constant" else eta / width
     if group == OUTPUT:
-        return eta if output_lr_variant == "unit-mult" else eta / width
+        return eta / width
     raise ConfigError(f"unknown parameter group: {group!r}")
 
 
@@ -112,21 +106,15 @@ class AdamW:
     def __init__(self, shapes: dict[str, tuple], width: int, eta: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01,
-                 output_lr_variant: str = "scaled",
                  hidden_lr_scaling: str = "mup") -> None:
-        self.width = width
-        self.eta = eta
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.output_lr_variant = output_lr_variant
-        self.hidden_lr_scaling = hidden_lr_scaling
         self.t = 0
         self.m = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
         self.lr_of = {
-            k: group_lr(classify_param(k), eta, width, output_lr_variant, hidden_lr_scaling)
-            for k in shapes
+            k: group_lr(classify_param(k), eta, width, hidden_lr_scaling) for k in shapes
         }
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:

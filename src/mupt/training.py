@@ -32,7 +32,13 @@ SWEEP_CSV_HEADER = "width,lr,seed,step,split,loss"
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Loop-shape knobs that are not part of the model geometry."""
+    """How one run trains and evaluates, apart from the model geometry.
+
+    mfvi_iters is the number of mean-field sweeps in every training and
+    evaluation forward pass; the geometry carries no sweep count. Learning
+    rates come from the grouped table in `mup` and masking follows BERT's
+    80/10/10 rule, so neither has a setting here.
+    """
 
     steps: int = 200
     batch_size: int = 4
@@ -40,15 +46,18 @@ class TrainSettings:
     eval_fraction: float = 0.1
     max_eval_chunks: int = 64
     mask_ratio: float = 0.15
-    mask_rule: str = "bert"
-    mfvi_iters: int | None = 3          # None: use the geometry's default
-    output_lr_variant: str = "scaled"
-    hidden_lr_scaling: str = "mup"
+    mfvi_iters: int = 3
     weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ConfigError("steps, batch_size, eval_interval must be >= 1")
+        if self.max_eval_chunks < 1:
+            raise ConfigError(f"max_eval_chunks must be >= 1, got {self.max_eval_chunks}")
+        if self.mfvi_iters < 0:
+            raise ConfigError(f"mfvi_iters must be >= 0, got {self.mfvi_iters}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -104,14 +113,13 @@ def _batches(train_idx: np.ndarray, batch_size: int, steps: int, rng: SeededRng)
                 return
 
 
-def _corrupt_batch(chunks: np.ndarray, ratio: float, rule: str, corpus: Corpus,
-                   rng: SeededRng):
+def _corrupt_batch(chunks: np.ndarray, ratio: float, corpus: Corpus, rng: SeededRng):
     corrupted = np.empty_like(chunks)
     targets = np.empty_like(chunks)
     selected = np.empty(chunks.shape, dtype=bool)
     for b in range(chunks.shape[0]):
         corrupted[b], targets[b], selected[b] = corpus_mod.mask_tokens(
-            chunks[b], ratio, rng, corpus, rule)
+            chunks[b], ratio, rng, corpus)
     return corrupted, targets, selected
 
 
@@ -129,7 +137,7 @@ def _batch_loss(config: PTConfig, params, hp: HPPoint, corrupted, targets,
 
 
 def evaluate(config: PTConfig, params: dict, hp: HPPoint,
-             eval_batches: list[tuple], iters: int | None) -> float:
+             eval_batches: list[tuple], iters: int) -> float:
     """Position-weighted mean loss over pre-corrupted eval batches."""
     total, count = 0.0, 0
     for corrupted, targets, selected, token_mask in eval_batches:
@@ -151,7 +159,7 @@ def build_eval_batches(config: PTConfig, corpus: Corpus, eval_idx: np.ndarray,
     for lo in range(0, eval_idx.size, settings.batch_size):
         chunks = corpus.ids[eval_idx[lo:lo + settings.batch_size]]
         corrupted, targets, selected = _corrupt_batch(
-            chunks, settings.mask_ratio, settings.mask_rule, corpus, rng)
+            chunks, settings.mask_ratio, corpus, rng)
         batches.append((corrupted, targets, selected,
                         _token_mask_or_none(chunks, corpus)))
     return batches
@@ -164,8 +172,7 @@ def run_config_fields(config: PTConfig, hp: HPPoint, settings: TrainSettings,
 
 
 def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
-                hp: HPPoint, corpus: Corpus, batches, ratio: float, rule: str,
-                iters: int | None):
+                hp: HPPoint, corpus: Corpus, batches, ratio: float, iters: int):
     """Take one optimizer step per (chunks, mask_rng) batch; yield its loss.
 
     Each batch is corrupted with its own mask stream, run through inference
@@ -182,8 +189,7 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
     diverged = False
     for chunks, mask_rng in batches:
         if not diverged:
-            corrupted, targets, selected = _corrupt_batch(chunks, ratio, rule, corpus,
-                                                          mask_rng)
+            corrupted, targets, selected = _corrupt_batch(chunks, ratio, corpus, mask_rng)
             leaves = params.as_vars()
             loss = _batch_loss(config, leaves, hp, corrupted, targets, selected,
                                _token_mask_or_none(chunks, corpus), iters)
@@ -211,9 +217,7 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
     root = SeededRng(seed)
     params = model.ModelParams.init(config, root.spawn("params"))
     opt = AdamW(model.tensor_shapes(config), config.width, hp.lr,
-                weight_decay=settings.weight_decay,
-                output_lr_variant=settings.output_lr_variant,
-                hidden_lr_scaling=settings.hidden_lr_scaling)
+                weight_decay=settings.weight_decay)
 
     train_idx, eval_idx = corpus_mod.split_chunks(
         corpus, settings.eval_fraction, root.spawn("split"))
@@ -239,7 +243,7 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
     batches = ((corpus.ids[idx], root.spawn(f"mask/{step}")) for step, idx in enumerate(
         _batches(train_idx, settings.batch_size, settings.steps, data_rng), start=1))
     losses = train_steps(config, params, opt, hp, corpus, batches, settings.mask_ratio,
-                         settings.mask_rule, iters)
+                         iters)
     for step in range(1, settings.steps + 1):
         loss = math.inf if diverged else next(losses)
         train_losses.append(loss)

@@ -188,3 +188,18 @@ def test_malformed_header_is_a_checkpoint_error(tmp_path, key_path, value, messa
     _rewrite_header(path, key_path, value)
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def test_legacy_sweep_count_in_config_is_ignored(tmp_path):
+    # version-1 files once stored the sweep count in the geometry; only that
+    # one extra key is tolerated
+    params = _params()
+    path = _save(tmp_path)
+    _rewrite_header(path, ("config", "mfvi_iters"), 6)
+    config, tensors, _ = load_checkpoint(path)
+    assert config == CFG
+    for name, t in params.items():
+        np.testing.assert_array_equal(tensors[name], t)
+    _rewrite_header(path, ("config", "mfvi_iter"), 6)
+    with pytest.raises(CheckpointError, match="invalid config"):
+        load_checkpoint(path)

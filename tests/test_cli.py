@@ -28,6 +28,80 @@ def _run(argv, tmp_path):
     return main(argv + ["--out-dir", str(tmp_path)])
 
 
+def _leaves(node, path=""):
+    """(dotted key, value) for every settable key of a config tree."""
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, where)
+        else:
+            yield where, value
+
+
+def _section(name, keys):
+    return {f"{name}.{k}" for k in keys.split()}
+
+
+MODEL_KEYS = _section("model", "width rank channels topics vocab_size pos_bias "
+                               "pos_buckets pos_clip rms_eps")
+HP_KEYS = _section("hp", "lr w_unary w_tern_dep w_tern_head w_binary w_attn w_topic")
+CORPUS_KEYS = _section("corpus", "path synthetic_bytes synthetic_seed seq_len tokenizer "
+                                 "max_word_vocab")
+TRAIN_KEYS = _section("train", "steps batch_size eval_interval eval_fraction "
+                               "max_eval_chunks mask_ratio mfvi_iters weight_decay")
+# Every key each subcommand accepts. A new knob is a visible edit here.
+SETTABLE_KEYS = {
+    "train": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {"save_checkpoint"},
+    "coord-check": MODEL_KEYS | HP_KEYS | {
+        "paradigm", "widths", "steps", "iters", "batch_size", "hidden_lr_scaling", "band"},
+    "init-stats": MODEL_KEYS | {"paradigm", "widths", "tolerance", "min_samples"},
+    "equivalence-check": MODEL_KEYS | {
+        "paradigms", "widths", "seeds", "iters", "n_tokens", "tolerance", "tau_pairs",
+        "tau_tolerance"},
+    "energy-probe": MODEL_KEYS | {
+        "paradigms", "widths", "n_seeds", "n_tokens", "stage", "entropy_band",
+        "energy_band"},
+    "transfer-sweep": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
+        "paradigm", "widths", "lr_grid", "max_displacement"},
+    "verify-local-opt": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
+        "p", "alpha", "n", "scale", "noise_tol", "require_optimal"},
+    "plot": {"csv", "kind", "out"},
+}
+
+
+def test_settable_keys_are_pinned():
+    from mupt.cli import _COMMANDS, _defaults
+
+    assert set(SETTABLE_KEYS) == set(_COMMANDS)
+    for command in _COMMANDS:
+        assert {k for k, _ in _leaves(_defaults(command))} == SETTABLE_KEYS[command], command
+    assert sum(map(len, SETTABLE_KEYS.values())) == 173
+
+
+def test_geometry_and_train_settings_share_no_field():
+    # each setting is read from exactly one place
+    from dataclasses import fields
+
+    from mupt.config import PTConfig
+    from mupt.training import TrainSettings
+
+    assert not {f.name for f in fields(PTConfig)} & {f.name for f in fields(TrainSettings)}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "model.mfvi_iters", "6"),
+    ("coord-check", "model.mfvi_iters", "6"),
+    ("train", "train.mask_rule", "bert"),
+    ("train", "train.output_lr_variant", "scaled"),
+    ("train", "train.hidden_lr_scaling", "mup"),
+    ("coord-check", "expect_stable", "true"),
+    ("energy-probe", "assert_bands", "true"),
+])
+def test_removed_keys_are_unknown(tmp_path, capsys, command, key, value):
+    assert _run([command, "--set", f"{key}={value}", "--print-config"], tmp_path) == 1
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
 def test_print_config_applies_overrides(tmp_path, capsys):
     rc = _run(["train", "--set", "train.steps=55", "--print-config"], tmp_path)
     assert rc == 0
@@ -52,6 +126,7 @@ def test_set_type_checking(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, assignment, message", [
     ("train", "train.steps=null", "train.steps cannot be null"),
+    ("train", "train.mfvi_iters=null", "train.mfvi_iters cannot be null"),
     ("train", "corpus.synthetic_seed=null", "corpus.synthetic_seed cannot be null"),
     ("train", "train.steps=2.5", "train.steps expects int"),
     ("train", "corpus.path=7", "corpus.path expects str"),
@@ -66,12 +141,10 @@ def test_set_rejects_null_and_wrong_types(tmp_path, capsys, command, assignment,
 
 def test_set_accepts_null_only_where_allowed(tmp_path, capsys):
     rc = _run(["verify-local-opt", "--set", "n=null", "--set", "corpus.path=null",
-               "--set", "train.mfvi_iters=null", "--set", "hp.lr=1", "--print-config"],
-              tmp_path)
+               "--set", "hp.lr=1", "--print-config"], tmp_path)
     assert rc == 0
     cfg = json.loads(capsys.readouterr().out)
-    assert cfg["n"] is None and cfg["corpus"]["path"] is None
-    assert cfg["train"]["mfvi_iters"] is None and cfg["hp"]["lr"] == 1
+    assert cfg["n"] is None and cfg["corpus"]["path"] is None and cfg["hp"]["lr"] == 1
     assert _run(["verify-local-opt", "--set", "n=12", "--print-config"], tmp_path) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 12
 
@@ -84,18 +157,13 @@ def test_set_accepts_null_only_where_allowed(tmp_path, capsys):
 def test_every_null_default_is_listed_as_nullable():
     from mupt.cli import _COMMANDS, _NULLABLE, _defaults
 
-    def leaves(node, path=""):
-        for key, value in node.items():
-            where = f"{path}.{key}" if path else key
-            if isinstance(value, dict):
-                yield from leaves(value, where)
-            else:
-                yield where, value
-
+    null_defaults = set()
     for command in _COMMANDS:
-        for where, value in leaves(_defaults(command)):
+        for where, value in _leaves(_defaults(command)):
             if value is None:
                 assert where in _NULLABLE, (command, where)
+                null_defaults.add(where)
+    assert null_defaults == set(_NULLABLE)
 
 
 def test_config_file_merge_and_rejection(tmp_path, capsys):
@@ -196,10 +264,52 @@ def test_coord_check_small(tmp_path, capsys):
     ("coord-check", "band=[0,3.0]", "band must be [lo, hi]"),
     ("coord-check", 'band=["a","b"]', "band must be [lo, hi]"),
     ("energy-probe", "widths=[64]", "at least 2 widths"),
+    # a check over nothing checks nothing, and a repeated entry nothing new
+    ("coord-check", "widths=[64,64]", "must not repeat a width"),
+    ("energy-probe", "widths=[64,64]", "must not repeat a width"),
+    ("energy-probe", "paradigms=[]", "paradigms must not be empty"),
+    ("init-stats", "widths=[]", "widths must not be empty"),
+    ("init-stats", "widths=[64,64]", "widths must not repeat an entry"),
+    ("equivalence-check", "widths=[]", "widths must not be empty"),
+    ("equivalence-check", "widths=[8,8]", "widths must not repeat an entry"),
+    ("equivalence-check", 'paradigms=["scale_rank","scale_rank"]', "must not repeat"),
+    ("equivalence-check", "paradigms=[]", "paradigms must not be empty"),
+    ("equivalence-check", "tau_pairs=[]", "tau_pairs must not be empty"),
+    ("equivalence-check", "seeds=0", "seeds must be >= 1"),
+    ("transfer-sweep", "widths=[64]", "at least 2 widths"),
+    ("transfer-sweep", "widths=[64,64]", "widths must not repeat an entry"),
 ])
 def test_bad_ladder_inputs_are_config_errors(tmp_path, capsys, command, assignment, message):
     assert _run([command, "--set", assignment], tmp_path) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", [
+    "train.max_eval_chunks=-1", "train.max_eval_chunks=0", "train.weight_decay=-3.0",
+    "train.mfvi_iters=-1",
+])
+def test_bad_train_settings_are_config_errors(tmp_path, capsys, assignment):
+    rc = _run(["train", *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
+               "--set", "model.vocab_size=259", "--set", assignment], tmp_path)
+    assert rc == 1
+    assert assignment.split(".")[1].split("=")[0] in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("scaling, code", [("constant", 0), ("mup", 2)])
+def test_coord_check_verdict_follows_lr_scaling(tmp_path, capsys, scaling, code):
+    # a band this narrow is left by both runs: only the control expects that
+    rc = _run(["coord-check", "--set", "model.width=16", "--set", "model.rank=4",
+               "--set", "model.topics=32", "--set", "widths=[16,32]",
+               "--set", "steps=1", "--set", "batch_size=2", "--set", "iters=2",
+               "--set", "band=[0.99,1.01]", "--set", f"hidden_lr_scaling={scaling}"],
+              tmp_path)
+    captured = capsys.readouterr()
+    assert f"coord-check[{scaling}]: " in captured.out
+    assert "band violations over widths" in captured.out
+    assert rc == code, captured.err
+    if code:
+        assert "expected stability" in captured.err
 
 
 def test_init_stats_small(tmp_path, capsys):

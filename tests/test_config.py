@@ -25,7 +25,7 @@ def test_with_replaces_fields():
     assert cfg.width == 8  # original untouched
 
 
-@pytest.mark.parametrize("field", ["width", "rank", "channels", "topics", "vocab_size", "mfvi_iters"])
+@pytest.mark.parametrize("field", ["width", "rank", "channels", "topics", "vocab_size"])
 def test_positive_integer_fields(field):
     with pytest.raises(ConfigError):
         _cfg(**{field: 0})

@@ -91,13 +91,6 @@ def test_mask_tokens_deterministic_and_counted():
     np.testing.assert_array_equal(corrupted[~selected], seq[~selected])
 
 
-def test_mask_tokens_pure_rule():
-    corpus = encode_corpus(synth_text(4096, 0), seq_len=64)
-    corrupted, _, selected = mask_tokens(corpus.ids[0], 0.25, SeededRng(1),
-                                         corpus, mask_rule="pure")
-    np.testing.assert_array_equal(corrupted[selected], corpus.mask_id)
-
-
 def test_mask_tokens_bert_proportions():
     corpus = encode_corpus(synth_text(8192, 3), seq_len=2048)
     seq = corpus.ids[0]
@@ -128,8 +121,6 @@ def test_mask_tokens_validation():
         mask_tokens(seq, 1.5, SeededRng(0), corpus)
     with pytest.raises(ConfigError, match="zero"):
         mask_tokens(seq, 0.01, SeededRng(0), corpus)  # rounds to no positions
-    with pytest.raises(ConfigError):
-        mask_tokens(seq, 0.15, SeededRng(0), corpus, mask_rule="mlm")
 
 
 def test_split_chunks_disjoint_and_deterministic():

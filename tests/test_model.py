@@ -21,7 +21,6 @@ from mupt.model import (
     masked_ce_loss,
     mlm_logits,
     param_count,
-    param_group_report,
     position_buckets,
     quasi,
     run_mfvi,
@@ -395,20 +394,3 @@ def test_init_determinism_and_zero_tensors():
     c = a.copy()
     c.tensors["S"][0, 0] += 1.0
     assert a.tensors["S"][0, 0] != c.tensors["S"][0, 0]
-
-
-def test_param_group_report_contents():
-    cfg = PTConfig(width=64, rank=16, channels=2, topics=128, vocab_size=64,
-                   pos_bias=True, pos_buckets=32, pos_clip=16)
-    report = param_group_report(cfg, eta=0.01)
-    assert report["S"]["group"] == "input"
-    assert report["S"]["init_sigma"] == 1.0
-    assert report["S"]["lr"] == 0.01
-    assert report["U"]["init_sigma"] == 64 ** -0.5
-    assert report["U"]["lr"] == 0.01 / 64
-    assert report["W_out"]["init_sigma"] == 1.0 / 64
-    assert report["W_out"]["lr"] == 0.01 / 64
-    assert report["P_rel"]["init_sigma"] == 0.0
-    assert report["b_out"]["lr"] == 0.01
-    unit = param_group_report(cfg, eta=0.01, output_lr_variant="unit-mult")
-    assert unit["W_out"]["lr"] == 0.01

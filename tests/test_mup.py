@@ -52,10 +52,7 @@ def test_group_lr_table():
     assert group_lr("hidden", eta, 64) == eta / 64
     assert group_lr("hidden", eta, 128) == eta / 128
     assert group_lr("output", eta, 64) == eta / 64
-    assert group_lr("output", eta, 64, output_lr_variant="unit-mult") == eta
     assert group_lr("hidden", eta, 64, hidden_lr_scaling="constant") == eta
-    with pytest.raises(ConfigError):
-        group_lr("output", eta, 64, output_lr_variant="bogus")
     with pytest.raises(ConfigError):
         group_lr("hidden", eta, 64, hidden_lr_scaling="bogus")
 

@@ -92,7 +92,7 @@ def test_sample_neighborhood():
 def test_verify_local_optimality_flow(tmp_path):
     # p=alpha=0.5 needs a single sample, keeping the smoke cheap but real
     config = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=259,
-                      pos_bias=False, mfvi_iters=2)
+                      pos_bias=False)
     corpus = encode_corpus(synth_text(2048, 5), seq_len=12)
     settings = TrainSettings(steps=2, batch_size=2, eval_interval=2,
                              max_eval_chunks=4, mfvi_iters=2)
@@ -122,7 +122,7 @@ def test_verify_local_optimality_flow(tmp_path):
 
 def test_verify_rejects_undersampling(tmp_path):
     config = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=259,
-                      pos_bias=False, mfvi_iters=2)
+                      pos_bias=False)
     corpus = encode_corpus(synth_text(2048, 5), seq_len=12)
     with pytest.raises(ConfigError, match="confidence"):
         verify_local_optimality(config, HPPoint(lr=3e-3), corpus, seed=0,

@@ -19,7 +19,7 @@ from mupt.training import (
 )
 
 CFG = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=259,
-               pos_bias=False, mfvi_iters=2)
+               pos_bias=False)
 HP = HPPoint(lr=3e-3)
 SETTINGS = TrainSettings(steps=3, batch_size=2, eval_interval=2,
                          max_eval_chunks=8, mfvi_iters=2)
@@ -88,7 +88,7 @@ def test_train_steps_yields_inf_and_stops_after_divergence():
     batches = [(corpus.ids[2 * t:2 * t + 2], SeededRng(0).spawn(f"mask/{t}"))
                for t in range(6)]
     steps = train_steps(CFG, params, opt, HP.with_lr(1e80), corpus, batches,
-                        0.15, "bert", 2)
+                        0.15, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         losses = []
         for loss in steps:
@@ -114,6 +114,17 @@ def test_settings_validation():
         TrainSettings(steps=0)
     with pytest.raises(ConfigError):
         TrainSettings(batch_size=0)
+    TrainSettings(max_eval_chunks=1, weight_decay=0.0, mfvi_iters=0)  # the boundaries hold
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_eval_chunks", 0), ("max_eval_chunks", -1),
+    ("weight_decay", -3.0), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ("mfvi_iters", -1),
+])
+def test_settings_refuse_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainSettings(**{field: value})
 
 
 def test_return_params_trains_in_place():
@@ -137,7 +148,7 @@ def test_record_json_roundtrip():
 
 def test_transfer_sweep_bookkeeping():
     base = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=259,
-                    pos_bias=False, mfvi_iters=2)
+                    pos_bias=False)
     scaler = WidthScaler(base, "scale_channels")
     corpus = _corpus()
     sweep = transfer_sweep(scaler, [8, 16], [1e-3, 1e-2], HP, corpus, seed=0,
