@@ -6,6 +6,11 @@ its artifacts under --out-dir (or $MUPT_OUT_DIR, default ./artifacts),
 never anywhere else. Exit codes: 0 success, 1 bad configuration or usage,
 2 a check ran to completion and failed.
 
+Defaults are the library's: the model, hp and train sections hold the fields
+of PTConfig, HPPoint and TrainSettings, and a key naming a keyword parameter
+of the library function its subcommand calls takes that parameter's default.
+The whole config is checked before anything runs or --print-config prints.
+
 --threads N sets the BLAS/OpenMP thread variables (default 1, unless the
 environment already sets them) before anything loads NumPy: neither
 `import mupt` nor `import mupt.cli` does, so the pools are sized as asked.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import os
 import sys
@@ -24,6 +30,19 @@ from .errors import CheckFailure, ConfigError
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _library_defaults(fn, *keys) -> dict:
+    """Defaults of fn's parameters `keys`, as config keys that _passed returns."""
+    params = inspect.signature(fn).parameters
+    return {key: params[key].default for key in keys}
+
+
+def _passed(cfg: dict, fn) -> dict:
+    """The entries of cfg that name a parameter of fn with a default."""
+    params = inspect.signature(fn).parameters
+    return {key: value for key, value in cfg.items()
+            if key in params and params[key].default is not inspect.Parameter.empty}
 
 
 def _defaults(command: str) -> dict:
@@ -35,7 +54,9 @@ def _defaults(command: str) -> dict:
     from dataclasses import asdict
 
     from .config import PTConfig
-    from .diagnostics import DIAG_HP
+    from .diagnostics import (COORD_BAND, DIAG_HP, coord_check, energy_entropy_probe,
+                              equivalence_check, init_variance_audit)
+    from .search import verify_local_optimality
     from .training import TrainSettings
 
     model_small = asdict(PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
@@ -58,19 +79,16 @@ def _defaults(command: str) -> dict:
             "model": model_ladder,
             "paradigm": "scale_channels",
             "widths": [64, 128, 256, 512],
-            "steps": 10,
-            "iters": 3,
-            "batch_size": 4,
             "hp": hp,
-            "hidden_lr_scaling": "mup",
-            "band": [1.0 / 3.0, 3.0],
+            "band": list(COORD_BAND),
+            **_library_defaults(coord_check, "steps", "iters", "batch_size", "hidden_lr_scaling"),
         },
         "init-stats": {
             "model": {**model_ladder, "vocab_size": 64},
             "paradigm": "scale_channels",
             "widths": [64, 128, 256, 512],
             "tolerance": 0.15,
-            "min_samples": 10000,
+            **_library_defaults(init_variance_audit, "min_samples"),
         },
         "equivalence-check": {
             "model": model_small,
@@ -78,20 +96,17 @@ def _defaults(command: str) -> dict:
             "widths": [8, 16, 32],
             "seeds": 5,
             "iters": 3,
-            "n_tokens": 8,
-            "tolerance": 1e-12,
             "tau_pairs": [[8, 8], [16, 8], [16, 2], [24, 1]],
             "tau_tolerance": 1e-12,
+            **_library_defaults(equivalence_check, "n_tokens", "tolerance"),
         },
         "energy-probe": {
             "model": model_ladder,
             "paradigms": ["scale_channels", "scale_rank"],
             "widths": [64, 128, 256, 512],
-            "n_seeds": 32,
-            "n_tokens": 16,
-            "stage": "init",
             "entropy_band": 0.15,
             "energy_band": 0.2,
+            **_library_defaults(energy_entropy_probe, "n_seeds", "n_tokens", "stage"),
         },
         "transfer-sweep": {
             "model": model_ladder,
@@ -107,20 +122,12 @@ def _defaults(command: str) -> dict:
         "verify-local-opt": {
             "model": {**model_ladder, "pos_bias": True},
             "hp": hp,
-            "p": 0.05,
-            "alpha": 0.05,
-            "n": None,
-            "scale": 0.2,
-            "noise_tol": 0.004,
             "require_optimal": False,
             "corpus": {**corpus, "seq_len": 32, "synthetic_bytes": 1 << 17},
             "train": {**train, "steps": 40, "eval_interval": 40},
+            **_library_defaults(verify_local_optimality, "p", "alpha", "n", "scale", "noise_tol"),
         },
-        "plot": {
-            "csv": None,
-            "kind": "coord",
-            "out": None,
-        },
+        "plot": {"csv": None, "kind": "coord", "out": None},
     }
     return copy.deepcopy(defaults[command])
 
@@ -163,28 +170,18 @@ def _checked(default, value, where: str):
         f"{where} expects {expected.__name__}, got {type(value).__name__} ({value!r})")
 
 
-def _coerce(default, raw: str, where: str):
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return _checked(default, value, where)
-
-
-def _apply_set(cfg: dict, assignment: str) -> None:
+def _override(assignment: str) -> dict:
+    """--set a.b=value as {"a": {"b": value}}; value is JSON, or else a string."""
     if "=" not in assignment:
         raise ConfigError(f"--set takes key=value, got {assignment!r}")
     dotted, raw = assignment.split("=", 1)
-    node = cfg
-    keys = dotted.split(".")
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[key]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[leaf] = _coerce(node[leaf], raw, dotted)
+    try:
+        override = json.loads(raw)
+    except json.JSONDecodeError:
+        override = raw
+    for key in reversed(dotted.split(".")):
+        override = {key: override}
+    return override
 
 
 def _load_config(command: str, args) -> dict:
@@ -201,32 +198,8 @@ def _load_config(command: str, args) -> dict:
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge(cfg, data)
     for assignment in args.set or ():
-        _apply_set(cfg, assignment)
+        cfg = _merge(cfg, _override(assignment))
     return cfg
-
-
-def _out_dir(args) -> str:
-    out = args.out_dir or os.environ.get("MUPT_OUT_DIR") or "artifacts"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _model(cfg_model: dict):
-    from .config import PTConfig
-
-    return PTConfig(**cfg_model)
-
-
-def _hp(cfg_hp: dict):
-    from .config import HPPoint
-
-    return HPPoint.from_dict(cfg_hp)
-
-
-def _settings(cfg_train: dict):
-    from .training import TrainSettings
-
-    return TrainSettings(**cfg_train)
 
 
 def _corpus(cfg_corpus: dict):
@@ -246,21 +219,79 @@ def _corpus(cfg_corpus: dict):
                                     max_word_vocab=cfg_corpus["max_word_vocab"])
 
 
-def _listed(cfg: dict, key: str) -> list:
-    """cfg[key] as a list, refused if empty or repeating an entry: a check
-    over nothing checks nothing, and a repeat checks nothing new."""
-    items = list(cfg[key])
-    if not items:
-        raise ConfigError(f"{key} must not be empty")
-    if len({json.dumps(x) for x in items}) != len(items):
-        raise ConfigError(f"{key} must not repeat an entry, got {items}")
-    return items
+# List keys a subcommand walks entry by entry: refused if empty or repeating
+# an entry, since a check over nothing checks nothing and a repeat nothing new.
+# The width ladders of coord-check and energy-probe are the library's to check.
+_LISTED = {
+    "init-stats": ("widths",),
+    "equivalence-check": ("paradigms", "widths", "tau_pairs"),
+    "energy-probe": ("paradigms",),
+    "transfer-sweep": ("widths", "lr_grid"),
+}
 
 
-def _tag(cfg: dict, seed: int) -> str:
-    from .util import short_hash
+def _check_entries(default: list, value: list, where: str) -> None:
+    """Refuse list entries unlike the default's: of another type (the rule of
+    _checked), or, for a list of lists, of another length."""
+    if not default:
+        return
+    proto = default[0]
+    for i, item in enumerate(value):
+        at = f"{where}[{i}]"
+        _checked(proto, item, at)
+        if type(proto) is list:
+            if len(item) != len(proto):
+                raise ConfigError(f"{at} expects {len(proto)} entries, got {item!r}")
+            _check_entries(proto, item, at)
 
-    return short_hash({"cfg": cfg, "seed": seed})
+
+def _validated(command: str, cfg: dict) -> dict:
+    """cfg with its model, hp and train sections built (PTConfig, HPPoint,
+    TrainSettings) and a WidthScaler per paradigm ("scaler" or "scalers"),
+    after every check a run makes before it starts; --print-config too."""
+    from .config import HPPoint, PTConfig
+    from .mup import WidthScaler
+    from .training import TrainSettings
+
+    if command == "coord-check":  # ahead of the entry check, to name the band's shape
+        band = cfg["band"]
+        if not (len(band) == 2 and all(type(x) in (int, float) for x in band)
+                and 0 < band[0] < band[1]):
+            raise ConfigError(f"band must be [lo, hi] with 0 < lo < hi, got {band}")
+    for key, default in _defaults(command).items():
+        if type(default) is list:
+            _check_entries(default, cfg[key], key)
+    for key in _LISTED.get(command, ()):
+        items = cfg[key]
+        if not items:
+            raise ConfigError(f"{key} must not be empty")
+        if len({json.dumps(x) for x in items}) != len(items):
+            raise ConfigError(f"{key} must not repeat an entry, got {items}")
+    if command == "equivalence-check":
+        if cfg["seeds"] < 1:
+            raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
+        for width, rank in cfg["tau_pairs"]:
+            if not 1 <= rank <= width:
+                raise ConfigError(f"tau_pairs entries are [width, rank] with "
+                                  f"1 <= rank <= width, got {[width, rank]}")
+    if command == "transfer-sweep" and len(cfg["widths"]) < 2:
+        # one width is displaced by 0 by construction
+        raise ConfigError(f"a transfer sweep needs at least 2 widths, got {cfg['widths']}")
+    if command == "plot" and cfg["kind"] not in ("coord", "sweep", "verify"):
+        raise ConfigError(f"unknown plot kind: {cfg['kind']!r}")
+
+    run = dict(cfg)
+    if "model" in cfg:
+        run["model"] = PTConfig(**cfg["model"])
+    if "paradigm" in cfg:
+        run["scaler"] = WidthScaler(run["model"], cfg["paradigm"])
+    if "paradigms" in cfg:
+        run["scalers"] = [WidthScaler(run["model"], p) for p in cfg["paradigms"]]
+    if "hp" in cfg:
+        run["hp"] = HPPoint.from_dict(cfg["hp"])
+    if "train" in cfg:
+        run["train"] = TrainSettings(**cfg["train"])
+    return run
 
 
 def _write(path: str, text: str) -> str:
@@ -270,20 +301,18 @@ def _write(path: str, text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies (heavy imports stay inside)
+# subcommand bodies (heavy imports stay inside); each takes the validated
+# config, the seed, the tag naming its artifacts and the output directory
 
 
-def _cmd_train(cfg, seed, out_dir):
+def _cmd_train(cfg, seed, tag, out_dir):
     from .checkpoint import save_checkpoint
     from .svgplot import line_svg
     from .training import train_run
 
-    config = _model(cfg["model"])
-    corpus = _corpus(cfg["corpus"])
-    settings = _settings(cfg["train"])
-    record, params = train_run(config, _hp(cfg["hp"]), corpus, seed, settings,
+    config = cfg["model"]
+    record, params = train_run(config, cfg["hp"], _corpus(cfg["corpus"]), seed, cfg["train"],
                                return_params=True)
-    tag = _tag(cfg, seed)
     json_path = _write(os.path.join(out_dir, f"run-{tag}.json"), record.to_json())
     curve = [("train", list(enumerate(record.train_losses, start=1))),
              ("eval", list(zip(record.eval_steps, record.eval_losses)))]
@@ -305,21 +334,13 @@ def _cmd_train(cfg, seed, out_dir):
         raise CheckFailure("training diverged")
 
 
-def _cmd_coord_check(cfg, seed, out_dir):
+def _cmd_coord_check(cfg, seed, tag, out_dir):
     from .diagnostics import coord_check, coord_summary_json, write_coord_csv
-    from .mup import WidthScaler
 
-    band = cfg["band"]
-    if not (len(band) == 2 and all(type(x) in (int, float) for x in band)
-            and 0 < band[0] < band[1]):
-        raise ConfigError(f"band must be [lo, hi] with 0 < lo < hi, got {band}")
-    lo, hi = band
-    scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
-    report = coord_check(scaler, list(cfg["widths"]), _hp(cfg["hp"]), steps=cfg["steps"],
-                         seed=seed, batch_size=cfg["batch_size"], iters=cfg["iters"],
-                         hidden_lr_scaling=cfg["hidden_lr_scaling"])
+    lo, hi = cfg["band"]
+    report = coord_check(cfg["scaler"], list(cfg["widths"]), cfg["hp"], seed=seed,
+                         **_passed(cfg, coord_check))
     violations = report.band_violations(lo, hi)
-    tag = _tag(cfg, seed)
     csv_path = os.path.join(out_dir, f"coord-{tag}.csv")
     write_coord_csv(report, csv_path)
     json_path = _write(os.path.join(out_dir, f"coord-{tag}.json"),
@@ -343,17 +364,15 @@ def _cmd_coord_check(cfg, seed, out_dir):
             f"but observed the opposite")
 
 
-def _cmd_init_stats(cfg, seed, out_dir):
+def _cmd_init_stats(cfg, seed, tag, out_dir):
     from .diagnostics import init_variance_audit
-    from .mup import WidthScaler
     from .util import canonical_json
 
-    scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
     tol = cfg["tolerance"]
     rows, ok = [], True
-    for width in _listed(cfg, "widths"):
-        audit = init_variance_audit(scaler.config_at(width), seed=seed,
-                                    min_samples=cfg["min_samples"])
+    for width in cfg["widths"]:
+        audit = init_variance_audit(cfg["scaler"].config_at(width), seed=seed,
+                                    **_passed(cfg, init_variance_audit))
         rows.append({"width": width, "pooled_variance": audit.pooled_variance,
                      "target_variance": audit.target_variance,
                      "rel_error": audit.rel_error, "zero_names": audit.zero_names,
@@ -364,31 +383,26 @@ def _cmd_init_stats(cfg, seed, out_dir):
         print(f"init-stats w={width}: worst group error {worst:.3%} "
               f"(tol {tol:.0%}), zeros exact: {audit.zeros_exact} "
               f"-> {'ok' if good else 'FAIL'}")
-    path = _write(os.path.join(out_dir, f"init-stats-{_tag(cfg, seed)}.json"),
+    path = _write(os.path.join(out_dir, f"init-stats-{tag}.json"),
                   canonical_json({"schema_version": "1", "tolerance": tol, "audits": rows}))
     print(f"  wrote {path}")
     if not ok:
         raise CheckFailure("init variance audit out of tolerance")
 
 
-def _cmd_equivalence(cfg, seed, out_dir):
+def _cmd_equivalence(cfg, seed, tag, out_dir):
     from .diagnostics import equivalence_check, tau_cancellation_check
-    from .mup import WidthScaler
     from .util import canonical_json
 
-    base = _model(cfg["model"])
     tol = cfg["tolerance"]
-    if cfg["seeds"] < 1:
-        raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
-    widths, tau_pairs = _listed(cfg, "widths"), _listed(cfg, "tau_pairs")
     results, worst = [], (0.0, "")
-    for paradigm in _listed(cfg, "paradigms"):
-        scaler = WidthScaler(base, paradigm)
-        for width in widths:
+    for scaler in cfg["scalers"]:
+        paradigm = scaler.paradigm
+        for width in cfg["widths"]:
             config = scaler.config_at(width)
             for s in range(cfg["seeds"]):
-                rep = equivalence_check(config, seed=seed + s, n_tokens=cfg["n_tokens"],
-                                        iters=cfg["iters"], tolerance=tol)
+                rep = equivalence_check(config, seed=seed + s, iters=cfg["iters"],
+                                        **_passed(cfg, equivalence_check))
                 results.append({"paradigm": paradigm, "width": width, "seed": seed + s,
                                 "max_deviation": rep.max_deviation, "worst": rep.worst})
                 if rep.max_deviation > worst[0]:
@@ -396,12 +410,12 @@ def _cmd_equivalence(cfg, seed, out_dir):
     print(f"equivalence-check: {len(results)} combos, max deviation "
           f"{worst[0]:.3e} at {worst[1]} (tol {tol:g})")
     tau_worst = 0.0
-    for n_val, r_val in tau_pairs:
+    for n_val, r_val in cfg["tau_pairs"]:
         dev = tau_cancellation_check(n_val, r_val, seed=seed)
         tau_worst = max(tau_worst, dev)
         print(f"  temperature cancellation N={n_val} r={r_val} "
               f"tau={n_val / r_val:g}: {dev:.3e}")
-    path = _write(os.path.join(out_dir, f"equivalence-{_tag(cfg, seed)}.json"),
+    path = _write(os.path.join(out_dir, f"equivalence-{tag}.json"),
                   canonical_json({"schema_version": "1", "tolerance": tol,
                                   "results": results, "tau_worst": tau_worst}))
     print(f"  wrote {path}")
@@ -412,19 +426,18 @@ def _cmd_equivalence(cfg, seed, out_dir):
                            f"exceeds {cfg['tau_tolerance']:g}")
 
 
-def _cmd_energy_probe(cfg, seed, out_dir):
+def _cmd_energy_probe(cfg, seed, tag, out_dir):
     from .diagnostics import energy_entropy_probe, entropy_uniform_exact
-    from .mup import SCALE_CHANNELS, WidthScaler
+    from .mup import SCALE_CHANNELS
     from .svgplot import line_svg
     from .util import canonical_json
 
-    base = _model(cfg["model"])
     widths = list(cfg["widths"])
     out, failures = {}, []
-    for paradigm in _listed(cfg, "paradigms"):
-        fits = energy_entropy_probe(WidthScaler(base, paradigm), widths,
-                                    n_seeds=cfg["n_seeds"], n_tokens=cfg["n_tokens"],
-                                    seed0=seed, stage=cfg["stage"])
+    for scaler in cfg["scalers"]:
+        paradigm = scaler.paradigm
+        fits = energy_entropy_probe(scaler, widths, seed0=seed,
+                                    **_passed(cfg, energy_entropy_probe))
         out[paradigm] = {k: {"widths": f.widths, "magnitudes": f.magnitudes,
                              "slope": f.slope, "normalized_slope": f.normalized_slope}
                          for k, f in fits.items()}
@@ -441,16 +454,16 @@ def _cmd_energy_probe(cfg, seed, out_dir):
                 failures.append(f"{paradigm}/{key}")
         print(f"energy-probe {paradigm} e_ternary: slope {fits['e_ternary'].slope:+.3f} "
               f"(recorded)")
-        svg = os.path.join(out_dir, f"energy-{paradigm}-{_tag(cfg, seed)}.svg")
+        svg = os.path.join(out_dir, f"energy-{paradigm}-{tag}.svg")
         line_svg(svg, [(k, list(zip(widths, f.magnitudes))) for k, f in fits.items()],
                  title=f"Magnitudes at {cfg['stage']} ({paradigm})",
                  xlabel="width", ylabel="mean per-token magnitude", logx=True, logy=True)
         print(f"  wrote {svg}")
-    th, tln = entropy_uniform_exact(base, n=4)
+    th, tln = entropy_uniform_exact(cfg["model"], n=4)
     rel = abs(th - tln) / tln
     print(f"energy-probe closed form: tempered uniform entropy vs tau*ln(width): "
           f"rel diff {rel:.2e}")
-    path = _write(os.path.join(out_dir, f"energy-{_tag(cfg, seed)}.json"),
+    path = _write(os.path.join(out_dir, f"energy-{tag}.json"),
                   canonical_json({"schema_version": "1", "stage": cfg["stage"],
                                   "fits": out, "uniform_exact_rel": rel}))
     print(f"  wrote {path}")
@@ -461,42 +474,38 @@ def _cmd_energy_probe(cfg, seed, out_dir):
             raise CheckFailure("slope bands violated: " + ", ".join(failures))
 
 
-def _cmd_transfer_sweep(cfg, seed, out_dir):
-    from .mup import WidthScaler
+def _sweep_svg(path, finals: dict) -> None:
+    """The LR-transfer chart: for each width, in sweep order, final eval loss
+    over the LR grid (finals: width -> [(lr, loss), ...]). transfer-sweep and
+    `plot --set kind=sweep` both draw it here."""
     from .svgplot import line_svg
+
+    line_svg(path, [(f"width {w}", pts) for w, pts in finals.items()],
+             title="LR transfer across width", xlabel="base learning rate",
+             ylabel="final eval loss", logx=True)
+
+
+def _cmd_transfer_sweep(cfg, seed, tag, out_dir):
     from .training import transfer_sweep
     from .util import canonical_json
 
-    widths = _listed(cfg, "widths")
-    if len(widths) < 2:  # one width is displaced by 0 by construction
-        raise ConfigError(f"a transfer sweep needs at least 2 widths, got {widths}")
-    scaler = WidthScaler(_model(cfg["model"]), cfg["paradigm"])
-    corpus = _corpus(cfg["corpus"])
-    sweep = transfer_sweep(scaler, widths, list(cfg["lr_grid"]),
-                           _hp(cfg["hp"]), corpus, seed, _settings(cfg["train"]))
-    tag = _tag(cfg, seed)
+    sweep = transfer_sweep(cfg["scaler"], cfg["widths"], list(cfg["lr_grid"]), cfg["hp"],
+                           _corpus(cfg["corpus"]), seed, cfg["train"])
     csv_path = _write(os.path.join(out_dir, f"sweep-{tag}.csv"),
                       "\n".join(sweep.csv_rows()))
-    series = []
-    for width in sweep.widths:
-        pts = [(lr, sweep.records[(width, lr)].final_eval_loss)
-               for lr in sweep.lr_grid]
-        series.append((f"width {width}", pts))
     svg_path = os.path.join(out_dir, f"sweep-{tag}.svg")
-    line_svg(svg_path, series, title="LR transfer across width",
-             xlabel="base learning rate", ylabel="final eval loss", logx=True)
+    _sweep_svg(svg_path, {w: [(lr, sweep.records[(w, lr)].final_eval_loss)
+                              for lr in sweep.lr_grid] for w in sweep.widths})
     disp = sweep.argmin_displacement
     for width in sweep.widths:
         i = sweep.best_lr_index[width]
         print(f"transfer-sweep w={width}: best lr {sweep.lr_grid[i]:.3e} (index {i})")
     print(f"transfer-sweep: argmin displacement {disp} "
           f"(max allowed {cfg['max_displacement']})")
+    best = {str(w): i for w, i in sweep.best_lr_index.items()}
     json_path = _write(os.path.join(out_dir, f"sweep-{tag}.json"),
-                       canonical_json({"schema_version": "1",
-                                       "widths": sweep.widths,
-                                       "lr_grid": sweep.lr_grid,
-                                       "best_lr_index": {str(k): v for k, v
-                                                         in sweep.best_lr_index.items()},
+                       canonical_json({"schema_version": "1", "widths": sweep.widths,
+                                       "lr_grid": sweep.lr_grid, "best_lr_index": best,
                                        "argmin_displacement": disp}))
     for p in (csv_path, svg_path, json_path):
         print(f"  wrote {p}")
@@ -504,15 +513,12 @@ def _cmd_transfer_sweep(cfg, seed, out_dir):
         raise CheckFailure(f"argmin displacement {disp} exceeds {cfg['max_displacement']}")
 
 
-def _cmd_verify(cfg, seed, out_dir):
+def _cmd_verify(cfg, seed, tag, out_dir):
     from .search import verify_local_optimality
 
-    config = _model(cfg["model"])
-    corpus = _corpus(cfg["corpus"])
-    report = verify_local_optimality(config, _hp(cfg["hp"]), corpus, seed,
-                                     _settings(cfg["train"]), out_dir,
-                                     p=cfg["p"], alpha=cfg["alpha"], n=cfg["n"],
-                                     scale=cfg["scale"], noise_tol=cfg["noise_tol"])
+    report = verify_local_optimality(cfg["model"], cfg["hp"], _corpus(cfg["corpus"]), seed,
+                                     cfg["train"], out_dir,
+                                     **_passed(cfg, verify_local_optimality))
     print(f"verify-local-opt: {report.summary()}")
     for kind, path in report.artifacts.items():
         print(f"  wrote {path} ({kind})")
@@ -520,9 +526,12 @@ def _cmd_verify(cfg, seed, out_dir):
         raise CheckFailure("base point beaten beyond noise tolerance")
 
 
-def _cmd_plot(cfg, seed, out_dir):
+def _cmd_plot(cfg, seed, tag, out_dir):
+    """Redraw from its CSV the chart a subcommand drew. coord-check draws
+    none; its chart, the probe magnitudes at the last step, is drawn here."""
     from .diagnostics import COORD_CSV_HEADER
-    from .search import VERIFY_CSV_HEADER
+    from .search import VERIFY_CSV_HEADER, verify_scatter_svg
+    from .svgplot import line_svg
     from .training import SWEEP_CSV_HEADER
 
     if not cfg["csv"]:
@@ -536,13 +545,11 @@ def _cmd_plot(cfg, seed, out_dir):
         out_dir, os.path.splitext(os.path.basename(cfg["csv"]))[0] + ".svg")
     kind = cfg["kind"]
     expected = {"coord": COORD_CSV_HEADER, "sweep": SWEEP_CSV_HEADER,
-                "verify": VERIFY_CSV_HEADER}
-    if kind not in expected:
-        raise ConfigError(f"unknown plot kind: {kind!r}")
+                "verify": VERIFY_CSV_HEADER}[kind]
     if not lines:
         raise ConfigError(f"csv is empty: {cfg['csv']}")
     header, *lines = lines
-    if header != expected[kind]:
+    if header != expected:
         raise ConfigError(f"unexpected {kind} csv header: {header}")
     if not lines:
         raise ConfigError(f"{kind} csv has no data rows: {cfg['csv']}")
@@ -552,43 +559,28 @@ def _cmd_plot(cfg, seed, out_dir):
         if len(row) != n_fields:
             raise ConfigError(f"csv data row {k} has {len(row)} fields, expected {n_fields}")
     try:
-        _plot_rows(kind, rows, out)
+        if kind == "coord":
+            last_step = max(int(r[2]) for r in rows)
+            series = {}
+            for width_s, probe, step_s, mean_abs_s, _var in rows:
+                if int(step_s) == last_step:
+                    series.setdefault(probe, []).append((int(width_s), float(mean_abs_s)))
+            line_svg(out, sorted(series.items()),
+                     title=f"Probe magnitudes at step {last_step}",
+                     xlabel="width", ylabel="mean abs", logx=True, logy=True)
+        elif kind == "sweep":
+            # rows keep the sweep's width and LR order, and each cell's eval
+            # rows run in step order: a cell's last eval row holds its final loss
+            finals = {}
+            for width_s, lr_s, _seed, _step, split, loss_s in rows:
+                if split == "eval":
+                    finals.setdefault(int(width_s), {})[float(lr_s)] = float(loss_s)
+            _sweep_svg(out, {w: list(cells.items()) for w, cells in finals.items()})
+        else:
+            verify_scatter_svg(out, [(float(r[1]), float(r[3])) for r in rows if r[0] != "0"])
     except ValueError as e:
         raise ConfigError(f"malformed {kind} csv: {e}") from None
     print(f"plot: wrote {out}")
-
-
-def _plot_rows(kind: str, rows: list[list[str]], out: str) -> None:
-    from .svgplot import line_svg, scatter_svg
-
-    if kind == "coord":
-        last_step = max(int(r[2]) for r in rows)
-        series = {}
-        for width_s, probe, step_s, mean_abs_s, _var in rows:
-            if int(step_s) == last_step:
-                series.setdefault(probe, []).append((int(width_s), float(mean_abs_s)))
-        line_svg(out, sorted(series.items()),
-                 title=f"Probe magnitudes at step {last_step}",
-                 xlabel="width", ylabel="mean abs", logx=True, logy=True)
-    elif kind == "sweep":
-        finals = {}
-        for width_s, lr_s, _seed, step_s, split, loss_s in rows:
-            if split == "eval":
-                key = (int(width_s), float(lr_s))
-                prev = finals.get(key)
-                if prev is None or int(step_s) >= prev[0]:
-                    finals[key] = (int(step_s), float(loss_s))
-        series = {}
-        for (width, lr), (_step, loss) in sorted(finals.items()):
-            series.setdefault(f"width {width}", []).append((lr, loss))
-        line_svg(out, sorted(series.items()), title="LR transfer across width",
-                 xlabel="base learning rate", ylabel="final eval loss", logx=True)
-    else:
-        pts = [(float(r[1]), float(r[3])) for r in rows if r[0] != "0"]
-        scatter_svg(out, pts, title="Neighborhood perturbations vs base",
-                    xlabel="relative HP distance from base",
-                    ylabel="relative loss increase",
-                    highlight=(0.0, 0.0), highlight_label="base")
 
 
 _COMMANDS = {
@@ -636,11 +628,16 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, "1")
     try:
         cfg = _load_config(args.command, args)
+        run = _validated(args.command, cfg)
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return 0
-        out_dir = _out_dir(args)
-        _COMMANDS[args.command](cfg, args.seed, out_dir)
+        from .util import short_hash
+
+        out_dir = args.out_dir or os.environ.get("MUPT_OUT_DIR") or "artifacts"
+        os.makedirs(out_dir, exist_ok=True)
+        tag = short_hash({"cfg": cfg, "seed": args.seed})  # names the artifacts
+        _COMMANDS[args.command](run, args.seed, tag, out_dir)
         return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -42,7 +42,7 @@ __all__ = [
     "prob_rel_dev", "scale_rel_dev",
     "EquivalenceReport", "equivalence_check", "tau_cancellation_check",
     "dense_oracle_check",
-    "CoordReport", "coord_check",
+    "COORD_BAND", "CoordReport", "coord_check",
     "InitAudit", "init_variance_audit",
     "VarianceScan", "logit_variance_scan",
     "MagnitudeFit", "energy_entropy_probe", "entropy_uniform_exact",
@@ -199,11 +199,11 @@ class EquivalenceReport:
 
 def equivalence_check(config: PTConfig, seed: int, iters: int, n_tokens: int = 8,
                       iw: InfoWeights | None = None,
-                      tolerance: float = 1e-9) -> EquivalenceReport:
+                      tolerance: float = 1e-12) -> EquivalenceReport:
     """Run all three paths on one random model and compare every sweep.
 
     Raises nothing on deviation; the report carries pass/fail so callers can
-    decide (the CLI exits 2, the acceptance test asserts at its own 1e-12).
+    decide (the CLI exits 2, the acceptance test asserts).
     """
     rng = SeededRng(seed)
     params = model.ModelParams.init(config, rng.spawn("params")).tensors
@@ -314,6 +314,8 @@ PROBES = ("nz", "delta_nz", "attn_logits", "z_logits", "topic_logits", "out_logi
 # probes whose mean-abs must sit in the stability band at every recorded step;
 # out_logits shrinks like 1/sqrt(N) at init by design and is reported only.
 BAND_PROBES = ("nz", "attn_logits", "z_logits", "delta_nz")
+# the stability band [lo, hi] for mean-abs ratios between consecutive widths
+COORD_BAND = (1.0 / 3.0, 3.0)
 
 
 def _ratio(a: float, b: float) -> float:
@@ -346,7 +348,7 @@ class CoordReport:
         vals = self.mean_abs[probe]
         return _ratio(vals[self.widths[0]][step], vals[self.widths[-1]][step])
 
-    def band_violations(self, lo: float = 1.0 / 3.0, hi: float = 3.0,
+    def band_violations(self, lo: float = COORD_BAND[0], hi: float = COORD_BAND[1],
                         probes=BAND_PROBES, from_step: int = 0) -> list[str]:
         """Consecutive-width ratios outside [lo, hi]; empty means stable."""
         bad = []
@@ -621,7 +623,7 @@ class MagnitudeFit:
         return f"{self.quantity}: slope {self.slope:+.3f}{norm}"
 
 
-def energy_entropy_probe(scaler: WidthScaler, widths: list[int], n_seeds: int = 8,
+def energy_entropy_probe(scaler: WidthScaler, widths: list[int], n_seeds: int = 32,
                          n_tokens: int = 16, seed0: int = 0,
                          stage: str = "init", train_steps: int = 5,
                          hp: HPPoint | None = None) -> dict[str, MagnitudeFit]:
@@ -698,7 +700,8 @@ def write_coord_csv(report: CoordReport, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def coord_summary_json(report: CoordReport, lo: float = 1.0 / 3.0, hi: float = 3.0) -> str:
+def coord_summary_json(report: CoordReport, lo: float = COORD_BAND[0],
+                       hi: float = COORD_BAND[1]) -> str:
     violations = report.band_violations(lo, hi)
     return canonical_json({
         "schema_version": SCHEMA_VERSION,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .util import canonical_json, short_hash
 __all__ = [
     "min_samples", "sample_size_bound", "confidence",
     "hp_distance", "sample_neighborhood",
-    "VerificationReport", "verify_local_optimality",
+    "VerificationReport", "verify_local_optimality", "verify_scatter_svg",
     "VERIFY_CSV_HEADER",
 ]
 
@@ -95,22 +95,7 @@ class VerificationReport:
     artifacts: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return canonical_json({
-            "schema_version": SCHEMA_VERSION,
-            "base_hp": self.base_hp,
-            "p": self.p, "alpha": self.alpha,
-            "n_samples": self.n_samples,
-            "confidence": self.confidence,
-            "base_loss": self.base_loss,
-            "rank": self.rank,
-            "n_better": self.n_better,
-            "n_within_noise": self.n_within_noise,
-            "noise_tol": self.noise_tol,
-            "locally_optimal": self.locally_optimal,
-            "sample_losses": self.sample_losses,
-            "distances": self.distances,
-            "artifacts": self.artifacts,
-        })
+        return canonical_json({"schema_version": SCHEMA_VERSION, **asdict(self)})
 
     def summary(self) -> str:
         flag = "locally optimal" if self.locally_optimal else "beaten"
@@ -118,6 +103,16 @@ class VerificationReport:
                  if self.n_within_noise else "")
         return (f"base rank {self.rank}/{self.n_samples + 1}, "
                 f"{self.n_better} better{noise}, confidence {self.confidence:.4f}: {flag}")
+
+
+def verify_scatter_svg(path, points) -> None:
+    """The neighborhood chart: (distance, relative loss increase) of every
+    sample around the base point at the origin. verify_local_optimality and
+    `mupt plot --set kind=verify` both draw it here."""
+    scatter_svg(path, points, title="Neighborhood perturbations vs base",
+                xlabel="relative HP distance from base",
+                ylabel="relative loss increase",
+                highlight=(0.0, 0.0), highlight_label="base")
 
 
 def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
@@ -150,26 +145,21 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
 
     n_better = sum(1 for x in losses if x < base_loss)
     rank = n_better + 1
-    rel_gain = [(base_loss - x) / base_loss for x in losses]
-    n_within_noise = sum(1 for g in rel_gain if 0.0 < g <= noise_tol)
+    rel_increase = [(x - base_loss) / base_loss for x in losses]
+    n_within_noise = sum(1 for r in rel_increase if -noise_tol <= r < 0.0)
     locally_optimal = n_better == n_within_noise
 
     tag = short_hash({"seed": seed, "hp": base_hp.to_array().tolist(),
                       "width": config.width, "n": n})
     csv_path = os.path.join(out_dir, f"verify-{tag}.csv")
     rows = [VERIFY_CSV_HEADER, f"0,0.0,{base_loss!r},0.0"]
-    for i, (d, x) in enumerate(zip(dists, losses), start=1):
-        rows.append(f"{i},{d!r},{x!r},{(x - base_loss) / base_loss!r}")
+    for i, (d, x, r) in enumerate(zip(dists, losses, rel_increase), start=1):
+        rows.append(f"{i},{d!r},{x!r},{r!r}")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
 
     scatter_path = os.path.join(out_dir, f"verify-scatter-{tag}.svg")
-    scatter_svg(scatter_path,
-                list(zip(dists, [(x - base_loss) / base_loss for x in losses])),
-                title="Neighborhood perturbations vs base",
-                xlabel="relative HP distance from base",
-                ylabel="relative loss increase",
-                highlight=(0.0, 0.0), highlight_label="base")
+    verify_scatter_svg(scatter_path, list(zip(dists, rel_increase)))
 
     rank_path = os.path.join(out_dir, f"verify-rank-{tag}.svg")
     ordered = sorted(losses + [base_loss])

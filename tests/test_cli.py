@@ -109,6 +109,50 @@ def test_print_config_applies_overrides(tmp_path, capsys):
     assert cfg["train"]["steps"] == 55
     assert cfg["model"]["width"] == 64  # untouched default
 
+    # a section-valued --set merges into the section, like a config file
+    rc = _run(["train", "--set", 'model={"width": 128}', "--print-config"], tmp_path)
+    assert rc == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg["model"]["width"] == 128 and cfg["model"]["rank"] == 16
+
+    # a list entry takes the default entry's type, an int standing in for a float
+    rc = _run(["transfer-sweep", "--set", "lr_grid=[1, 2.5]", "--print-config"], tmp_path)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["lr_grid"] == [1, 2.5]
+
+
+def test_subcommand_defaults_are_the_library_defaults():
+    import inspect
+
+    from mupt.cli import _defaults
+    from mupt.diagnostics import (COORD_BAND, coord_check, energy_entropy_probe,
+                                  equivalence_check, init_variance_audit)
+    from mupt.search import verify_local_optimality
+
+    for command, fn, keys in [
+            ("coord-check", coord_check, "steps iters batch_size hidden_lr_scaling"),
+            ("init-stats", init_variance_audit, "min_samples"),
+            ("equivalence-check", equivalence_check, "n_tokens tolerance"),
+            ("energy-probe", energy_entropy_probe, "n_seeds n_tokens stage"),
+            ("verify-local-opt", verify_local_optimality, "p alpha n scale noise_tol")]:
+        params = inspect.signature(fn).parameters
+        cfg = _defaults(command)
+        assert {k: cfg[k] for k in keys.split()} == {
+            k: params[k].default for k in keys.split()}, command
+    assert _defaults("coord-check")["band"] == list(COORD_BAND)
+
+
+@pytest.mark.parametrize("assignment", [
+    "train.max_eval_chunks=-1", "model.rank=100", "hp.lr=-1.0",
+])
+def test_print_config_refuses_what_the_run_refuses(tmp_path, capsys, assignment):
+    assert _run(["train", "--set", assignment], tmp_path) == 1
+    run_err = capsys.readouterr().err
+    assert run_err.startswith("error: ")
+    assert _run(["train", "--set", assignment, "--print-config"], tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err == run_err and not captured.out
+
 
 def test_unknown_key_fails_cleanly(tmp_path, capsys):
     assert _run(["train", "--set", "model.depth=4"], tmp_path) == 1
@@ -278,10 +322,25 @@ def test_coord_check_small(tmp_path, capsys):
     ("equivalence-check", "seeds=0", "seeds must be >= 1"),
     ("transfer-sweep", "widths=[64]", "at least 2 widths"),
     ("transfer-sweep", "widths=[64,64]", "widths must not repeat an entry"),
+    ("transfer-sweep", "lr_grid=[0.001,0.001]", "lr_grid must not repeat an entry"),
+    # list entries take the type of the default's entries, nested lists its length
+    ("equivalence-check", "tau_pairs=[[8]]", "tau_pairs[0] expects 2 entries"),
+    ("equivalence-check", 'tau_pairs=[[8,"a"]]', "tau_pairs[0][1] expects int, got str"),
+    ("equivalence-check", "tau_pairs=[8]", "tau_pairs[0] expects list, got int"),
+    ("equivalence-check", "tau_pairs=[[8,16]]", "1 <= rank <= width"),
+    ("equivalence-check", 'paradigms=["scale_channels","scale_depth"]',
+     "paradigm must be one of"),
+    ("init-stats", 'widths=["a",64]', "widths[0] expects int, got str"),
+    ("init-stats", "widths=[true,64]", "widths[0] expects int, got bool"),
+    ("coord-check", 'widths=[64,"x"]', "widths[1] expects int, got str"),
+    ("transfer-sweep", 'lr_grid=["a","b"]', "lr_grid[0] expects float, got str"),
+    ("transfer-sweep", "lr_grid=[0.01,false]", "lr_grid[1] expects float, got bool"),
 ])
 def test_bad_ladder_inputs_are_config_errors(tmp_path, capsys, command, assignment, message):
     assert _run([command, "--set", assignment], tmp_path) == 1
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out  # refused before any check or run reported
 
 
 @pytest.mark.parametrize("assignment", [
@@ -352,6 +411,25 @@ def test_plot_roundtrip(tmp_path, capsys):
                 tmp_path) == 1
     assert _run(["plot", "--set", "kind=coord"], tmp_path) == 1  # csv missing
     assert _run(["plot", "--set", "csv=/nonexistent.csv"], tmp_path) == 1
+
+
+@pytest.mark.parametrize("command, kind, extra", [
+    ("transfer-sweep", "sweep", ["--set", "widths=[8,16]", "--set", "train.eval_interval=1"]),
+    ("verify-local-opt", "verify", ["--set", "p=0.5", "--set", "alpha=0.5", "--set", "n=3"]),
+])
+def test_plot_redraws_the_chart_of_the_command(tmp_path, capsys, command, kind, extra):
+    # widths [8, 16] sort the other way as labels ("width 16" < "width 8")
+    run_dir, plot_dir = tmp_path / "run", tmp_path / "plot"
+    rc = main([command, *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
+               "--set", "model.vocab_size=259", *extra, "--out-dir", str(run_dir)])
+    assert rc == 0, capsys.readouterr().out
+    names = sorted(os.listdir(run_dir))
+    (csv_name,) = [n for n in names if n.endswith(".csv")]
+    (svg_name,) = [n for n in names if n.endswith(".svg") and "rank" not in n]
+    out = plot_dir / "replot.svg"
+    assert main(["plot", "--set", f"csv={run_dir / csv_name}", "--set", f"kind={kind}",
+                 "--set", f"out={out}", "--out-dir", str(plot_dir)]) == 0
+    assert out.read_bytes() == (run_dir / svg_name).read_bytes()
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
