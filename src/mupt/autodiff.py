@@ -5,11 +5,19 @@ A Var wraps an ndarray. Whether it is on the tape follows from its inputs:
   - `Var(x)` is a leaf on the tape, a parameter for reverse_grad;
   - every other operand (an ndarray, a scalar) is wrapped by `as_var` as a
     constant, off the tape;
-  - an op's result is on the tape iff at least one input is, and it links
-    back, with the recipe for pushing a cotangent through, to exactly those
-    inputs. An op on constants keeps no links, so a forward pass on plain
-    arrays builds no tape and frees each intermediate as soon as nothing
-    holds it, and no cotangent is ever computed for a constant.
+  - an op's result is on the tape iff at least one input is. An op on
+    constants keeps no links, so a forward pass on plain arrays builds no tape
+    and no cotangent is ever computed for a constant.
+
+The tape is a graph of links, kept apart from the values. A taped Var points
+to its link; the link points to the links of exactly the taped inputs and
+holds, for each, the vjp that pushes a cotangent through to it. A vjp keeps
+only the arrays it reads (matmul both operands, mul the other operand, div
+its divisor and output, sqrt and softmax_rows their output, logsumexp its
+softmax, square its input), and the shape-only ops keep shapes and indices.
+So the tape holds no Var: an intermediate's array is freed as soon as the
+caller drops its Var, unless a vjp reads it, and what a vjp reads lives until
+the tape itself is dropped.
 
 The ops are deliberately few: add, sub, mul, div, sqrt, square; batched
 matmul, transpose, swapaxes, reshape; reduce_sum, reduce_mean; the gathers
@@ -24,6 +32,7 @@ never touched gets an exact zero gradient of matching shape.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,15 +58,33 @@ def _as_array(x) -> np.ndarray:
     return a
 
 
-class Var:
-    """An ndarray value, on the tape (with links to its taped inputs) or not."""
+class _Link:
+    """One node of the tape: the links of its taped inputs and their vjps."""
 
-    __slots__ = ("value", "on_tape", "_parents", "_vjps")
+    __slots__ = ("_parents", "_vjps")
+
+    def __init__(self, parents: tuple = (), vjps: tuple = ()) -> None:
+        self._parents = parents
+        self._vjps = vjps
+
+
+class Var:
+    """An ndarray value, on the tape (with a link) or not."""
+
+    __slots__ = ("value", "_link")
 
     def __init__(self, value, on_tape: bool = True) -> None:
         self.value = value if isinstance(value, np.ndarray) and value.dtype in _FLOATS else _as_array(value)
-        self.on_tape = on_tape
-        self._parents = self._vjps = ()
+        self._link = _Link() if on_tape else None
+
+    @property
+    def on_tape(self) -> bool:
+        return self._link is not None
+
+    @property
+    def _parents(self) -> tuple:
+        """The links of the taped inputs, where a walk of the tape starts."""
+        return () if self._link is None else self._link._parents
 
     @property
     def shape(self):
@@ -77,12 +104,12 @@ def as_var(x) -> Var:
 
 
 def _node(value, inputs: tuple, vjps: tuple) -> Var:
-    """An op's result, linked to the inputs on the tape and their vjps only."""
+    """An op's result, linked to the links of the taped inputs and their vjps only."""
     out = Var(value, on_tape=False)
-    links = [(a, vjp) for a, vjp in zip(inputs, vjps) if a.on_tape]
+    links = [(a._link, vjp) for a, vjp in zip(inputs, vjps) if a._link is not None]
     if links:
-        out.on_tape = True
-        out._parents, out._vjps = zip(*links)
+        parents, kept = zip(*links)
+        out._link = _Link(parents, kept)
     return out
 
 
@@ -103,31 +130,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
+    sa, sb = a.value.shape, b.value.shape
     return _node(a.value + b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.value.shape),
-                  lambda g: _unbroadcast(g, b.value.shape)))
+                 (lambda g: _unbroadcast(g, sa),
+                  lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
+    sa, sb = a.value.shape, b.value.shape
     return _node(a.value - b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.value.shape),
-                  lambda g: _unbroadcast(-g, b.value.shape)))
+                 (lambda g: _unbroadcast(g, sa),
+                  lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return _node(a.value * b.value, (a, b),
-                 (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                  lambda g: _unbroadcast(g * a.value, b.value.shape)))
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    return _node(av * bv, (a, b),
+                 (lambda g: _unbroadcast(g * bv, sa),
+                  lambda g: _unbroadcast(g * av, sb)))
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = a.value / b.value
+    bv = b.value
+    sa, sb = a.value.shape, bv.shape
+    out = a.value / bv
     return _node(out, (a, b),
-                 (lambda g: _unbroadcast(g / b.value, a.value.shape),
-                  lambda g: _unbroadcast(-g * out / b.value, b.value.shape)))
+                 (lambda g: _unbroadcast(g / bv, sa),
+                  lambda g: _unbroadcast(-g * out / bv, sb)))
 
 
 def sqrt(a) -> Var:
@@ -138,7 +171,8 @@ def sqrt(a) -> Var:
 
 def square(a) -> Var:
     a = as_var(a)
-    return _node(a.value * a.value, (a,), (lambda g: g * (2.0 * a.value),))
+    av = a.value
+    return _node(av * av, (a,), (lambda g: g * (2.0 * av),))
 
 
 def matmul(a, b) -> Var:
@@ -146,14 +180,16 @@ def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs ndim >= 2 operands, got {a.ndim} and {b.ndim}")
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
 
     def vjp_a(g):
-        return _unbroadcast(np.matmul(g, b.value.swapaxes(-1, -2)), a.value.shape)
+        return _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), sa)
 
     def vjp_b(g):
-        return _unbroadcast(np.matmul(a.value.swapaxes(-1, -2), g), b.value.shape)
+        return _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), sb)
 
-    return _node(np.matmul(a.value, b.value), (a, b), (vjp_a, vjp_b))
+    return _node(np.matmul(av, bv), (a, b), (vjp_a, vjp_b))
 
 
 def transpose(a, axes) -> Var:
@@ -197,8 +233,21 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Var:
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of `shape` plus g summed in at the flat positions `flat` (g's shape).
+
+    Each entry accumulates its contributions in input order starting from
+    0.0, as np.add.at does, so a float64 result equals np.add.at's bit for
+    bit (the sign of a zero included). A float32 g is accumulated in float64
+    and rounded back once, so its result can differ from np.add.at's float32
+    sums in the last place; no float32 number is pinned.
+    """
+    out = np.bincount(flat.ravel(), weights=g.ravel(), minlength=math.prod(shape))
+    return out.reshape(shape).astype(g.dtype, copy=False)
+
+
 def take(a, indices, axis: int = 0) -> Var:
-    """Gather along axis 0; backward is an unbuffered scatter-add."""
+    """Gather along axis 0; backward is an exact scatter-add (`_scatter_add`)."""
     if axis != 0:
         raise ValueError("take supports axis=0; move the axis first")
     a = as_var(a)
@@ -208,9 +257,9 @@ def take(a, indices, axis: int = 0) -> Var:
     in_shape = a.value.shape
 
     def vjp(g):
-        out = np.zeros(in_shape, dtype=g.dtype)
-        np.add.at(out, idx, g)
-        return out
+        rest = math.prod(in_shape[1:])
+        flat = (idx % in_shape[0])[..., None] * rest + np.arange(rest)
+        return _scatter_add(flat, g, in_shape)
 
     return _node(a.value[idx], (a,), (vjp,))
 
@@ -223,11 +272,9 @@ def take_along(a, indices, axis: int = -1) -> Var:
     ax = axis % len(in_shape)
 
     def vjp(g):
-        out = np.zeros(in_shape, dtype=g.dtype)
         grids = np.ogrid[tuple(slice(0, s) for s in idx.shape)]
         full = tuple(idx if d == ax else grids[d] for d in range(len(in_shape)))
-        np.add.at(out, full, g)
-        return out
+        return _scatter_add(np.ravel_multi_index(full, in_shape, mode="wrap"), g, in_shape)
 
     return _node(np.take_along_axis(a.value, idx, axis=ax), (a,), (vjp,))
 
@@ -262,8 +309,12 @@ def softmax_rows(x, mask=None) -> Var:
     p = _softmax_np(x.value, mask)
 
     def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return p * (g - inner)
+        # p * (g - sum(g * p)), with one temporary
+        out = g * p
+        inner = out.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=out)
+        out *= p
+        return out
 
     return _node(p, (x,), (vjp,))
 
@@ -273,13 +324,13 @@ def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=-1).all():
             raise ValueError("softmax_rows: degenerate distribution support (a row is fully masked)")
-        shifted = np.where(mask, x, -np.inf)
-        m = shifted.max(axis=-1, keepdims=True)
-        e = np.exp(shifted - m)  # exactly 0 off-support: every row has support
+        e = np.where(mask, x, -np.inf)
+        e -= e.max(axis=-1, keepdims=True)  # exp gives exactly 0 off-support: every row has support
     else:
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def rms_norm(x, gain, eps: float = 1e-6) -> Var:
@@ -294,10 +345,11 @@ def log_softmax_rows(x) -> Var:
     return sub(x, logsumexp(x, axis=-1, keepdims=True))
 
 
-def _toposort(root: Var) -> list[Var]:
-    order: list[Var] = []
+def _toposort(root: _Link) -> list[_Link]:
+    """Every link reachable from root, each after all of its parents."""
+    order: list[_Link] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[_Link, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -322,9 +374,9 @@ def reverse_grad(loss: Var, params: Mapping[str, Var]) -> dict[str, np.ndarray]:
         raise TypeError("loss must be a Var")
     if loss.value.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-    param_ids = {id(p) for p in params.values()}
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.value.dtype)}
+    param_ids = {id(p._link) for p in params.values() if p.on_tape}
+    order = _toposort(loss._link) if loss.on_tape else []
+    grads: dict[int, np.ndarray] = {id(loss._link): np.ones((), dtype=loss.value.dtype)}
     kept: dict[int, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -338,7 +390,7 @@ def reverse_grad(loss: Var, params: Mapping[str, Var]) -> dict[str, np.ndarray]:
             grads[id(parent)] = pg if acc is None else acc + pg
     out = {}
     for name, p in params.items():
-        g = kept.get(id(p))
+        g = kept.get(id(p._link)) if p.on_tape else None
         if g is None:
             out[name] = np.zeros_like(p.value)
         else:

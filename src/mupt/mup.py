@@ -123,17 +123,27 @@ class AdamW:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for name, p in params.items():
+            # the closed form above, operation for operation, in two temporaries
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            tmp = np.multiply(g, 1.0 - self.beta1)
+            m += tmp
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, c1)
+            update /= tmp
             if self.weight_decay != 0.0 and name in DECAY_NAMES:
-                update = update + self.weight_decay * p
-            p -= self.lr_of[name] * update
+                np.multiply(p, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.lr_of[name]
+            p -= update
 
 
 def scale_width(base: PTConfig, target_width: int, paradigm: str) -> PTConfig:

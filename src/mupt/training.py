@@ -184,7 +184,9 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
     (the tape behind `loss`, the gradients) stay alive across `yield` until
     the next step rebinds them. Freed at every return instead, that memory
     is trimmed from the heap and faulted back in on the next step; at width
-    256 (one BLAS thread) that took 6x the page faults and 25% more time.
+    256 (one BLAS thread) that took 9538 page faults per step against 177
+    and 18% more time per step (median of 5 runs of 60 steps each), for
+    18 MB less peak memory.
     """
     diverged = False
     for chunks, mask_rng in batches:
@@ -303,8 +305,10 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
     """
     if len(lr_grid) < 2:
         raise ConfigError("lr_grid needs at least two points")
-    if sorted(lr_grid) != list(lr_grid):
-        raise ConfigError("lr_grid must be sorted ascending")
+    if any(lo >= hi for lo, hi in zip(lr_grid, lr_grid[1:])):
+        raise ConfigError(f"lr_grid must be strictly ascending, got {list(lr_grid)}")
+    if len(set(widths)) != len(widths):
+        raise ConfigError(f"widths must not repeat, got {list(widths)}")
     records = {}
     best = {}
     for width in widths:

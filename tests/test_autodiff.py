@@ -1,6 +1,7 @@
 """Tape correctness: hand oracles for the composites, finite differences for
 everything else, and the error contracts the model relies on."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +78,50 @@ def test_take_and_take_along_scatter_add():
     np.testing.assert_allclose(g, want)
 
 
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gather_scatter_equals_add_at_bitwise():
+    rng = SeededRng(6)
+    # the cotangent reaches the gather unchanged: d sum(out * w) / d out = w
+    table = np.asarray(rng.normal((4, 3), 1.0))
+    idx = np.array([[2, 0, 2], [2, 3, 0]])
+    w = np.asarray(rng.normal((2, 3, 3), 1.0))
+    w[:, :, 1] = -0.0               # column 1 only ever receives -0.0
+    # row 2 sums 1e16, 1, -1e16 in input order to 0; cancelling the 1e16s first gives 1
+    w[0, 0, [0, 2]], w[0, 2, [0, 2]], w[1, 0, [0, 2]] = 1e16, 1.0, -1e16
+    leaf = ad.Var(table.copy())
+    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take(leaf, idx), w)), {"t": leaf})["t"]
+    want = np.zeros_like(table)
+    np.add.at(want, idx, w)
+    assert _bits_equal(got, want)
+    assert not np.signbit(got[:, 1]).any() and not got[1].any()
+    assert got[2, 0] == got[2, 2] == 0.0
+
+    lsm = np.asarray(rng.normal((2, 3, 5), 1.0))
+    along = np.array([[[4], [4], [0]], [[1], [1], [1]]])
+    w = np.asarray(rng.normal((2, 3, 1), 1.0))
+    w[0, 2] = -0.0
+    leaf = ad.Var(lsm.copy())
+    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take_along(leaf, along, axis=-1), w)),
+                          {"x": leaf})["x"]
+    want = np.zeros_like(lsm)
+    grids = np.ogrid[0:2, 0:3, 0:1]
+    np.add.at(want, (grids[0], grids[1], along), w)
+    assert _bits_equal(got, want)
+
+    # 1-D table, repeated and negative indices
+    vec = np.asarray(rng.normal((5,), 1.0))
+    idx = np.array([1, 4, 1, -1, 1])
+    w = np.array([0.1, 0.2, 0.3, -0.0, 1e16])
+    leaf = ad.Var(vec.copy())
+    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take(leaf, idx), w)), {"v": leaf})["v"]
+    want = np.zeros_like(vec)
+    np.add.at(want, idx, w)
+    assert _bits_equal(got, want)
+
+
 def test_logsumexp_matches_numpy_and_grad_is_softmax():
     x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     v = ad.Var(x.copy())
@@ -113,6 +158,27 @@ def test_softmax_rows_mask_zeroes_and_degenerate_row_raises():
         ad.softmax_rows(x, np.zeros((2, 3), dtype=bool))
 
 
+def test_softmax_rows_and_vjp_equal_the_plain_expressions_bitwise():
+    rng = SeededRng(7)
+    x = np.asarray(rng.normal((3, 4, 7), 3.0))
+    w = np.asarray(rng.normal((3, 4, 7), 1.0))
+    mask = np.asarray(rng.uniform(0.0, 1.0, (1, 4, 7))) < 0.6
+    mask[..., 0] = True
+    for m in (None, mask):
+        if m is None:
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+        else:
+            shifted = np.where(m, x, -np.inf)
+            e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        leaf = ad.Var(x.copy())
+        out = ad.softmax_rows(leaf, m)
+        assert _bits_equal(ad.val(out), p)
+        # the cotangent reaching softmax_rows is w itself
+        got = ad.reverse_grad(ad.reduce_sum(ad.mul(out, w)), {"x": leaf})["x"]
+        assert _bits_equal(got, p * (w - (w * p).sum(axis=-1, keepdims=True)))
+
+
 def test_rms_norm_oracle():
     # rms([3,4]) = sqrt(12.5); zero eps makes the oracle exact
     out = ad.val(ad.rms_norm(np.array([[3.0, 4.0]]), np.array([1.0, 1.0]), eps=0.0))
@@ -138,7 +204,7 @@ def test_ops_on_constants_stay_off_the_tape():
     assert leaf.on_tape and not ad.as_var(np.ones(3)).on_tape
     assert not const.on_tape and const._parents == ()
     mixed = ad.sub(const, leaf)
-    assert mixed.on_tape and mixed._parents == (leaf,)
+    assert mixed.on_tape and mixed._link._parents == (leaf._link,)
     np.testing.assert_array_equal(ad.reverse_grad(ad.reduce_sum(mixed), {"x": leaf})["x"],
                                   -np.ones(3))
 
@@ -176,7 +242,7 @@ def test_forward_on_plain_arrays_builds_no_tape():
     logits = model.mlm_logits(TAPE_CFG, params.tensors, state)
     for out in (state.q_z, state.q_h, state.q_g, logits):
         assert isinstance(out, ad.Var)
-        assert not out.on_tape and out._parents == () and out._vjps == ()
+        assert not out.on_tape and out._link is None
 
 
 def test_gradients_equal_those_of_a_tape_that_records_every_operand(monkeypatch):
@@ -206,6 +272,60 @@ def test_backward_never_calls_the_vjp_of_a_constant(monkeypatch):
     loss, leaves = _taped_loss()
     ad.reverse_grad(loss, leaves)
     assert on_tape and all(on_tape)
+
+
+def test_tape_keeps_only_what_backward_reads(monkeypatch):
+    want = ad.reverse_grad(*_taped_loss())
+    dead, alive = [], []
+    mul, add, matmul, softmax_rows = ad.mul, ad.add, ad.matmul, ad.softmax_rows
+
+    def spy_mul(a, b):
+        out = mul(a, b)
+        if isinstance(b, float) and b == 1.0 / TAPE_CFG.rank and out.ndim == 4:  # F / r
+            dead.append(weakref.ref(out.value))
+        return out
+
+    def spy_add(a, b):
+        out = add(a, b)
+        if out.ndim == 4:                                  # F + position bias
+            dead.append(weakref.ref(out.value))
+        return out
+
+    def spy_matmul(a, b):
+        if not alive:
+            alive.append(weakref.ref(ad.val(a)))
+        return matmul(a, b)
+
+    def spy_softmax_rows(x, mask=None):
+        out = softmax_rows(x, mask)
+        if len(alive) == 1:
+            alive.append(weakref.ref(out.value))
+        return out
+
+    for name, spy in (("mul", spy_mul), ("add", spy_add), ("matmul", spy_matmul),
+                      ("softmax_rows", spy_softmax_rows)):
+        monkeypatch.setattr(ad, name, spy)
+    loss, leaves = _taped_loss()
+    assert len(dead) == 4 and len(alive) == 2
+    assert all(ref() is None for ref in dead)
+    assert all(ref() is not None for ref in alive)
+    for name, g in ad.reverse_grad(loss, leaves).items():
+        assert np.array_equal(g, want[name]), name
+    del loss
+    assert all(ref() is None for ref in alive)
+
+
+def test_walking_parents_counts_exactly_the_toposorted_links():
+    loss, _ = _taped_loss()
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in getattr(stack.pop(), "_parents", ()):
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    order = ad._toposort(loss._link)
+    assert len(seen) == len(order) > 100
+    assert order[-1] is loss._link
 
 
 def test_finite_diff_check_passes_on_smooth_composite():

@@ -81,6 +81,32 @@ def test_adamw_first_step_closed_form():
     assert opt.t == 1
 
 
+def test_adamw_steps_equal_the_closed_form_bitwise():
+    rng = np.random.default_rng(3)
+    shapes = {"S": (3, 4), "U": (2, 4, 2), "gamma": (4,), "b_out": (5,)}
+    eta, wd, eps, b1, b2 = 0.03, 0.01, 1e-8, 0.9, 0.999
+    opt = AdamW(shapes, width=4, eta=eta, eps=eps, weight_decay=wd)
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            mhat = m[k] / (1.0 - b1 ** t)
+            vhat = v[k] / (1.0 - b2 ** t)
+            update = mhat / (np.sqrt(vhat) + eps)
+            if k in mup.DECAY_NAMES:
+                update = update + wd * want[k]
+            want[k] = want[k] - opt.lr_of[k] * update
+    for k in shapes:
+        assert params[k].tobytes() == want[k].tobytes(), k
+        assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+
+
 def test_adamw_zero_grad_fixed_point_without_decay():
     shapes = {"gamma": (3,), "b_out": (3,)}
     opt = AdamW(shapes, width=8, eta=0.1, weight_decay=0.0)

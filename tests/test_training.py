@@ -177,6 +177,12 @@ def test_transfer_sweep_grid_validation():
         transfer_sweep(scaler, [8], [1e-3], HP, _corpus(), seed=0)
     with pytest.raises(ConfigError):
         transfer_sweep(scaler, [8], [1e-2, 1e-3], HP, _corpus(), seed=0)
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        transfer_sweep(scaler, [8], [1e-3, 1e-3], HP, _corpus(), seed=0)
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        transfer_sweep(scaler, [8], [1e-3, 1e-2, 1e-2], HP, _corpus(), seed=0)
+    with pytest.raises(ConfigError, match="widths must not repeat"):
+        transfer_sweep(scaler, [8, 16, 8], [1e-3, 1e-2], HP, _corpus(), seed=0)
 
 
 def test_sweep_result_displacement():
