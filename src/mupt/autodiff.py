@@ -246,10 +246,8 @@ def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return out.reshape(shape).astype(g.dtype, copy=False)
 
 
-def take(a, indices, axis: int = 0) -> Var:
+def take(a, indices) -> Var:
     """Gather along axis 0; backward is an exact scatter-add (`_scatter_add`)."""
-    if axis != 0:
-        raise ValueError("take supports axis=0; move the axis first")
     a = as_var(a)
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):

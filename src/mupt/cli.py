@@ -9,7 +9,9 @@ never anywhere else. Exit codes: 0 success, 1 bad configuration or usage,
 Defaults are the library's: the model, hp and train sections hold the fields
 of PTConfig, HPPoint and TrainSettings, and a key naming a keyword parameter
 of the library function its subcommand calls takes that parameter's default.
-The whole config is checked before anything runs or --print-config prints.
+Key types, the model, hp and train sections, list entries and the band,
+tau_pairs and seeds rules are checked before anything runs or --print-config
+prints; the library checks the corpus and its own arguments as the run starts.
 
 --threads N sets the BLAS/OpenMP thread variables (default 1, unless the
 environment already sets them) before anything loads NumPy: neither
@@ -106,7 +108,7 @@ def _defaults(command: str) -> dict:
             "widths": [64, 128, 256, 512],
             "entropy_band": 0.15,
             "energy_band": 0.2,
-            **_library_defaults(energy_entropy_probe, "n_seeds", "n_tokens", "stage"),
+            **_library_defaults(energy_entropy_probe, "n_seeds", "n_tokens"),
         },
         "transfer-sweep": {
             "model": model_ladder,
@@ -127,7 +129,7 @@ def _defaults(command: str) -> dict:
             "train": {**train, "steps": 40, "eval_interval": 40},
             **_library_defaults(verify_local_optimality, "p", "alpha", "n", "scale", "noise_tol"),
         },
-        "plot": {"csv": None, "kind": "coord", "out": None},
+        "plot": {"csv": None, "out": None},
     }
     return copy.deepcopy(defaults[command])
 
@@ -277,8 +279,6 @@ def _validated(command: str, cfg: dict) -> dict:
     if command == "transfer-sweep" and len(cfg["widths"]) < 2:
         # one width is displaced by 0 by construction
         raise ConfigError(f"a transfer sweep needs at least 2 widths, got {cfg['widths']}")
-    if command == "plot" and cfg["kind"] not in ("coord", "sweep", "verify"):
-        raise ConfigError(f"unknown plot kind: {cfg['kind']!r}")
 
     run = dict(cfg)
     if "model" in cfg:
@@ -456,7 +456,7 @@ def _cmd_energy_probe(cfg, seed, tag, out_dir):
               f"(recorded)")
         svg = os.path.join(out_dir, f"energy-{paradigm}-{tag}.svg")
         line_svg(svg, [(k, list(zip(widths, f.magnitudes))) for k, f in fits.items()],
-                 title=f"Magnitudes at {cfg['stage']} ({paradigm})",
+                 title=f"Magnitudes at init ({paradigm})",
                  xlabel="width", ylabel="mean per-token magnitude", logx=True, logy=True)
         print(f"  wrote {svg}")
     th, tln = entropy_uniform_exact(cfg["model"], n=4)
@@ -464,20 +464,19 @@ def _cmd_energy_probe(cfg, seed, tag, out_dir):
     print(f"energy-probe closed form: tempered uniform entropy vs tau*ln(width): "
           f"rel diff {rel:.2e}")
     path = _write(os.path.join(out_dir, f"energy-{tag}.json"),
-                  canonical_json({"schema_version": "1", "stage": cfg["stage"],
+                  canonical_json({"schema_version": "1", "stage": "init",
                                   "fits": out, "uniform_exact_rel": rel}))
     print(f"  wrote {path}")
-    if cfg["stage"] == "init":
-        if rel > 1e-12:
-            raise CheckFailure(f"uniform entropy closed form off by {rel:.3e}")
-        if failures:
-            raise CheckFailure("slope bands violated: " + ", ".join(failures))
+    if rel > 1e-12:
+        raise CheckFailure(f"uniform entropy closed form off by {rel:.3e}")
+    if failures:
+        raise CheckFailure("slope bands violated: " + ", ".join(failures))
 
 
 def _sweep_svg(path, finals: dict) -> None:
     """The LR-transfer chart: for each width, in sweep order, final eval loss
     over the LR grid (finals: width -> [(lr, loss), ...]). transfer-sweep and
-    `plot --set kind=sweep` both draw it here."""
+    `plot` on its CSV both draw it here."""
     from .svgplot import line_svg
 
     line_svg(path, [(f"width {w}", pts) for w, pts in finals.items()],
@@ -527,8 +526,9 @@ def _cmd_verify(cfg, seed, tag, out_dir):
 
 
 def _cmd_plot(cfg, seed, tag, out_dir):
-    """Redraw from its CSV the chart a subcommand drew. coord-check draws
-    none; its chart, the probe magnitudes at the last step, is drawn here."""
+    """Redraw from its CSV the chart a subcommand drew, the kind of CSV read
+    from its header. coord-check draws none; its chart, the probe magnitudes
+    at the last step, is drawn here."""
     from .diagnostics import COORD_CSV_HEADER
     from .search import VERIFY_CSV_HEADER, verify_scatter_svg
     from .svgplot import line_svg
@@ -543,14 +543,14 @@ def _cmd_plot(cfg, seed, tag, out_dir):
         raise ConfigError(f"cannot read csv: {e}") from None
     out = cfg["out"] or os.path.join(
         out_dir, os.path.splitext(os.path.basename(cfg["csv"]))[0] + ".svg")
-    kind = cfg["kind"]
-    expected = {"coord": COORD_CSV_HEADER, "sweep": SWEEP_CSV_HEADER,
-                "verify": VERIFY_CSV_HEADER}[kind]
     if not lines:
         raise ConfigError(f"csv is empty: {cfg['csv']}")
     header, *lines = lines
-    if header != expected:
-        raise ConfigError(f"unexpected {kind} csv header: {header}")
+    kinds = {COORD_CSV_HEADER: "coord", SWEEP_CSV_HEADER: "sweep",
+             VERIFY_CSV_HEADER: "verify"}
+    if header not in kinds:
+        raise ConfigError(f"unknown csv header: {header}")
+    kind = kinds[header]
     if not lines:
         raise ConfigError(f"{kind} csv has no data rows: {cfg['csv']}")
     rows = [ln.split(",") for ln in lines]

@@ -27,8 +27,10 @@ class PTConfig:
     """Geometry and fixed constants of one model instance.
 
     pos_bias toggles the learned relative-position term on the attention
-    logits; it defaults on for training and is switched off by the algebraic
-    diagnostics, which probe the bare bilinear logits.
+    logits, one entry per clipped offset in [-pos_clip, pos_clip] but 0, so
+    pos_buckets = 2 * pos_clip. It defaults on for training; the diagnostics
+    take the geometry they are given, and their callers turn it off to probe
+    the bare bilinear logits.
     """
 
     width: int
@@ -48,8 +50,9 @@ class PTConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.rank > self.width:
             raise ConfigError(f"rank ({self.rank}) must not exceed width ({self.width})")
-        if self.pos_buckets < 2 or self.pos_clip < 1:
-            raise ConfigError("pos_buckets must be >= 2 and pos_clip >= 1")
+        if self.pos_clip < 1 or self.pos_buckets != 2 * self.pos_clip:
+            raise ConfigError(f"pos_clip must be >= 1 and pos_buckets 2 * pos_clip, "
+                              f"got {self.pos_clip} and {self.pos_buckets}")
 
     @property
     def tau(self) -> float:

@@ -238,21 +238,19 @@ def equivalence_check(config: PTConfig, seed: int, iters: int, n_tokens: int = 8
     return report
 
 
-def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
-                           channels: int = 2, vocab: int = 17,
-                           iw: InfoWeights | None = None) -> float:
+def tau_cancellation_check(width: int, rank: int, seed: int) -> float:
     """Scale-relative deviation of production label logits from the literal
     temperature form (1/tau) * [tau-weighted energy gradients], same
-    contraction order, after one refreshed sweep. Small means tau cancels.
+    contraction order, after one refreshed sweep, on 8 tokens of a 2-channel,
+    17-token model at all-ones weights. Small means tau cancels.
     """
-    config = PTConfig(width=width, rank=rank, channels=channels,
-                      topics=2 * width, vocab_size=vocab, pos_bias=False)
+    config = PTConfig(width=width, rank=rank, channels=2,
+                      topics=2 * width, vocab_size=17, pos_bias=False)
     tau = config.tau
     rng = SeededRng(seed)
     params = model.ModelParams.init(config, rng.spawn("params")).tensors
-    tokens = np.asarray(rng.spawn("tokens").integers(0, vocab, (n_tokens,)))
-    if iw is None:
-        iw = InfoWeights()
+    tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (8,)))
+    iw = InfoWeights()
 
     state = model.init_mfvi(config, params, tokens[None], iw)
     swept, _, _, prod = model.sweep(config, params, state, iw)
@@ -271,15 +269,15 @@ def tau_cancellation_check(width: int, rank: int, seed: int, n_tokens: int = 8,
     return scale_rel_dev(lit, val(prod)[0])
 
 
-def dense_oracle_check(config: PTConfig, seed: int, n_tokens: int = 8) -> dict[str, float]:
+def dense_oracle_check(config: PTConfig, seed: int) -> dict[str, float]:
     """Production low-rank contractions vs densely materialized T_c = U_c V_c^T.
 
     Returns scale-relative deviations for the attention logits and both
-    ternary messages after one refreshed sweep.
+    ternary messages after one refreshed sweep over 8 tokens.
     """
     rng = SeededRng(seed)
     params = model.ModelParams.init(config, rng.spawn("params")).tensors
-    tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (n_tokens,)))
+    tokens = np.asarray(rng.spawn("tokens").integers(0, config.vocab_size, (8,)))
     iw = InfoWeights()
     state = model.init_mfvi(config, params, tokens[None], iw)
     swept, f_prod, _, _ = model.sweep(config, params, state, iw)
@@ -349,13 +347,11 @@ class CoordReport:
         return _ratio(vals[self.widths[0]][step], vals[self.widths[-1]][step])
 
     def band_violations(self, lo: float = COORD_BAND[0], hi: float = COORD_BAND[1],
-                        probes=BAND_PROBES, from_step: int = 0) -> list[str]:
+                        probes=BAND_PROBES) -> list[str]:
         """Consecutive-width ratios outside [lo, hi]; empty means stable."""
         bad = []
         for probe in probes:
-            first_step = from_step
-            if probe == "delta_nz":
-                first_step = max(from_step, 1)  # delta is 0 at init by definition
+            first_step = 1 if probe == "delta_nz" else 0  # delta is 0 at init by definition
             for step in range(first_step, self.steps + 1):
                 for k, ratio in enumerate(self.ratio_table(probe, step)):
                     if not (lo <= ratio <= hi):
@@ -388,8 +384,10 @@ def _check_ladder(widths: list[int]) -> None:
         raise ConfigError(f"a width ladder must not repeat a width, got {list(widths)}")
 
 
-def _diag_corpus(seq_len: int, seed: int, n_bytes: int = 1 << 15):
-    return corpus_mod.encode_corpus(corpus_mod.synth_text(n_bytes, seed), seq_len)
+def _check_seeds(n_seeds: int) -> None:
+    """A mean over seeds needs at least one seed."""
+    if n_seeds < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
 
 
 def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
@@ -409,7 +407,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
                           f"got {steps}, {batch_size} and {iters}")
     base = scaler.base
     seq_len = 32
-    corpus = _diag_corpus(seq_len, seed)
+    corpus = corpus_mod.encode_corpus(corpus_mod.synth_text(1 << 15, seed), seq_len)
     if corpus.vocab_size != base.vocab_size:
         raise ConfigError(f"scaler base vocab must be {corpus.vocab_size} for the byte corpus")
 
@@ -423,7 +421,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
     diverged: dict[int, bool] = {}
 
     for width in widths:
-        config = scaler.config_at(width).with_(pos_bias=False)
+        config = scaler.config_at(width)
         params = model.ModelParams.init(config, SeededRng(seed).spawn("params"))
         opt = AdamW(model.tensor_shapes(config), width, hp.lr,
                     hidden_lr_scaling=hidden_lr_scaling)
@@ -545,6 +543,7 @@ def logit_variance_scan(scaler: WidthScaler, widths: list[int], n_seeds: int = 2
     control_sigma replaces the width-scaled output init with a constant sigma,
     flipping the predicted slope from -1 to +1.
     """
+    _check_seeds(n_seeds)
     _check_ladder(widths)
     base = scaler.base
     tok_rng = SeededRng(seed0).spawn("tokens")
@@ -552,7 +551,7 @@ def logit_variance_scan(scaler: WidthScaler, widths: list[int], n_seeds: int = 2
     iw = InfoWeights()
     variances = []
     for width in widths:
-        config = scaler.config_at(width).with_(pos_bias=False)
+        config = scaler.config_at(width)
         samples = []
         for s in range(n_seeds):
             rng = SeededRng(seed0).spawn(f"w{width}/s{s}")
@@ -624,34 +623,25 @@ class MagnitudeFit:
 
 
 def energy_entropy_probe(scaler: WidthScaler, widths: list[int], n_seeds: int = 32,
-                         n_tokens: int = 16, seed0: int = 0,
-                         stage: str = "init", train_steps: int = 5,
-                         hp: HPPoint | None = None) -> dict[str, MagnitudeFit]:
-    """Fit log-log width slopes of the literal energy terms and tau*H.
+                         n_tokens: int = 16, seed0: int = 0) -> dict[str, MagnitudeFit]:
+    """Fit log-log width slopes of the literal energy terms and tau*H at init.
 
-    stage="init" evaluates the exactly uniform posterior state on random
-    parameters (the regime the stage-wise magnitude analysis describes);
-    stage="trained" instead takes the posteriors after a few optimizer steps
-    and full inference, recorded for inspection rather than asserted.
+    Each seed's random parameters are evaluated at the exactly uniform
+    posterior state, the regime the stage-wise magnitude analysis describes.
     """
-    if stage not in ("init", "trained"):
-        raise ConfigError(f"stage must be 'init' or 'trained', got {stage!r}")
+    _check_seeds(n_seeds)
     _check_ladder(widths)
     base = scaler.base
     tok_rng = SeededRng(seed0).spawn("probe-tokens")
     tokens = np.asarray(tok_rng.integers(0, base.vocab_size, (n_tokens,)))
     acc: dict[str, list[float]] = {k: [] for k in ("e_unary", "e_binary", "e_ternary", "tau_entropy")}
     for width in widths:
-        config = scaler.config_at(width).with_(pos_bias=False)
+        config = scaler.config_at(width)
         sums = {k: 0.0 for k in acc}
         for s in range(n_seeds):
             rng = SeededRng(seed0).spawn(f"w{width}/s{s}")
             params = model.ModelParams.init(config, rng)
-            if stage == "init":
-                q_z, q_h, q_g = model.uniform_posteriors(config, n_tokens)
-            else:
-                q_z, q_h, q_g = _trained_posteriors(config, params, tokens,
-                                                    hp or HPPoint(), train_steps, s)
+            q_z, q_h, q_g = model.uniform_posteriors(config, n_tokens)
             terms = energy_terms(config, params.tensors, tokens, q_z, q_h, q_g)
             for k in sums:
                 sums[k] += float(np.abs(terms[k]).mean())
@@ -668,20 +658,6 @@ def energy_entropy_probe(scaler: WidthScaler, widths: list[int], n_seeds: int = 
         fits[k] = MagnitudeFit(quantity=k, widths=list(widths), magnitudes=values,
                                slope=slope, normalized_slope=normalized)
     return fits
-
-
-def _trained_posteriors(config: PTConfig, params: model.ModelParams,
-                        tokens: np.ndarray, hp: HPPoint, steps: int, seed: int):
-    corpus = _diag_corpus(32, seed, n_bytes=1 << 13)
-    opt = AdamW(model.tensor_shapes(config), config.width, hp.lr)
-    root = SeededRng(seed)
-    batches = ((corpus.ids[t % corpus.num_chunks][None], root.spawn(f"m{t}"))
-               for t in range(steps))
-    for _ in train_steps(config, params, opt, hp, corpus, batches, 0.15, 2):
-        pass
-    state = model.run_mfvi(config, params.tensors,
-                           (tokens % config.vocab_size)[None], hp.weights, iters=2)
-    return val(state.q_z)[0], val(state.q_h)[0], val(state.q_g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class VerificationReport:
 def verify_scatter_svg(path, points) -> None:
     """The neighborhood chart: (distance, relative loss increase) of every
     sample around the base point at the origin. verify_local_optimality and
-    `mupt plot --set kind=verify` both draw it here."""
+    `mupt plot` on its CSV both draw it here."""
     scatter_svg(path, points, title="Neighborhood perturbations vs base",
                 xlabel="relative HP distance from base",
                 ylabel="relative loss increase",
@@ -163,12 +163,11 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
 
     rank_path = os.path.join(out_dir, f"verify-rank-{tag}.svg")
     ordered = sorted(losses + [base_loss])
-    base_pos = ordered.index(base_loss) + 1
     line_svg(rank_path,
              [("sorted final losses", list(zip(range(1, len(ordered) + 1), ordered)))],
              title="Rank curve of neighborhood runs",
              xlabel="rank (1 = lowest loss)", ylabel="final eval loss",
-             vline=float(base_pos), vline_label=f"base (rank {base_pos})")
+             vline=float(rank), vline_label=f"base (rank {rank})")
 
     report = VerificationReport(
         base_hp=base_hp.to_dict(),

@@ -52,6 +52,10 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.steps < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ConfigError("steps, batch_size, eval_interval must be >= 1")
+        if not 0.0 < self.mask_ratio <= 1.0:
+            raise ConfigError(f"mask_ratio must be in (0, 1], got {self.mask_ratio}")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ConfigError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
         if self.max_eval_chunks < 1:
             raise ConfigError(f"max_eval_chunks must be >= 1, got {self.max_eval_chunks}")
         if self.mfvi_iters < 0:

@@ -184,7 +184,7 @@ def test_criterion_7_energy_entropy_slopes(acceptance_record):
     for paradigm in PARADIGMS:
         scaler = WidthScaler(LADDER259, paradigm)
         fits = energy_entropy_probe(scaler, LADDER_WIDTHS, n_seeds=32,
-                                    n_tokens=16, seed0=2, stage="init")
+                                    n_tokens=16, seed0=2)
         for quantity, target in expectations[paradigm].items():
             fit = fits[quantity]
             slope = (fit.normalized_slope if quantity == "tau_entropy"

@@ -59,13 +59,12 @@ SETTABLE_KEYS = {
         "paradigms", "widths", "seeds", "iters", "n_tokens", "tolerance", "tau_pairs",
         "tau_tolerance"},
     "energy-probe": MODEL_KEYS | {
-        "paradigms", "widths", "n_seeds", "n_tokens", "stage", "entropy_band",
-        "energy_band"},
+        "paradigms", "widths", "n_seeds", "n_tokens", "entropy_band", "energy_band"},
     "transfer-sweep": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
         "paradigm", "widths", "lr_grid", "max_displacement"},
     "verify-local-opt": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
         "p", "alpha", "n", "scale", "noise_tol", "require_optimal"},
-    "plot": {"csv", "kind", "out"},
+    "plot": {"csv", "out"},
 }
 
 
@@ -75,7 +74,7 @@ def test_settable_keys_are_pinned():
     assert set(SETTABLE_KEYS) == set(_COMMANDS)
     for command in _COMMANDS:
         assert {k for k, _ in _leaves(_defaults(command))} == SETTABLE_KEYS[command], command
-    assert sum(map(len, SETTABLE_KEYS.values())) == 173
+    assert sum(map(len, SETTABLE_KEYS.values())) == 171
 
 
 def test_geometry_and_train_settings_share_no_field():
@@ -96,6 +95,8 @@ def test_geometry_and_train_settings_share_no_field():
     ("train", "train.hidden_lr_scaling", "mup"),
     ("coord-check", "expect_stable", "true"),
     ("energy-probe", "assert_bands", "true"),
+    ("energy-probe", "stage", "init"),
+    ("plot", "kind", "coord"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, command, key, value):
     assert _run([command, "--set", f"{key}={value}", "--print-config"], tmp_path) == 1
@@ -133,7 +134,7 @@ def test_subcommand_defaults_are_the_library_defaults():
             ("coord-check", coord_check, "steps iters batch_size hidden_lr_scaling"),
             ("init-stats", init_variance_audit, "min_samples"),
             ("equivalence-check", equivalence_check, "n_tokens tolerance"),
-            ("energy-probe", energy_entropy_probe, "n_seeds n_tokens stage"),
+            ("energy-probe", energy_entropy_probe, "n_seeds n_tokens"),
             ("verify-local-opt", verify_local_optimality, "p alpha n scale noise_tol")]:
         params = inspect.signature(fn).parameters
         cfg = _defaults(command)
@@ -144,6 +145,7 @@ def test_subcommand_defaults_are_the_library_defaults():
 
 @pytest.mark.parametrize("assignment", [
     "train.max_eval_chunks=-1", "model.rank=100", "hp.lr=-1.0",
+    "model.pos_buckets=10", "train.mask_ratio=0", "train.eval_fraction=0",
 ])
 def test_print_config_refuses_what_the_run_refuses(tmp_path, capsys, assignment):
     assert _run(["train", "--set", assignment], tmp_path) == 1
@@ -308,6 +310,7 @@ def test_coord_check_small(tmp_path, capsys):
     ("coord-check", "band=[0,3.0]", "band must be [lo, hi]"),
     ("coord-check", 'band=["a","b"]', "band must be [lo, hi]"),
     ("energy-probe", "widths=[64]", "at least 2 widths"),
+    ("energy-probe", "n_seeds=0", "n_seeds must be >= 1"),
     # a check over nothing checks nothing, and a repeated entry nothing new
     ("coord-check", "widths=[64,64]", "must not repeat a width"),
     ("energy-probe", "widths=[64,64]", "must not repeat a width"),
@@ -339,7 +342,7 @@ def test_coord_check_small(tmp_path, capsys):
 def test_bad_ladder_inputs_are_config_errors(tmp_path, capsys, command, assignment, message):
     assert _run([command, "--set", assignment], tmp_path) == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
     assert not captured.out  # refused before any check or run reported
 
 
@@ -403,14 +406,25 @@ def test_plot_roundtrip(tmp_path, capsys):
     csv_path = tmp_path / "coord.csv"
     write_coord_csv(report, csv_path)
 
-    rc = _run(["plot", "--set", f"csv={csv_path}", "--set", "kind=coord"], tmp_path)
+    rc = _run(["plot", "--set", f"csv={csv_path}"], tmp_path)
     assert rc == 0, capsys.readouterr().out
     assert (tmp_path / "coord.svg").exists()
 
-    assert _run(["plot", "--set", f"csv={csv_path}", "--set", "kind=waveform"],
-                tmp_path) == 1
-    assert _run(["plot", "--set", "kind=coord"], tmp_path) == 1  # csv missing
+    waveform = tmp_path / "waveform.csv"
+    waveform.write_text("t,amplitude\n0,1.0\n")
+    assert _run(["plot", "--set", f"csv={waveform}"], tmp_path) == 1
+    assert "unknown csv header: t,amplitude" in capsys.readouterr().err
+    assert _run(["plot"], tmp_path) == 1  # csv missing
     assert _run(["plot", "--set", "csv=/nonexistent.csv"], tmp_path) == 1
+
+
+def test_csv_headers_are_distinct():
+    # plot tells the kind of a CSV from its header alone
+    from mupt.diagnostics import COORD_CSV_HEADER
+    from mupt.search import VERIFY_CSV_HEADER
+    from mupt.training import SWEEP_CSV_HEADER
+
+    assert len({COORD_CSV_HEADER, SWEEP_CSV_HEADER, VERIFY_CSV_HEADER}) == 3
 
 
 @pytest.mark.parametrize("command, kind, extra", [
@@ -425,9 +439,10 @@ def test_plot_redraws_the_chart_of_the_command(tmp_path, capsys, command, kind, 
     assert rc == 0, capsys.readouterr().out
     names = sorted(os.listdir(run_dir))
     (csv_name,) = [n for n in names if n.endswith(".csv")]
+    assert csv_name.startswith(f"{kind}-")
     (svg_name,) = [n for n in names if n.endswith(".svg") and "rank" not in n]
     out = plot_dir / "replot.svg"
-    assert main(["plot", "--set", f"csv={run_dir / csv_name}", "--set", f"kind={kind}",
+    assert main(["plot", "--set", f"csv={run_dir / csv_name}",
                  "--set", f"out={out}", "--out-dir", str(plot_dir)]) == 0
     assert out.read_bytes() == (run_dir / svg_name).read_bytes()
 
@@ -459,5 +474,5 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys, kind, body, message):
               "verify": VERIFY_CSV_HEADER}[kind]
     path = tmp_path / "bad.csv"
     path.write_text("" if body is None else header + "\n" + body)
-    assert _run(["plot", "--set", f"csv={path}", "--set", f"kind={kind}"], tmp_path) == 1
+    assert _run(["plot", "--set", f"csv={path}"], tmp_path) == 1
     assert message in capsys.readouterr().err

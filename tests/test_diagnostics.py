@@ -231,25 +231,22 @@ def test_energy_probe_structure_and_loose_slopes():
                                   vocab_size=64, pos_bias=False),
                          "scale_channels")
     fits = energy_entropy_probe(scaler, [16, 32, 64], n_seeds=4, n_tokens=8,
-                                seed0=0, stage="init")
+                                seed0=0)
     assert set(fits) == {"e_unary", "e_binary", "e_ternary", "tau_entropy"}
     # tau grows with N here, so tempered entropy grows superlinearly in log-log
     assert 0.5 < fits["tau_entropy"].slope < 1.5
     assert fits["tau_entropy"].normalized_slope is not None
     assert fits["e_unary"].normalized_slope is None
     assert "slope" in fits["e_unary"].summary()
-    with pytest.raises(ConfigError):
-        energy_entropy_probe(scaler, [16, 32], stage="converged")
 
 
-def test_energy_probe_trained_stage_smoke():
-    scaler = WidthScaler(PTConfig(width=16, rank=4, channels=2, topics=32,
-                                  vocab_size=259, pos_bias=False),
-                         "scale_channels")
-    fits = energy_entropy_probe(scaler, [16, 32], n_seeds=1, n_tokens=8,
-                                seed0=0, stage="trained", train_steps=1,
-                                hp=DIAG_HP)
-    assert all(math.isfinite(f.slope) for f in fits.values())
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_seed_averages_need_a_seed(n_seeds):
+    # a mean over no seeds is undefined: refused, not a ZeroDivisionError
+    with pytest.raises(ConfigError, match="n_seeds must be >= 1"):
+        energy_entropy_probe(TINY_LADDER, [16, 32], n_seeds=n_seeds)
+    with pytest.raises(ConfigError, match="n_seeds must be >= 1"):
+        logit_variance_scan(TINY_LADDER, [16, 32], n_seeds=n_seeds)
 
 
 def test_coord_csv_and_summary_json(tmp_path):
