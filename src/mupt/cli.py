@@ -4,7 +4,7 @@ Every subcommand takes a JSON config (defaults shown by --print-config),
 optional --set key=value overrides with unknown-key rejection, and writes
 its artifacts under --out-dir (or $MUPT_OUT_DIR, default ./artifacts),
 never anywhere else. Exit codes: 0 success, 1 bad configuration or usage,
-2 a check ran to completion and failed.
+2 a check ran to completion and failed, 130 interrupted (Ctrl-C).
 
 Defaults are the library's: the model, hp and train sections hold the fields
 of PTConfig, HPPoint and TrainSettings, and a key naming a keyword parameter
@@ -18,6 +18,9 @@ environment already sets them) before anything loads NumPy: neither
 `import mupt` nor `import mupt.cli` does, so the pools are sized as asked.
 One thread is what makes training runs bit-reproducible. Calling main()
 from a process that has already imported NumPy cannot resize its pools.
+The independent training runs of transfer-sweep and verify-local-opt fan
+out over the usable CPUs, one process per N of them; `taskset -c 0 mupt ...`
+runs them one after another instead, and the results are identical either way.
 """
 from __future__ import annotations
 
@@ -645,6 +648,9 @@ def main(argv=None) -> int:
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

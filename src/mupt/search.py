@@ -21,7 +21,7 @@ from .corpus import Corpus
 from .errors import ConfigError
 from .rng import SeededRng
 from .svgplot import line_svg, scatter_svg
-from .training import TrainSettings, train_run
+from .training import TrainSettings, map_jobs, train_run
 from .util import canonical_json, short_hash
 
 __all__ = [
@@ -125,6 +125,10 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
     Every run shares the seed, hence identical data order, corruption, and
     init; only the hyperparameter point differs. Artifacts: a CSV of all runs,
     a distance-vs-loss-increase scatter, and a sorted-loss rank curve.
+
+    The n + 1 runs train in parallel on the usable CPUs (map_jobs) and the
+    report and artifacts are identical to a serial verification; `taskset -c 0`
+    makes it serial. Only the calling process writes the artifacts.
     """
     if n is None:
         n = min_samples(p, alpha)
@@ -135,13 +139,10 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
     os.makedirs(out_dir, exist_ok=True)
 
     hps = sample_neighborhood(base_hp, n, SeededRng(seed).spawn("neighborhood"), scale)
-    base_rec = train_run(config, base_hp, corpus, seed, settings)
-    base_loss = base_rec.final_eval_loss
-    losses, dists = [], []
-    for hp in hps:
-        rec = train_run(config, hp, corpus, seed, settings)
-        losses.append(rec.final_eval_loss)
-        dists.append(hp_distance(base_hp, hp))
+    dists = [hp_distance(base_hp, hp) for hp in hps]
+    runs = map_jobs(train_run, [(config, hp, corpus, seed, settings)
+                                for hp in [base_hp, *hps]])
+    base_loss, *losses = [rec.final_eval_loss for rec in runs]
 
     n_better = sum(1 for x in losses if x < base_loss)
     rank = n_better + 1

@@ -4,11 +4,13 @@ Runs are pure functions of (geometry, hyperparameters, corpus, seed): data
 order, per-step corruption, and the frozen eval corruption all come from named
 child streams of the run seed, so a rerun reproduces every recorded number
 bit for bit. The wall-clock field is the one exception and is excluded from
-semantic equality.
+semantic equality. Being pure, the runs of a sweep are independent jobs, and
+map_jobs trains them side by side on the usable CPUs.
 """
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +27,7 @@ from .rng import SeededRng
 from .util import canonical_json, short_hash
 
 __all__ = ["TrainSettings", "RunRecord", "train_run", "train_steps", "evaluate",
-           "SweepResult", "transfer_sweep", "SWEEP_CSV_HEADER"]
+           "SweepResult", "transfer_sweep", "SWEEP_CSV_HEADER", "map_jobs"]
 
 SWEEP_CSV_HEADER = "width,lr,seed,step,split,loss"
 
@@ -274,6 +276,79 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
     return (record, params) if return_params else record
 
 
+_WORKER_JOBS: tuple | None = None    # (fn, jobs) in a map_jobs worker, else None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """BLAS threads per process as pinned (the CLI's --threads); unpinned,
+    BLAS starts one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Processes for n_jobs jobs: one per BLAS-sized share of the usable CPUs,
+    at most one per job. 1 inside a worker (pools never nest), where fork is
+    missing, and where another thread runs: a forked child gets no copy of
+    it, and any lock it holds stays locked there."""
+    import multiprocessing
+    import threading
+
+    if (_WORKER_JOBS is not None or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return max(1, min(n_jobs, _usable_cpus() // _blas_threads()))
+
+
+def _start_worker(fn, jobs: list[tuple]) -> None:
+    import signal
+
+    global _WORKER_JOBS
+    _WORKER_JOBS = (fn, jobs)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+
+
+def _run_job(i: int):
+    fn, jobs = _WORKER_JOBS
+    return fn(*jobs[i])
+
+
+def map_jobs(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], the jobs spread over forked processes.
+
+    Each job runs whole in one process, so its result is the one a serial
+    call returns, bit for bit, and results come back in job order whatever
+    order the jobs finish in. The pool has one process per usable CPU
+    (divided by the pinned BLAS threads, at most one per job); it is serial
+    in a process pinned to one CPU (`taskset -c 0`), with BLAS unpinned,
+    inside a worker, beside another thread and where fork is missing. The
+    workers inherit fn and the jobs by fork, so neither is pickled; results
+    and exceptions are. An exception in a job, or a KeyboardInterrupt in the
+    caller, ends every worker before it propagates: no process outlives the
+    call.
+    """
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers, _start_worker,
+                                                  (fn, jobs)) as pool:
+        results = pool.map(_run_job, range(len(jobs)), chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
 @dataclass
 class SweepResult:
     """Loss table over (width, lr) plus per-width argmins."""
@@ -306,6 +381,10 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
     The information weights are held fixed at hp_base.weights; only the base
     LR moves along the grid. Diverged cells keep +inf losses and lose every
     argmin comparison. Ties take the smaller LR.
+
+    The cells train in parallel on the usable CPUs (map_jobs), widest first,
+    and the result is identical to a serial sweep; `taskset -c 0` makes the
+    sweep serial.
     """
     if len(lr_grid) < 2:
         raise ConfigError("lr_grid needs at least two points")
@@ -313,15 +392,12 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
         raise ConfigError(f"lr_grid must be strictly ascending, got {list(lr_grid)}")
     if len(set(widths)) != len(widths):
         raise ConfigError(f"widths must not repeat, got {list(widths)}")
-    records = {}
-    best = {}
-    for width in widths:
-        config = scaler.config_at(width)
-        finals = []
-        for lr in lr_grid:
-            rec = train_run(config, hp_base.with_lr(lr), corpus, seed, settings)
-            records[(width, lr)] = rec
-            finals.append(rec.final_eval_loss)
-        best[width] = int(np.argmin(finals))
+    cells = sorted(((w, lr) for w in widths for lr in lr_grid), key=lambda c: -c[0])
+    runs = map_jobs(train_run, [(scaler.config_at(w), hp_base.with_lr(lr), corpus, seed,
+                                 settings) for w, lr in cells])
+    done = dict(zip(cells, runs))
+    records = {(w, lr): done[(w, lr)] for w in widths for lr in lr_grid}
+    best = {w: int(np.argmin([records[(w, lr)].final_eval_loss for lr in lr_grid]))
+            for w in widths}
     return SweepResult(widths=list(widths), lr_grid=list(lr_grid),
                        records=records, best_lr_index=best)

@@ -4,10 +4,16 @@ Everything runs in-process through main(argv) with tiny geometries; the
 expensive default configurations are exercised by the acceptance suite.
 """
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+from mupt import cli, training
 from mupt.cli import main
 
 TINY_MODEL = [
@@ -391,6 +397,75 @@ def test_verify_local_opt_small(tmp_path, capsys):
     names = os.listdir(tmp_path)
     assert sum(n.startswith("verify-") and n.endswith(".svg") for n in names) == 2
     assert any(n.startswith("verify-") and n.endswith(".csv") for n in names)
+
+
+def test_worker_config_error_exits_1(tmp_path, monkeypatch, capfd):
+    # the corpus has 259 byte tokens, the model 64: train_run refuses, in a worker
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    rc = _run(["verify-local-opt", *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
+               "--set", "model.vocab_size=64", "--set", "p=0.5",
+               "--set", "alpha=0.5", "--set", "n=2"], tmp_path)
+    err = capfd.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: corpus vocab 259 != model vocab 64")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "init-stats", interrupted)
+    assert _run(["init-stats"], tmp_path) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+# Runs verify-local-opt on a pool of two workers, each of which leaves a file
+# named by its pid once it has started.
+_POOLED_VERIFY = """
+import os, sys
+import mupt.training as t
+t._usable_cpus = lambda: 2
+start = t._start_worker
+def start_and_mark(*args):
+    start(*args)
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+t._start_worker = start_and_mark
+from mupt.cli import main
+sys.exit(main(["verify-local-opt", "--out-dir", sys.argv[2]]))
+"""
+
+
+def test_ctrl_c_ends_the_pool_and_exits_130(tmp_path):
+    marks = tmp_path / "workers"
+    marks.mkdir()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    # its own session: the signal goes to the whole process group, as Ctrl-C in
+    # a terminal does, and the group shows whether any process outlived it
+    proc = subprocess.Popen([sys.executable, "-c", _POOLED_VERIFY, str(marks),
+                             str(tmp_path / "out")], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(marks)) < 2 and proc.poll() is None:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.05)
+        time.sleep(0.3)                  # the workers are training
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, out + err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "interrupted"
+    with pytest.raises(ProcessLookupError):        # no process is left in the group
+        os.killpg(proc.pid, 0)
+    assert len(os.listdir(marks)) == 2
 
 
 def test_plot_roundtrip(tmp_path, capsys):

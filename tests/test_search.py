@@ -1,10 +1,13 @@
 """Sample-count bounds, distances, neighborhood sampling, verification flow."""
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from mupt import search, training
 from mupt.config import HPPoint, InfoWeights, PTConfig
 from mupt.corpus import encode_corpus, synth_text
 from mupt.errors import ConfigError
@@ -131,3 +134,49 @@ def test_verify_rejects_undersampling(tmp_path):
                                                        max_eval_chunks=4,
                                                        mfvi_iters=2),
                                 out_dir=str(tmp_path), p=0.05, alpha=0.05, n=10)
+
+
+TINY = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=259, pos_bias=False)
+TINY_SETTINGS = TrainSettings(steps=2, batch_size=2, eval_interval=2, max_eval_chunks=4,
+                              mfvi_iters=2)
+
+
+def _verify(tmp_path, monkeypatch, cpus, config=TINY):
+    """A 4-sample verification on `cpus` usable CPUs (1: serial, 2: a pool)."""
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    return verify_local_optimality(config, HPPoint(lr=3e-3),
+                                   encode_corpus(synth_text(2048, 5), seq_len=12), seed=0,
+                                   settings=TINY_SETTINGS, out_dir=str(tmp_path),
+                                   p=0.5, alpha=0.5, n=4)
+
+
+def test_pooled_verification_equals_serial(tmp_path, monkeypatch):
+    reports, files = [], []
+    for cpus in (1, 2):
+        reports.append(_verify(tmp_path, monkeypatch, cpus))
+        files.append({kind: open(path, "rb").read()
+                      for kind, path in reports[-1].artifacts.items()})
+    serial, pooled = reports
+    assert pooled.base_loss == serial.base_loss
+    assert pooled.sample_losses == serial.sample_losses
+    assert pooled.distances == serial.distances
+    assert sorted(files[0]) == ["csv", "json", "rank_svg", "scatter_svg"]
+    assert files[1] == files[0]
+
+
+def test_worker_errors_reach_the_caller(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="vocab"):     # raised in train_run, in a worker
+        _verify(tmp_path, monkeypatch, 2, config=TINY.with_(vocab_size=64))
+    assert multiprocessing.active_children() == []
+
+    parent = os.getpid()
+
+    def broken_run(config, hp, corpus, seed, settings):
+        assert os.getpid() != parent
+        raise RuntimeError(f"no run at lr {hp.lr!r}")
+
+    monkeypatch.setattr(search, "train_run", broken_run)
+    with pytest.raises(RuntimeError, match="no run at lr"):
+        _verify(tmp_path, monkeypatch, 2)
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.iterdir())           # nothing written on failure

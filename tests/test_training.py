@@ -1,9 +1,15 @@
-"""Training-loop determinism, divergence handling, and sweep bookkeeping."""
+"""Training-loop determinism, divergence handling, sweep bookkeeping, and
+the process pool that trains independent runs side by side."""
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from mupt import training
 from mupt.config import HPPoint, PTConfig
 from mupt.corpus import encode_corpus, synth_text
 from mupt.errors import ConfigError
@@ -13,6 +19,7 @@ from mupt.training import (
     SWEEP_CSV_HEADER,
     SweepResult,
     TrainSettings,
+    map_jobs,
     train_run,
     train_steps,
     transfer_sweep,
@@ -226,3 +233,104 @@ def test_nan_eval_loss_is_divergence():
     assert all(math.isfinite(x) for x in rec.train_losses)
     assert rec.diverged and rec.final_eval_loss == math.inf
     assert rec.eval_losses == [sweep.records[(64, 1e-3)].eval_losses[0], math.inf]
+
+
+def _cpus(monkeypatch, n):
+    """Let map_jobs see n usable CPUs: 1 is serial, 2 a pool of two workers."""
+    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
+
+
+def _finish_in_reverse(i, n):
+    time.sleep(0.1 * (n - i))          # the first job finishes last
+    return i, os.getpid(), time.monotonic()
+
+
+def test_map_jobs_returns_results_in_job_order(monkeypatch):
+    _cpus(monkeypatch, 2)
+    out = map_jobs(_finish_in_reverse, [(i, 4) for i in range(4)])
+    assert [i for i, _, _ in out] == [0, 1, 2, 3]
+    finished = [t for _, _, t in out]
+    assert finished != sorted(finished)          # some job overtook an earlier one
+    pids = {pid for _, pid, _ in out}
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    if hasattr(os, "sched_getaffinity"):          # pinned to one CPU, as by taskset -c 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert training._worker_count(8) == 1
+    _cpus(monkeypatch, 8)
+    assert training._worker_count(8) == 8
+    assert training._worker_count(3) == 3       # at most one per job
+    assert training._worker_count(1) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert training._worker_count(8) == 2       # 8 CPUs hold two 3-thread BLAS pools
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var)
+    assert training._worker_count(8) == 1       # unpinned BLAS takes every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert training._worker_count(8) == 8
+
+
+def test_worker_count_is_one_inside_a_worker(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert training._worker_count(4) == 2
+    assert map_jobs(training._worker_count, [(4,), (4,)]) == [1, 1]
+
+
+def test_another_thread_means_serial(monkeypatch):
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert training._worker_count(4) == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert training._worker_count(4) == 2
+
+
+def test_no_fork_means_serial(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert training._worker_count(4) == 1
+    assert map_jobs(os.getpid, [()] * 3) == [os.getpid()] * 3
+
+
+def test_transfer_sweep_pooled_equals_serial(monkeypatch):
+    scaler = WidthScaler(CFG, "scale_channels")
+    settings = TrainSettings(steps=3, batch_size=2, eval_interval=2, max_eval_chunks=4,
+                             mfvi_iters=2)
+    sweeps = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        sweeps.append(transfer_sweep(scaler, [8, 16], [1e-3, 3e-3, 1e-2], HP, _corpus(),
+                                     seed=0, settings=settings))
+    serial, pooled = sweeps
+    assert list(pooled.records) == list(serial.records)
+    assert ([r.semantic_digest() for r in pooled.records.values()]
+            == [r.semantic_digest() for r in serial.records.values()])
+    assert pooled.best_lr_index == serial.best_lr_index
+    assert pooled.csv_rows() == serial.csv_rows()
+
+
+def _fail_on_second(i):
+    if i == 1:
+        raise ZeroDivisionError("job 1")
+    return i
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_job_errors_escape_as_they_are(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(ConfigError, match="vocab"):
+        map_jobs(train_run, [(CFG.with_(vocab_size=64), HP, _corpus(), 0, SETTINGS)] * 2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ZeroDivisionError, match="job 1"):
+        map_jobs(_fail_on_second, [(i,) for i in range(4)])
+    assert multiprocessing.active_children() == []
