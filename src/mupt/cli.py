@@ -4,14 +4,16 @@ Every subcommand takes a JSON config (defaults shown by --print-config),
 optional --set key=value overrides with unknown-key rejection, and writes
 its artifacts under --out-dir (or $MUPT_OUT_DIR, default ./artifacts),
 never anywhere else. Exit codes: 0 success, 1 bad configuration or usage,
-2 a check ran to completion and failed, 130 interrupted (Ctrl-C).
+2 a check ran to completion and its claim failed at its pinned threshold,
+130 interrupted (Ctrl-C). No key sets a pass threshold: each is one named
+constant (in diagnostics, or below), read as its check runs.
 
 Defaults are the library's: the model, hp and train sections hold the fields
 of PTConfig, HPPoint and TrainSettings, and a key naming a keyword parameter
 of the library function its subcommand calls takes that parameter's default.
-Key types, the model, hp and train sections, list entries and the band,
-tau_pairs and seeds rules are checked before anything runs or --print-config
-prints; the library checks the corpus and its own arguments as the run starts.
+Key types, the model, hp and train sections, list entries and the tau_pairs
+and seeds rules are checked before anything runs or --print-config prints;
+the library checks the corpus and its own arguments as the run starts.
 
 --threads N sets the BLAS/OpenMP thread variables (default 1, unless the
 environment already sets them) before anything loads NumPy: neither
@@ -36,6 +38,10 @@ from .errors import CheckFailure, ConfigError
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
+ENTROPY_SLOPE_BAND = 0.15  # energy-probe: |normalized tau*H slope - target|
+ENERGY_SLOPE_BAND = 0.2    # energy-probe: |unary or binary energy slope - target|
+MAX_DISPLACEMENT = 1       # transfer-sweep: spread of the best-LR index over widths
+
 
 def _library_defaults(fn, *keys) -> dict:
     """Defaults of fn's parameters `keys`, as config keys that _passed returns."""
@@ -59,8 +65,8 @@ def _defaults(command: str) -> dict:
     from dataclasses import asdict
 
     from .config import PTConfig
-    from .diagnostics import (COORD_BAND, DIAG_HP, coord_check, energy_entropy_probe,
-                              equivalence_check, init_variance_audit)
+    from .diagnostics import (DIAG_HP, coord_check, energy_entropy_probe, equivalence_check,
+                              init_variance_audit)
     from .search import verify_local_optimality
     from .training import TrainSettings
 
@@ -85,14 +91,12 @@ def _defaults(command: str) -> dict:
             "paradigm": "scale_channels",
             "widths": [64, 128, 256, 512],
             "hp": hp,
-            "band": list(COORD_BAND),
             **_library_defaults(coord_check, "steps", "iters", "batch_size", "hidden_lr_scaling"),
         },
         "init-stats": {
             "model": {**model_ladder, "vocab_size": 64},
             "paradigm": "scale_channels",
             "widths": [64, 128, 256, 512],
-            "tolerance": 0.15,
             **_library_defaults(init_variance_audit, "min_samples"),
         },
         "equivalence-check": {
@@ -102,15 +106,12 @@ def _defaults(command: str) -> dict:
             "seeds": 5,
             "iters": 3,
             "tau_pairs": [[8, 8], [16, 8], [16, 2], [24, 1]],
-            "tau_tolerance": 1e-12,
-            **_library_defaults(equivalence_check, "n_tokens", "tolerance"),
+            **_library_defaults(equivalence_check, "n_tokens"),
         },
         "energy-probe": {
             "model": model_ladder,
             "paradigms": ["scale_channels", "scale_rank"],
             "widths": [64, 128, 256, 512],
-            "entropy_band": 0.15,
-            "energy_band": 0.2,
             **_library_defaults(energy_entropy_probe, "n_seeds", "n_tokens"),
         },
         "transfer-sweep": {
@@ -122,15 +123,13 @@ def _defaults(command: str) -> dict:
             "corpus": {**corpus, "seq_len": 32, "synthetic_bytes": 1 << 19,
                        "synthetic_seed": 17},
             "train": train,
-            "max_displacement": 1,
         },
         "verify-local-opt": {
             "model": {**model_ladder, "pos_bias": True},
             "hp": hp,
-            "require_optimal": False,
             "corpus": {**corpus, "seq_len": 32, "synthetic_bytes": 1 << 17},
             "train": {**train, "steps": 40, "eval_interval": 40},
-            **_library_defaults(verify_local_optimality, "p", "alpha", "n", "scale", "noise_tol"),
+            **_library_defaults(verify_local_optimality, "p", "alpha", "n", "scale"),
         },
         "plot": {"csv": None, "out": None},
     }
@@ -258,11 +257,6 @@ def _validated(command: str, cfg: dict) -> dict:
     from .mup import WidthScaler
     from .training import TrainSettings
 
-    if command == "coord-check":  # ahead of the entry check, to name the band's shape
-        band = cfg["band"]
-        if not (len(band) == 2 and all(type(x) in (int, float) for x in band)
-                and 0 < band[0] < band[1]):
-            raise ConfigError(f"band must be [lo, hi] with 0 < lo < hi, got {band}")
     for key, default in _defaults(command).items():
         if type(default) is list:
             _check_entries(default, cfg[key], key)
@@ -340,14 +334,12 @@ def _cmd_train(cfg, seed, tag, out_dir):
 def _cmd_coord_check(cfg, seed, tag, out_dir):
     from .diagnostics import coord_check, coord_summary_json, write_coord_csv
 
-    lo, hi = cfg["band"]
     report = coord_check(cfg["scaler"], list(cfg["widths"]), cfg["hp"], seed=seed,
                          **_passed(cfg, coord_check))
-    violations = report.band_violations(lo, hi)
+    violations = report.band_violations()
     csv_path = os.path.join(out_dir, f"coord-{tag}.csv")
     write_coord_csv(report, csv_path)
-    json_path = _write(os.path.join(out_dir, f"coord-{tag}.json"),
-                       coord_summary_json(report, lo, hi))
+    json_path = _write(os.path.join(out_dir, f"coord-{tag}.json"), coord_summary_json(report))
     stable = not violations
     expect_stable = cfg["hidden_lr_scaling"] == "mup"
     print(f"coord-check[{cfg['hidden_lr_scaling']}]: "
@@ -368,11 +360,10 @@ def _cmd_coord_check(cfg, seed, tag, out_dir):
 
 
 def _cmd_init_stats(cfg, seed, tag, out_dir):
-    from .diagnostics import init_variance_audit
+    from .diagnostics import INIT_VARIANCE_TOL, init_variance_audit
     from .util import canonical_json
 
-    tol = cfg["tolerance"]
-    rows, ok = [], True
+    tol, rows, ok = INIT_VARIANCE_TOL, [], True
     for width in cfg["widths"]:
         audit = init_variance_audit(cfg["scaler"].config_at(width), seed=seed,
                                     **_passed(cfg, init_variance_audit))
@@ -394,11 +385,10 @@ def _cmd_init_stats(cfg, seed, tag, out_dir):
 
 
 def _cmd_equivalence(cfg, seed, tag, out_dir):
-    from .diagnostics import equivalence_check, tau_cancellation_check
+    from .diagnostics import EXACT_TOL, equivalence_check, tau_cancellation_check
     from .util import canonical_json
 
-    tol = cfg["tolerance"]
-    results, worst = [], (0.0, "")
+    tol, results, worst = EXACT_TOL, [], (0.0, "")
     for scaler in cfg["scalers"]:
         paradigm = scaler.paradigm
         for width in cfg["widths"]:
@@ -424,13 +414,12 @@ def _cmd_equivalence(cfg, seed, tag, out_dir):
     print(f"  wrote {path}")
     if worst[0] > tol:
         raise CheckFailure(f"equivalence deviation {worst[0]:.3e} exceeds {tol:g}")
-    if tau_worst > cfg["tau_tolerance"]:
-        raise CheckFailure(f"temperature cancellation deviation {tau_worst:.3e} "
-                           f"exceeds {cfg['tau_tolerance']:g}")
+    if tau_worst > tol:
+        raise CheckFailure(f"temperature cancellation deviation {tau_worst:.3e} exceeds {tol:g}")
 
 
 def _cmd_energy_probe(cfg, seed, tag, out_dir):
-    from .diagnostics import energy_entropy_probe, entropy_uniform_exact
+    from .diagnostics import EXACT_TOL, energy_entropy_probe, entropy_uniform_exact
     from .mup import SCALE_CHANNELS
     from .svgplot import line_svg
     from .util import canonical_json
@@ -445,9 +434,9 @@ def _cmd_energy_probe(cfg, seed, tag, out_dir):
                              "slope": f.slope, "normalized_slope": f.normalized_slope}
                          for k, f in fits.items()}
         sc = paradigm == SCALE_CHANNELS
-        expect = {"tau_entropy": (1.0 if sc else 0.0, cfg["entropy_band"], True),
-                  "e_unary": (0.5 if sc else -0.5, cfg["energy_band"], False),
-                  "e_binary": (0.5 if sc else -0.5, cfg["energy_band"], False)}
+        expect = {"tau_entropy": (1.0 if sc else 0.0, ENTROPY_SLOPE_BAND, True),
+                  "e_unary": (0.5 if sc else -0.5, ENERGY_SLOPE_BAND, False),
+                  "e_binary": (0.5 if sc else -0.5, ENERGY_SLOPE_BAND, False)}
         for key, (target, band, normalized) in expect.items():
             got = fits[key].normalized_slope if normalized else fits[key].slope
             ok = abs(got - target) <= band
@@ -470,7 +459,7 @@ def _cmd_energy_probe(cfg, seed, tag, out_dir):
                   canonical_json({"schema_version": "1", "stage": "init",
                                   "fits": out, "uniform_exact_rel": rel}))
     print(f"  wrote {path}")
-    if rel > 1e-12:
+    if rel > EXACT_TOL:
         raise CheckFailure(f"uniform entropy closed form off by {rel:.3e}")
     if failures:
         raise CheckFailure("slope bands violated: " + ", ".join(failures))
@@ -493,26 +482,28 @@ def _cmd_transfer_sweep(cfg, seed, tag, out_dir):
 
     sweep = transfer_sweep(cfg["scaler"], cfg["widths"], list(cfg["lr_grid"]), cfg["hp"],
                            _corpus(cfg["corpus"]), seed, cfg["train"])
-    csv_path = _write(os.path.join(out_dir, f"sweep-{tag}.csv"),
-                      "\n".join(sweep.csv_rows()))
-    svg_path = os.path.join(out_dir, f"sweep-{tag}.svg")
-    _sweep_svg(svg_path, {w: [(lr, sweep.records[(w, lr)].final_eval_loss)
-                              for lr in sweep.lr_grid] for w in sweep.widths})
-    disp = sweep.argmin_displacement
-    for width in sweep.widths:
-        i = sweep.best_lr_index[width]
-        print(f"transfer-sweep w={width}: best lr {sweep.lr_grid[i]:.3e} (index {i})")
-    print(f"transfer-sweep: argmin displacement {disp} "
-          f"(max allowed {cfg['max_displacement']})")
-    best = {str(w): i for w, i in sweep.best_lr_index.items()}
-    json_path = _write(os.path.join(out_dir, f"sweep-{tag}.json"),
-                       canonical_json({"schema_version": "1", "widths": sweep.widths,
-                                       "lr_grid": sweep.lr_grid, "best_lr_index": best,
-                                       "argmin_displacement": disp}))
-    for p in (csv_path, svg_path, json_path):
+    best, disp = sweep.best_lr_index, sweep.argmin_displacement
+    lost = [w for w, i in best.items() if i is None]   # every LR diverged there
+    paths = [_write(os.path.join(out_dir, f"sweep-{tag}.csv"), "\n".join(sweep.csv_rows()))]
+    if len(lost) < len(best):                           # else no finite loss to draw
+        paths.append(os.path.join(out_dir, f"sweep-{tag}.svg"))
+        _sweep_svg(paths[-1], {w: [(lr, sweep.records[(w, lr)].final_eval_loss)
+                                   for lr in sweep.lr_grid] for w in sweep.widths})
+    paths.append(_write(os.path.join(out_dir, f"sweep-{tag}.json"),
+                        canonical_json({"schema_version": "1", "widths": sweep.widths,
+                                        "lr_grid": sweep.lr_grid, "argmin_displacement": disp,
+                                        "best_lr_index": {str(w): i for w, i in best.items()}})))
+    for width, i in best.items():
+        print(f"transfer-sweep w={width}: " + ("every lr diverged" if i is None else
+                                              f"best lr {sweep.lr_grid[i]:.3e} (index {i})"))
+    if not lost:
+        print(f"transfer-sweep: argmin displacement {disp} (max allowed {MAX_DISPLACEMENT})")
+    for p in paths:
         print(f"  wrote {p}")
-    if disp > cfg["max_displacement"]:
-        raise CheckFailure(f"argmin displacement {disp} exceeds {cfg['max_displacement']}")
+    if lost:
+        raise CheckFailure(f"every learning rate diverged at width {', '.join(map(str, lost))}")
+    if disp > MAX_DISPLACEMENT:
+        raise CheckFailure(f"argmin displacement {disp} exceeds {MAX_DISPLACEMENT}")
 
 
 def _cmd_verify(cfg, seed, tag, out_dir):
@@ -524,8 +515,6 @@ def _cmd_verify(cfg, seed, tag, out_dir):
     print(f"verify-local-opt: {report.summary()}")
     for kind, path in report.artifacts.items():
         print(f"  wrote {path} ({kind})")
-    if cfg["require_optimal"] and not report.locally_optimal:
-        raise CheckFailure("base point beaten beyond noise tolerance")
 
 
 def _cmd_plot(cfg, seed, tag, out_dir):

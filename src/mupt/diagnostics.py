@@ -34,11 +34,11 @@ from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
 from .rng import SeededRng
-from .training import train_steps
+from .training import TrainSettings, train_steps
 from .util import canonical_json
 
 __all__ = [
-    "DIAG_WEIGHTS", "DIAG_HP",
+    "DIAG_WEIGHTS", "DIAG_HP", "EXACT_TOL", "INIT_VARIANCE_TOL",
     "prob_rel_dev", "scale_rel_dev",
     "EquivalenceReport", "equivalence_check", "tau_cancellation_check",
     "dense_oracle_check",
@@ -61,6 +61,10 @@ COORD_CSV_HEADER = "width,probe,step,mean_abs,variance"
 DIAG_WEIGHTS = InfoWeights(w_unary=0.5, w_tern_dep=0.25, w_tern_head=0.25,
                            w_binary=0.125, w_attn=0.25, w_topic=0.125)
 DIAG_HP = HPPoint(lr=3e-3, weights=DIAG_WEIGHTS)
+
+# the largest relative deviation at which two computations of one quantity are
+# the same: the inference paths, the temperature forms, the entropy closed form
+EXACT_TOL = 1e-12
 
 
 def prob_rel_dev(x: np.ndarray, y: np.ndarray) -> float:
@@ -199,7 +203,7 @@ class EquivalenceReport:
 
 def equivalence_check(config: PTConfig, seed: int, iters: int, n_tokens: int = 8,
                       iw: InfoWeights | None = None,
-                      tolerance: float = 1e-12) -> EquivalenceReport:
+                      tolerance: float = EXACT_TOL) -> EquivalenceReport:
     """Run all three paths on one random model and compare every sweep.
 
     Raises nothing on deviation; the report carries pass/fail so callers can
@@ -346,11 +350,10 @@ class CoordReport:
         vals = self.mean_abs[probe]
         return _ratio(vals[self.widths[0]][step], vals[self.widths[-1]][step])
 
-    def band_violations(self, lo: float = COORD_BAND[0], hi: float = COORD_BAND[1],
-                        probes=BAND_PROBES) -> list[str]:
-        """Consecutive-width ratios outside [lo, hi]; empty means stable."""
-        bad = []
-        for probe in probes:
+    def band_violations(self) -> list[str]:
+        """Consecutive-width ratios outside COORD_BAND; empty means stable."""
+        (lo, hi), bad = COORD_BAND, []
+        for probe in BAND_PROBES:
             first_step = 1 if probe == "delta_nz" else 0  # delta is 0 at init by definition
             for step in range(first_step, self.steps + 1):
                 for k, ratio in enumerate(self.ratio_table(probe, step)):
@@ -416,19 +419,15 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
     root = SeededRng(seed)
     probe_chunks = corpus.ids[:batch_size]
 
-    mean_abs: dict[str, dict[int, list[float]]] = {p: {} for p in PROBES}
-    variance: dict[str, dict[int, list[float]]] = {p: {} for p in PROBES}
-    diverged: dict[int, bool] = {}
+    mean_abs = {p: {w: [] for w in widths} for p in PROBES}
+    variance = {p: {w: [] for w in widths} for p in PROBES}
+    diverged = dict.fromkeys(widths, False)
 
     for width in widths:
         config = scaler.config_at(width)
         params = model.ModelParams.init(config, SeededRng(seed).spawn("params"))
         opt = AdamW(model.tensor_shapes(config), width, hp.lr,
                     hidden_lr_scaling=hidden_lr_scaling)
-        for p in PROBES:
-            mean_abs[p][width] = []
-            variance[p][width] = []
-        diverged[width] = False
         nz0 = None
 
         def record(step_dead: bool) -> None:
@@ -451,7 +450,8 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
         # are spawned afresh for every width
         batches = ((corpus.ids[batch_size * (t + 1):batch_size * (t + 2)],
                     root.spawn(f"batch-mask/{t}")) for t in range(steps))
-        for loss in train_steps(config, params, opt, hp, corpus, batches, 0.15, iters):
+        for loss in train_steps(config, params, opt, hp, corpus, batches,
+                                TrainSettings.mask_ratio, iters):
             diverged[width] = not math.isfinite(loss)
             record(diverged[width])
 
@@ -461,6 +461,9 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
 
 # ---------------------------------------------------------------------------
 # parametrization audit: empirical init variance per group
+
+# the largest relative error of a group's pooled init variance against its table
+INIT_VARIANCE_TOL = 0.15
 
 
 @dataclass
@@ -475,7 +478,7 @@ class InitAudit:
     zeros_exact: bool
     n_samples: dict[str, int]
 
-    def within(self, tol: float = 0.15) -> bool:
+    def within(self, tol: float = INIT_VARIANCE_TOL) -> bool:
         return self.zeros_exact and all(e <= tol for e in self.rel_error.values())
 
 
@@ -676,15 +679,14 @@ def write_coord_csv(report: CoordReport, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def coord_summary_json(report: CoordReport, lo: float = COORD_BAND[0],
-                       hi: float = COORD_BAND[1]) -> str:
-    violations = report.band_violations(lo, hi)
+def coord_summary_json(report: CoordReport) -> str:
+    violations = report.band_violations()
     return canonical_json({
         "schema_version": SCHEMA_VERSION,
         "paradigm": report.paradigm,
         "widths": report.widths,
         "steps": report.steps,
-        "band": [lo, hi],
+        "band": list(COORD_BAND),
         "band_probes": list(BAND_PROBES),
         "violations": violations,
         "stable": not violations,

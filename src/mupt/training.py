@@ -130,6 +130,15 @@ def _corrupt_batch(chunks: np.ndarray, ratio: float, corpus: Corpus, rng: Seeded
 
 
 def _token_mask_or_none(chunks: np.ndarray, corpus: Corpus):
+    """The chunks' token mask, or None (the fast path) where every token is real.
+
+    A mask costs each sweep an `ad.mul(q_h, rows_valid)` and its vjp, 1.0-1.3
+    ms at the width-256 training shape (4, 8, 64, 64), three sweeps a step,
+    against 0.05 ms to rebuild the head mask and buckets (timeit, min of 5 x
+    200, one BLAS thread, 2-core Xeon). Always masking was bit-identical in a
+    prototype, but its step time was unresolved over 6 alternating runs:
+    merge the two paths only with a benchmark.
+    """
     tm = corpus.token_mask(chunks)
     return None if tm.all() else tm
 
@@ -276,7 +285,7 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
     return (record, params) if return_params else record
 
 
-_WORKER_JOBS: tuple | None = None    # (fn, jobs) in a map_jobs worker, else None
+_WORKER_JOBS: tuple | None = None    # (fn, jobs) while map_jobs runs a pool, else None
 
 
 def _usable_cpus() -> int:
@@ -297,9 +306,9 @@ def _blas_threads() -> int:
 
 def _worker_count(n_jobs: int) -> int:
     """Processes for n_jobs jobs: one per BLAS-sized share of the usable CPUs,
-    at most one per job. 1 inside a worker (pools never nest), where fork is
-    missing, and where another thread runs: a forked child gets no copy of
-    it, and any lock it holds stays locked there."""
+    at most one per job. 1 while a pool runs, so inside a worker (pools never
+    nest), where fork is missing, and where another thread runs: a forked
+    child gets no copy of it, and any lock it holds stays locked there."""
     import multiprocessing
     import threading
 
@@ -307,14 +316,6 @@ def _worker_count(n_jobs: int) -> int:
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
     return max(1, min(n_jobs, _usable_cpus() // _blas_threads()))
-
-
-def _start_worker(fn, jobs: list[tuple]) -> None:
-    import signal
-
-    global _WORKER_JOBS
-    _WORKER_JOBS = (fn, jobs)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
 
 
 def _run_job(i: int):
@@ -336,32 +337,38 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     caller, ends every worker before it propagates: no process outlives the
     call.
     """
+    global _WORKER_JOBS
     workers = _worker_count(len(jobs))
     if workers == 1:
         return [fn(*job) for job in jobs]
     import multiprocessing
+    import signal
 
-    with multiprocessing.get_context("fork").Pool(workers, _start_worker,
-                                                  (fn, jobs)) as pool:
-        results = pool.map(_run_job, range(len(jobs)), chunksize=1)
-        pool.close()
-        pool.join()
+    _WORKER_JOBS = (fn, jobs)    # before the fork: every worker starts with it
+    try:                         # the workers ignore Ctrl-C, the caller's to handle
+        with multiprocessing.get_context("fork").Pool(
+                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+            results = pool.map(_run_job, range(len(jobs)), chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _WORKER_JOBS = None
     return results
 
 
 @dataclass
 class SweepResult:
-    """Loss table over (width, lr) plus per-width argmins."""
+    """Loss table over (width, lr) plus per-width argmins, None if every LR diverged."""
 
     widths: list[int]
     lr_grid: list[float]
     records: dict = field(repr=False)      # (width, lr) -> RunRecord
-    best_lr_index: dict[int, int] = field(default_factory=dict)
+    best_lr_index: dict[int, int | None] = field(default_factory=dict)
 
     @property
-    def argmin_displacement(self) -> int:
+    def argmin_displacement(self) -> int | None:
         idxs = [self.best_lr_index[w] for w in self.widths]
-        return max(idxs) - min(idxs)
+        return None if None in idxs else max(idxs) - min(idxs)
 
     def csv_rows(self) -> list[str]:
         rows = [SWEEP_CSV_HEADER]
@@ -380,7 +387,8 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
 
     The information weights are held fixed at hp_base.weights; only the base
     LR moves along the grid. Diverged cells keep +inf losses and lose every
-    argmin comparison. Ties take the smaller LR.
+    argmin comparison, and a width whose every cell diverged has no best LR.
+    Ties take the smaller LR.
 
     The cells train in parallel on the usable CPUs (map_jobs), widest first,
     and the result is identical to a serial sweep; `taskset -c 0` makes the
@@ -397,7 +405,7 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
                                  settings) for w, lr in cells])
     done = dict(zip(cells, runs))
     records = {(w, lr): done[(w, lr)] for w in widths for lr in lr_grid}
-    best = {w: int(np.argmin([records[(w, lr)].final_eval_loss for lr in lr_grid]))
-            for w in widths}
+    finals = {w: [records[(w, lr)].final_eval_loss for lr in lr_grid] for w in widths}
+    best = {w: int(np.argmin(f)) if np.isfinite(f).any() else None for w, f in finals.items()}
     return SweepResult(widths=list(widths), lr_grid=list(lr_grid),
                        records=records, best_lr_index=best)

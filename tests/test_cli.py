@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from mupt import cli, training
+from mupt import cli, diagnostics, training
 from mupt.cli import main
 
 TINY_MODEL = [
@@ -59,17 +59,15 @@ TRAIN_KEYS = _section("train", "steps batch_size eval_interval eval_fraction "
 SETTABLE_KEYS = {
     "train": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {"save_checkpoint"},
     "coord-check": MODEL_KEYS | HP_KEYS | {
-        "paradigm", "widths", "steps", "iters", "batch_size", "hidden_lr_scaling", "band"},
-    "init-stats": MODEL_KEYS | {"paradigm", "widths", "tolerance", "min_samples"},
+        "paradigm", "widths", "steps", "iters", "batch_size", "hidden_lr_scaling"},
+    "init-stats": MODEL_KEYS | {"paradigm", "widths", "min_samples"},
     "equivalence-check": MODEL_KEYS | {
-        "paradigms", "widths", "seeds", "iters", "n_tokens", "tolerance", "tau_pairs",
-        "tau_tolerance"},
-    "energy-probe": MODEL_KEYS | {
-        "paradigms", "widths", "n_seeds", "n_tokens", "entropy_band", "energy_band"},
+        "paradigms", "widths", "seeds", "iters", "n_tokens", "tau_pairs"},
+    "energy-probe": MODEL_KEYS | {"paradigms", "widths", "n_seeds", "n_tokens"},
     "transfer-sweep": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
-        "paradigm", "widths", "lr_grid", "max_displacement"},
+        "paradigm", "widths", "lr_grid"},
     "verify-local-opt": MODEL_KEYS | CORPUS_KEYS | TRAIN_KEYS | HP_KEYS | {
-        "p", "alpha", "n", "scale", "noise_tol", "require_optimal"},
+        "p", "alpha", "n", "scale"},
     "plot": {"csv", "out"},
 }
 
@@ -78,9 +76,14 @@ def test_settable_keys_are_pinned():
     from mupt.cli import _COMMANDS, _defaults
 
     assert set(SETTABLE_KEYS) == set(_COMMANDS)
+    drift = {}
     for command in _COMMANDS:
-        assert {k for k, _ in _leaves(_defaults(command))} == SETTABLE_KEYS[command], command
-    assert sum(map(len, SETTABLE_KEYS.values())) == 171
+        keys = {k for k, _ in _leaves(_defaults(command))}
+        added, removed = keys - SETTABLE_KEYS[command], SETTABLE_KEYS[command] - keys
+        if added or removed:
+            drift[command] = {"added": sorted(added), "removed": sorted(removed)}
+    assert not drift, f"settable keys changed (update SETTABLE_KEYS on purpose): {drift}"
+    assert sum(map(len, SETTABLE_KEYS.values())) == 162
 
 
 def test_geometry_and_train_settings_share_no_field():
@@ -103,6 +106,16 @@ def test_geometry_and_train_settings_share_no_field():
     ("energy-probe", "assert_bands", "true"),
     ("energy-probe", "stage", "init"),
     ("plot", "kind", "coord"),
+    # a pass threshold is part of its claim: no --set moves it
+    ("coord-check", "band", "[0.01,100.0]"),
+    ("init-stats", "tolerance", "1.0"),
+    ("equivalence-check", "tolerance", "1.0"),
+    ("equivalence-check", "tau_tolerance", "1.0"),
+    ("energy-probe", "entropy_band", "10.0"),
+    ("energy-probe", "energy_band", "10.0"),
+    ("transfer-sweep", "max_displacement", "4"),
+    ("verify-local-opt", "noise_tol", "0.5"),
+    ("verify-local-opt", "require_optimal", "true"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, command, key, value):
     assert _run([command, "--set", f"{key}={value}", "--print-config"], tmp_path) == 1
@@ -132,21 +145,24 @@ def test_subcommand_defaults_are_the_library_defaults():
     import inspect
 
     from mupt.cli import _defaults
-    from mupt.diagnostics import (COORD_BAND, coord_check, energy_entropy_probe,
-                                  equivalence_check, init_variance_audit)
+    from mupt.diagnostics import (EXACT_TOL, INIT_VARIANCE_TOL, InitAudit, coord_check,
+                                  energy_entropy_probe, equivalence_check,
+                                  init_variance_audit)
     from mupt.search import verify_local_optimality
 
     for command, fn, keys in [
             ("coord-check", coord_check, "steps iters batch_size hidden_lr_scaling"),
             ("init-stats", init_variance_audit, "min_samples"),
-            ("equivalence-check", equivalence_check, "n_tokens tolerance"),
+            ("equivalence-check", equivalence_check, "n_tokens"),
             ("energy-probe", energy_entropy_probe, "n_seeds n_tokens"),
-            ("verify-local-opt", verify_local_optimality, "p alpha n scale noise_tol")]:
+            ("verify-local-opt", verify_local_optimality, "p alpha n scale")]:
         params = inspect.signature(fn).parameters
         cfg = _defaults(command)
         assert {k: cfg[k] for k in keys.split()} == {
             k: params[k].default for k in keys.split()}, command
-    assert _defaults("coord-check")["band"] == list(COORD_BAND)
+    # the pinned thresholds the CLI applies are the library's defaults too
+    assert inspect.signature(equivalence_check).parameters["tolerance"].default == EXACT_TOL
+    assert inspect.signature(InitAudit.within).parameters["tol"].default == INIT_VARIANCE_TOL
 
 
 @pytest.mark.parametrize("assignment", [
@@ -284,10 +300,10 @@ def test_equivalence_check_small(tmp_path, capsys):
     assert any(n.startswith("equivalence-") for n in os.listdir(tmp_path))
 
 
-def test_equivalence_check_gate_fails_on_absurd_tolerance(tmp_path, capsys):
+def test_equivalence_check_gate_fails_on_absurd_tolerance(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(diagnostics, "EXACT_TOL", 1e-30)
     rc = _run(["equivalence-check", "--set", "widths=[8]", "--set", "seeds=1",
-               "--set", 'paradigms=["scale_channels"]', "--set", "iters=1",
-               "--set", "tolerance=1e-30"], tmp_path)
+               "--set", 'paradigms=["scale_channels"]', "--set", "iters=1"], tmp_path)
     assert rc == 2
     assert "exceeds" in capsys.readouterr().err
 
@@ -295,8 +311,7 @@ def test_equivalence_check_gate_fails_on_absurd_tolerance(tmp_path, capsys):
 def test_coord_check_small(tmp_path, capsys):
     rc = _run(["coord-check", "--set", "model.width=16", "--set", "model.rank=4",
                "--set", "model.topics=32", "--set", "widths=[16,32]",
-               "--set", "steps=1", "--set", "batch_size=2", "--set", "iters=2",
-               "--set", "band=[0.05,20.0]"], tmp_path)
+               "--set", "steps=1", "--set", "batch_size=2", "--set", "iters=2"], tmp_path)
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "one-step update ratios" in out
@@ -311,10 +326,6 @@ def test_coord_check_small(tmp_path, capsys):
     ("coord-check", "batch_size=0", "batch_size >= 1"),
     ("coord-check", "widths=[64]", "at least 2 widths"),
     ("coord-check", "widths=[]", "at least 2 widths"),
-    ("coord-check", "band=[1]", "band must be [lo, hi]"),
-    ("coord-check", "band=[3.0,0.5]", "band must be [lo, hi]"),
-    ("coord-check", "band=[0,3.0]", "band must be [lo, hi]"),
-    ("coord-check", 'band=["a","b"]', "band must be [lo, hi]"),
     ("energy-probe", "widths=[64]", "at least 2 widths"),
     ("energy-probe", "n_seeds=0", "n_seeds must be >= 1"),
     # a check over nothing checks nothing, and a repeated entry nothing new
@@ -365,19 +376,70 @@ def test_bad_train_settings_are_config_errors(tmp_path, capsys, assignment):
 
 
 @pytest.mark.parametrize("scaling, code", [("constant", 0), ("mup", 2)])
-def test_coord_check_verdict_follows_lr_scaling(tmp_path, capsys, scaling, code):
+def test_coord_check_verdict_follows_lr_scaling(tmp_path, monkeypatch, capsys, scaling, code):
     # a band this narrow is left by both runs: only the control expects that
+    monkeypatch.setattr(diagnostics, "COORD_BAND", (0.99, 1.01))
     rc = _run(["coord-check", "--set", "model.width=16", "--set", "model.rank=4",
                "--set", "model.topics=32", "--set", "widths=[16,32]",
                "--set", "steps=1", "--set", "batch_size=2", "--set", "iters=2",
-               "--set", "band=[0.99,1.01]", "--set", f"hidden_lr_scaling={scaling}"],
-              tmp_path)
+               "--set", f"hidden_lr_scaling={scaling}"], tmp_path)
     captured = capsys.readouterr()
     assert f"coord-check[{scaling}]: " in captured.out
     assert "band violations over widths" in captured.out
     assert rc == code, captured.err
     if code:
         assert "expected stability" in captured.err
+
+
+# the energy slopes need the default ladder and seed count to pass
+_ONE_PARADIGM_PROBE = ["energy-probe", "--set", 'paradigms=["scale_channels"]']
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (diagnostics, "INIT_VARIANCE_TOL", ["init-stats", "--set", "widths=[64]"]),
+    (cli, "ENTROPY_SLOPE_BAND", _ONE_PARADIGM_PROBE),
+    (cli, "ENERGY_SLOPE_BAND", _ONE_PARADIGM_PROBE),
+    (cli, "MAX_DISPLACEMENT", ["transfer-sweep", *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
+                               "--set", "model.vocab_size=259", "--set", "widths=[8,16]"]),
+])
+def test_pinned_thresholds_are_read_as_the_check_runs(tmp_path, monkeypatch, capsys,
+                                                      module, name, argv):
+    # each check passes at its pinned threshold, and nothing lies within a negative one
+    assert _run(argv, tmp_path / "pinned") == 0, capsys.readouterr().out
+    monkeypatch.setattr(module, name, -1)
+    assert _run(argv, tmp_path / "negative") == 2
+    assert capsys.readouterr().err.startswith("check failed: ")
+
+
+# The divergence recipe of test_nan_eval_loss_is_divergence (its corpus and
+# all-ones information weights): at lr 1e79 and 1e80 both width-64 cells end
+# at +inf after 2 steps, while width 128 ends finite (about 1e227) and
+# diverges too by step 3.
+_DIVERGING_SWEEP = [
+    "transfer-sweep", "--set", "widths=[64,128]", "--set", "lr_grid=[1e79,1e80]",
+    "--set", "corpus.synthetic_bytes=4096", "--set", "corpus.seq_len=16",
+    "--set", "train.batch_size=4", "--set", "train.eval_interval=100",
+    "--set", "train.max_eval_chunks=8",
+    *[arg for w in ("unary", "tern_dep", "tern_head", "binary", "attn", "topic")
+      for arg in ("--set", f"hp.w_{w}=1.0")],
+]
+
+
+@pytest.mark.parametrize("steps, lost, best, kinds", [
+    (2, "64", {"64": None, "128": 0}, ["csv", "json", "svg"]),
+    (3, "64, 128", {"64": None, "128": None}, ["csv", "json"]),  # no finite loss to draw
+])
+def test_transfer_sweep_fails_on_a_width_where_every_lr_diverged(tmp_path, capsys, steps,
+                                                                 lost, best, kinds):
+    rc = _run([*_DIVERGING_SWEEP, "--set", f"train.steps={steps}"], tmp_path)
+    captured = capsys.readouterr()
+    assert rc == 2, captured.out + captured.err
+    assert captured.err == f"check failed: every learning rate diverged at width {lost}\n"
+    names = sorted(os.listdir(tmp_path))
+    assert [n.rsplit(".", 1)[1] for n in names] == kinds
+    (json_name,) = [n for n in names if n.endswith(".json")]
+    summary = json.loads((tmp_path / json_name).read_text())
+    assert summary["best_lr_index"] == best and summary["argmin_displacement"] is None
 
 
 def test_init_stats_small(tmp_path, capsys):
@@ -422,16 +484,16 @@ def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
 
 
 # Runs verify-local-opt on a pool of two workers, each of which leaves a file
-# named by its pid once it has started.
+# named by its pid once it has started a job.
 _POOLED_VERIFY = """
 import os, sys
 import mupt.training as t
 t._usable_cpus = lambda: 2
-start = t._start_worker
-def start_and_mark(*args):
-    start(*args)
+run_job = t._run_job
+def mark_and_run(i):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
-t._start_worker = start_and_mark
+    return run_job(i)
+t._run_job = mark_and_run
 from mupt.cli import main
 sys.exit(main(["verify-local-opt", "--out-dir", sys.argv[2]]))
 """

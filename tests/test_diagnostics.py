@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from mupt import diagnostics
 from mupt.config import HPPoint, InfoWeights, PTConfig
 from mupt.diagnostics import (
     BAND_PROBES,
@@ -186,7 +187,7 @@ def test_coord_check_divergence_stops_stepping():
             assert all(x == math.inf for x in report.variance[p][w][first_bad:])
 
 
-def test_coord_report_band_logic():
+def test_coord_report_band_logic(monkeypatch):
     rep = CoordReport(paradigm="scale_channels", widths=[8, 16], steps=1,
                       mean_abs={p: {8: [1.0, 1.0], 16: [1.0, 10.0]} for p in PROBES},
                       variance={p: {8: [0.0, 0.0], 16: [0.0, 0.0]} for p in PROBES},
@@ -195,7 +196,9 @@ def test_coord_report_band_logic():
     # step 1 blows the band on every band probe; step 0 is fine
     assert len(bad) == len(BAND_PROBES)
     assert all("step1" in b for b in bad)
-    assert rep.band_violations(lo=0.01, hi=100.0) == []
+    # the band is read as the check runs
+    monkeypatch.setattr(diagnostics, "COORD_BAND", (0.01, 100.0))
+    assert rep.band_violations() == []
     # delta_nz is exempt at step 0 even when zero there
     assert rep.ratio_table("nz", 1) == [10.0]
 

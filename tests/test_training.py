@@ -3,6 +3,7 @@ the process pool that trains independent runs side by side."""
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -196,6 +197,8 @@ def test_sweep_result_displacement():
     sweep = SweepResult(widths=[8, 16, 32], lr_grid=[0.1, 0.2],
                         records={}, best_lr_index={8: 0, 16: 1, 32: 1})
     assert sweep.argmin_displacement == 1
+    sweep.best_lr_index[16] = None          # every LR diverged at width 16
+    assert sweep.argmin_displacement is None
 
 
 def test_evaluate_without_tape_matches_taped_loss_bitwise():
@@ -233,6 +236,22 @@ def test_nan_eval_loss_is_divergence():
     assert all(math.isfinite(x) for x in rec.train_losses)
     assert rec.diverged and rec.final_eval_loss == math.inf
     assert rec.eval_losses == [sweep.records[(64, 1e-3)].eval_losses[0], math.inf]
+
+
+@pytest.mark.parametrize("steps, best", [(2, {64: None, 128: 0}), (3, {64: None, 128: None})])
+def test_a_width_where_every_lr_diverged_has_no_best_lr(steps, best):
+    # the recipe above at lr 1e79 and 1e80: after 2 steps both width-64 cells
+    # are +inf and width 128 is still finite (about 1e227); after 3 steps every
+    # cell has diverged. An argmin over all +inf would name index 0.
+    base = PTConfig(width=64, rank=16, channels=2, topics=128, vocab_size=259,
+                    pos_bias=False)
+    settings = TrainSettings(steps=steps, batch_size=4, eval_interval=100, max_eval_chunks=8)
+    sweep = transfer_sweep(WidthScaler(base, "scale_channels"), [64, 128], [1e79, 1e80], HP,
+                           encode_corpus(synth_text(1 << 12, 17), seq_len=16), seed=0,
+                           settings=settings)
+    assert all(sweep.records[(64, lr)].final_eval_loss == math.inf for lr in sweep.lr_grid)
+    assert sweep.best_lr_index == best
+    assert sweep.argmin_displacement is None
 
 
 def _cpus(monkeypatch, n):
@@ -279,6 +298,26 @@ def test_worker_count_is_one_inside_a_worker(monkeypatch):
     _cpus(monkeypatch, 2)
     assert training._worker_count(4) == 2
     assert map_jobs(training._worker_count, [(4,), (4,)]) == [1, 1]
+
+
+def _worker_view():
+    nested = map_jobs(os.getpid, [(), ()])
+    return os.getpid(), signal.getsignal(signal.SIGINT) == signal.SIG_IGN, nested
+
+
+def test_workers_ignore_ctrl_c_and_never_nest(monkeypatch):
+    _cpus(monkeypatch, 2)
+    handler = signal.getsignal(signal.SIGINT)
+    for pid, ignores_ctrl_c, nested in map_jobs(_worker_view, [()] * 2):
+        assert pid != os.getpid() and ignores_ctrl_c
+        assert nested == [pid, pid]             # serial, in the worker itself
+    # the job table is the caller's only while its pool runs, errors or not
+    assert training._WORKER_JOBS is None
+    with pytest.raises(ZeroDivisionError):
+        map_jobs(_fail_on_second, [(i,) for i in range(4)])
+    assert training._WORKER_JOBS is None
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert multiprocessing.active_children() == []
 
 
 def test_another_thread_means_serial(monkeypatch):
