@@ -18,7 +18,9 @@ elementwise-relative error against any non-bit-identical twin.
 The remaining checks quantify the width-scaling contract: coordinate norms
 and one-step update sizes along a width ladder (with a deliberately
 mis-scaled control), output-logit variance decay at init, and the literal
-energy/entropy magnitudes against their predicted power laws.
+energy/entropy magnitudes against their predicted power laws. The widths of
+the coordinate check train in parallel on the usable CPUs, with a report
+identical to a serial ladder.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
 from .rng import SeededRng
-from .training import TrainSettings, train_steps
+from .training import TrainSettings, map_jobs, train_steps
 from .util import canonical_json
 
 __all__ = [
@@ -393,6 +395,48 @@ def _check_seeds(n_seeds: int) -> None:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
 
 
+def _coord_width(config: PTConfig, hp: HPPoint, corpus: corpus_mod.Corpus, seed: int,
+                 steps: int, batch_size: int, iters: int,
+                 hidden_lr_scaling: str) -> tuple[dict, dict, bool]:
+    """Train one width of the ladder: (mean_abs, variance, diverged), each
+    probe's list holding one value per recorded step."""
+    root = SeededRng(seed)
+    probe_chunks = corpus.ids[:batch_size]
+    params = model.ModelParams.init(config, root.spawn("params"))
+    opt = AdamW(model.tensor_shapes(config), config.width, hp.lr,
+                hidden_lr_scaling=hidden_lr_scaling)
+    mean_abs = {p: [] for p in PROBES}
+    variance = {p: [] for p in PROBES}
+    nz0 = None
+
+    def record(step_dead: bool) -> None:
+        nonlocal nz0
+        if step_dead:
+            for p in PROBES:
+                mean_abs[p].append(math.inf)
+                variance[p].append(math.inf)
+            return
+        probes = _probe_forward(config, params.tensors, probe_chunks, hp.weights, iters)
+        if nz0 is None:
+            nz0 = probes["nz"].copy()
+        probes["delta_nz"] = probes["nz"] - nz0
+        for p in PROBES:
+            mean_abs[p].append(float(np.abs(probes[p]).mean()))
+            variance[p].append(float(probes[p].var()))
+
+    record(False)
+    # width-independent batches and corruption: the same keyed streams are
+    # spawned afresh for every width
+    batches = ((corpus.ids[batch_size * (t + 1):batch_size * (t + 2)],
+                root.spawn(f"batch-mask/{t}")) for t in range(steps))
+    diverged = False
+    for loss in train_steps(config, params, opt, hp, corpus, batches,
+                            TrainSettings.mask_ratio, iters):
+        diverged = not math.isfinite(loss)
+        record(diverged)
+    return mean_abs, variance, diverged
+
+
 def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
                 steps: int = 10, seed: int = 0, batch_size: int = 4,
                 iters: int = 3, hidden_lr_scaling: str = "mup") -> CoordReport:
@@ -401,6 +445,12 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
     Every width sees identical token batches, identical corruption, and the
     same base LR; only the geometry (and with it the grouped LRs) changes.
     hidden_lr_scaling="constant" is the deliberately mis-scaled control.
+
+    Every width's geometry is built before any width trains, so a width the
+    scaler refuses fails at once. The widths then train in parallel on the
+    usable CPUs (training.map_jobs), widest first, each whole in one process,
+    so the report is identical to a serial ladder; `taskset -c 0` makes the
+    ladder serial.
     """
     _check_ladder(widths)
     if sorted(widths) != list(widths):
@@ -408,55 +458,20 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
     if steps < 0 or batch_size < 1 or iters < 1:
         raise ConfigError(f"coord_check needs steps >= 0, batch_size >= 1 and iters >= 1, "
                           f"got {steps}, {batch_size} and {iters}")
-    base = scaler.base
     seq_len = 32
     corpus = corpus_mod.encode_corpus(corpus_mod.synth_text(1 << 15, seed), seq_len)
-    if corpus.vocab_size != base.vocab_size:
+    if corpus.vocab_size != scaler.base.vocab_size:
         raise ConfigError(f"scaler base vocab must be {corpus.vocab_size} for the byte corpus")
-
     if corpus.num_chunks < batch_size * (steps + 2):
         raise ConfigError("diagnostic corpus too small for the requested step count")
-    root = SeededRng(seed)
-    probe_chunks = corpus.ids[:batch_size]
-
-    mean_abs = {p: {w: [] for w in widths} for p in PROBES}
-    variance = {p: {w: [] for w in widths} for p in PROBES}
-    diverged = dict.fromkeys(widths, False)
-
-    for width in widths:
-        config = scaler.config_at(width)
-        params = model.ModelParams.init(config, SeededRng(seed).spawn("params"))
-        opt = AdamW(model.tensor_shapes(config), width, hp.lr,
-                    hidden_lr_scaling=hidden_lr_scaling)
-        nz0 = None
-
-        def record(step_dead: bool) -> None:
-            nonlocal nz0
-            if step_dead:
-                for p in PROBES:
-                    mean_abs[p][width].append(math.inf)
-                    variance[p][width].append(math.inf)
-                return
-            probes = _probe_forward(config, params.tensors, probe_chunks, hp.weights, iters)
-            if nz0 is None:
-                nz0 = probes["nz"].copy()
-            probes["delta_nz"] = probes["nz"] - nz0
-            for p in PROBES:
-                mean_abs[p][width].append(float(np.abs(probes[p]).mean()))
-                variance[p][width].append(float(probes[p].var()))
-
-        record(False)
-        # width-independent batches and corruption: the same keyed streams
-        # are spawned afresh for every width
-        batches = ((corpus.ids[batch_size * (t + 1):batch_size * (t + 2)],
-                    root.spawn(f"batch-mask/{t}")) for t in range(steps))
-        for loss in train_steps(config, params, opt, hp, corpus, batches,
-                                TrainSettings.mask_ratio, iters):
-            diverged[width] = not math.isfinite(loss)
-            record(diverged[width])
-
+    widest_first = {w: scaler.config_at(w) for w in reversed(widths)}
+    done = dict(zip(widest_first, map_jobs(_coord_width, [
+        (config, hp, corpus, seed, steps, batch_size, iters, hidden_lr_scaling)
+        for config in widest_first.values()])))
     return CoordReport(paradigm=scaler.paradigm, widths=list(widths), steps=steps,
-                       mean_abs=mean_abs, variance=variance, diverged=diverged)
+                       mean_abs={p: {w: done[w][0][p] for w in widths} for p in PROBES},
+                       variance={p: {w: done[w][1][p] for w in widths} for p in PROBES},
+                       diverged={w: done[w][2] for w in widths})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ order, per-step corruption, and the frozen eval corruption all come from named
 child streams of the run seed, so a rerun reproduces every recorded number
 bit for bit. The wall-clock field is the one exception and is excluded from
 semantic equality. Being pure, the runs of a sweep are independent jobs, and
-map_jobs trains them side by side on the usable CPUs.
+map_jobs trains them side by side on the usable CPUs: the cells of
+transfer_sweep here, the runs of search.verify_local_optimality and the
+widths of diagnostics.coord_check.
 """
 from __future__ import annotations
 
@@ -194,14 +196,6 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
     and the masked-LM loss, and the gradient step is applied to
     params.tensors in place before the loss is yielded. After the first
     non-finite loss every later batch yields +inf and nothing steps again.
-
-    A generator on purpose, not a function returning one loss: its locals
-    (the tape behind `loss`, the gradients) stay alive across `yield` until
-    the next step rebinds them. Freed at every return instead, that memory
-    is trimmed from the heap and faulted back in on the next step; at width
-    256 (one BLAS thread) that took 9538 page faults per step against 177
-    and 18% more time per step (median of 5 runs of 60 steps each), for
-    18 MB less peak memory.
     """
     diverged = False
     for chunks, mask_rng in batches:

@@ -198,6 +198,22 @@ def test_reverse_grad_returns_exact_zeros_for_untouched_params():
     assert (grads["unused"] == 0.0).all()
 
 
+def test_backward_frees_what_its_vjps_read_and_walks_a_tape_once():
+    x = ad.Var(np.arange(3.0))
+    w = np.full(3, 2.0)
+    read = weakref.ref(w)
+    loss = ad.reduce_sum(ad.mul(x, w))      # mul's vjp reads w
+    del w
+    assert read() is not None
+    np.testing.assert_array_equal(ad.reverse_grad(loss, {"x": x})["x"], np.full(3, 2.0))
+    assert read() is None                   # freed by the walk, the loss still alive
+    with pytest.raises(ValueError, match="earlier backward pass"):
+        ad.reverse_grad(loss, {"x": x})
+    # the leaf starts a new tape
+    np.testing.assert_array_equal(
+        ad.reverse_grad(ad.reduce_sum(ad.square(x)), {"x": x})["x"], 2.0 * np.arange(3.0))
+
+
 def test_ops_on_constants_stay_off_the_tape():
     leaf = ad.Var(np.ones(3))
     const = ad.mul(np.ones(3), 2.0)

@@ -6,11 +6,12 @@ physics sanity on tiny ladders.
 """
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from mupt import diagnostics
+from mupt import diagnostics, training
 from mupt.config import HPPoint, InfoWeights, PTConfig
 from mupt.diagnostics import (
     BAND_PROBES,
@@ -167,6 +168,32 @@ def test_coord_check_structure():
     assert isinstance(report.band_violations(), list)
     with pytest.raises(ConfigError):
         coord_check(TINY_LADDER, [32, 16], DIAG_HP, steps=1)
+
+
+def test_coord_check_pooled_equals_serial(monkeypatch, tmp_path):
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        reports.append(coord_check(TINY_LADDER, [16, 32, 64], DIAG_HP, steps=2, seed=0,
+                                   batch_size=2, iters=2))
+        write_coord_csv(reports[-1], tmp_path / f"coord{cpus}.csv")
+        assert multiprocessing.active_children() == []
+    serial, pooled = reports
+    assert pooled.mean_abs == serial.mean_abs
+    assert pooled.variance == serial.variance
+    assert pooled.diverged == serial.diverged
+    assert (tmp_path / "coord1.csv").read_bytes() == (tmp_path / "coord2.csv").read_bytes()
+
+
+def test_coord_check_refuses_an_uneven_width_before_training(monkeypatch):
+    # 36 channels-scales the width-16 base to 4.5 channels; 16 and 32 scale evenly
+    def no_training(*args):
+        raise AssertionError("a width trained")
+
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(diagnostics, "train_steps", no_training)
+    with pytest.raises(ConfigError, match="to 36"):
+        coord_check(TINY_LADDER, [16, 32, 36], DIAG_HP, steps=1, batch_size=2, iters=2)
 
 
 def test_coord_check_divergence_stops_stepping():

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -373,3 +375,46 @@ def test_job_errors_escape_as_they_are(monkeypatch, cpus):
     with pytest.raises(ZeroDivisionError, match="job 1"):
         map_jobs(_fail_on_second, [(i,) for i in range(4)])
     assert multiprocessing.active_children() == []
+
+
+# Evaluates a freshly initialised width-512 model twice in a new process and
+# prints the minor page faults of the second pass.
+_EVAL_FAULTS = """
+import resource
+import numpy as np
+from mupt import training
+from mupt.config import PTConfig
+from mupt.corpus import encode_corpus, synth_text
+from mupt.diagnostics import DIAG_HP
+from mupt.model import ModelParams
+from mupt.rng import SeededRng
+config = PTConfig(width=512, rank=16, channels=16, topics=1024, vocab_size=259,
+                  pos_bias=False)
+settings = training.TrainSettings(batch_size=4, max_eval_chunks=4)
+batches = training.build_eval_batches(config, encode_corpus(synth_text(1 << 12, 0), 32),
+                                      np.arange(4), settings, SeededRng(0))
+params = ModelParams.init(config, SeededRng(0)).tensors
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.evaluate(config, params, DIAG_HP, batches, 3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned on glibc only")
+def test_the_heap_stays_mapped_between_evaluation_passes():
+    # unpinned, glibc hands a width-512 pass's temporaries back to the OS and
+    # faults them in again on the next pass: 3391 minor faults on the second
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _EVAL_FAULTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 100
