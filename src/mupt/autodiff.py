@@ -29,6 +29,12 @@ log_softmax_rows are not primitives: they compose square, reduce_mean, add,
 sqrt, div and mul, and sub and logsumexp. Everything is float64 unless the
 caller hands in float32 explicitly.
 
+`fused` makes one node of a composite whose reverse is written by hand:
+model.sweep, a whole mean-field sweep, is one. Its backward runs once and
+hands each taped input its cotangent; it is never asked for a constant's.
+Such a node keeps what its backward reads, like any other, so the composite's
+intermediates are freed after its forward unless that backward reads them.
+
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.
 
@@ -47,6 +53,7 @@ __all__ = [
     "Var",
     "as_var",
     "val",
+    "fused",
     "add", "sub", "mul", "div", "sqrt", "square",
     "matmul", "transpose", "swapaxes", "reshape",
     "reduce_sum", "reduce_mean", "take", "take_along",
@@ -143,6 +150,29 @@ def _node(value, inputs: tuple, vjps: tuple) -> Var:
         parents, kept = zip(*links)
         out._link = _Link(parents, kept)
     return out
+
+
+def fused(value, inputs: tuple, backward: Callable) -> Var:
+    """One node for a composite whose reverse is written by hand.
+
+    backward(g, wanted) gets the cotangent of `value` and one flag per input,
+    true where the input is on the tape, and returns one cotangent per input
+    (None where the flag is false, so a constant's cotangent is never
+    computed). It runs once per backward pass: the node's per-input vjps
+    share its result, and reverse_grad calls them back to back.
+    """
+    inputs = tuple(as_var(a) for a in inputs)
+    wanted = tuple(a.on_tape for a in inputs)
+    pending: dict[int, np.ndarray] = {}
+
+    def part(i):
+        def vjp(g):
+            if not pending:
+                pending.update((j, c) for j, c in enumerate(backward(g, wanted)) if wanted[j])
+            return pending.pop(i)
+        return vjp
+
+    return _node(value, inputs, tuple(part(i) for i in range(len(inputs))))
 
 
 def val(x) -> np.ndarray:
@@ -337,16 +367,17 @@ def softmax_rows(x, mask=None) -> Var:
     """
     x = as_var(x)
     p = _softmax_np(x.value, mask)
+    return _node(p, (x,), (lambda g: _softmax_vjp(p, g),))
 
-    def vjp(g):
-        # p * (g - sum(g * p)), with one temporary
-        out = g * p
-        inner = out.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=out)
-        out *= p
-        return out
 
-    return _node(p, (x,), (vjp,))
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The cotangent of a row softmax's input, p * (g - sum(g * p)), with one
+    temporary; p is the softmax's output and g the cotangent of p."""
+    out = g * p
+    inner = out.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=out)
+    out *= p
+    return out
 
 
 def _softmax_np(x: np.ndarray, mask) -> np.ndarray:

@@ -31,6 +31,21 @@ the label messages. The ternary messages apply Q_h per channel in r
 dimensions and sum over channels inside a single (B*n, C*r) @ (C*r, N) GEMM
 against the stacked factor; no (B, C, n, N) tensor is formed.
 
+A sweep is one tape node, in the manner of CRF-as-RNN (arXiv:1502.03240),
+not a chain of about sixty primitive ops. Its forward runs update_topics,
+update_heads and update_z on plain arrays, each in the order of operations
+the composed sweep used, so every forward value is bit-identical to it. Only
+the new Q_z crosses sweeps, so it is the node's one taped output; Q_h, Q_g
+and the logits come back as plain arrays. Its vjp, `_sweep_backward`, is the
+hand-derived reverse of the sweep, from the new Q_z's cotangent to those of
+the incoming Q_z, S[tokens], the stacked U_s and V_s, B and the position
+bias; it keeps only the arrays it reads, not F or w_attn * F. What every
+sweep reads but none changes (S[tokens], U_s, V_s, the position bias, the
+head support and the valid-row multiplier) init_mfvi forms once per forward
+as ordinary tape nodes, the `SweepInvariants`, so each cotangent is summed
+over the sweeps before it goes further back. tests/composed_sweep.py keeps
+the composed sweep as the oracle.
+
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
 real positions; masked-out positions neither attend nor get attended to.
@@ -44,14 +59,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import mup
-from .autodiff import Var
+from .autodiff import Var, val
 from .config import PTConfig, InfoWeights
 from .errors import ConfigError
 from .rng import SeededRng, gaussian_tensor
 
 __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
-    "position_buckets", "init_mfvi", "low_rank_products",
+    "position_buckets", "SweepInvariants", "init_mfvi", "low_rank_products",
     "update_heads", "update_topics", "update_z", "sweep", "run_mfvi", "quasi",
     "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
@@ -128,15 +143,18 @@ class MFVIState:
 
     q_z: (B, n, N) labels; q_h: (B, C, n, n) head selections, row [b, c, i, :]
     is position i's distribution over heads j != i; q_g: (B, n, M) topics.
-    tokens and token_mask are (B, n).
+    tokens and token_mask are (B, n). Only Q_z crosses sweeps, so only q_z is
+    a Var (on the tape when the parameters are); q_h and q_g are plain
+    arrays. invariants is what init_mfvi formed for every sweep to read.
     """
 
     tokens: np.ndarray
     q_z: Union[Var, np.ndarray]
-    q_h: Union[Var, np.ndarray]
-    q_g: Union[Var, np.ndarray]
+    q_h: np.ndarray
+    q_g: np.ndarray
     token_mask: np.ndarray | None = None
     sweeps: int = 0
+    invariants: SweepInvariants | None = None
 
 
 def position_buckets(n: int, n_buckets: int, clip: int) -> np.ndarray:
@@ -175,9 +193,37 @@ def quasi(q, count: int):
     return ad.mul(q, float(count))
 
 
+@dataclass(frozen=True)
+class SweepInvariants:
+    """What every sweep of one forward reads and no sweep changes.
+
+    init_mfvi forms these once per forward, so the cotangent of each is summed
+    once over the sweeps. s_rows is S[tokens], (B*n, N); u_s and v_s are the
+    stacked factors, (N, C*r), column c*r + k holding U[c][:, k] (and V); bias
+    is the relative-position bias P_rel[c, bucket(i - j)], (C, n, n), or None;
+    support is the boolean head support, j != i and j real, broadcastable to
+    (B, C, n, n); rows_valid is the (B, 1, n, 1) multiplier zeroing the head
+    rows of padding positions, or None. The first four are Vars, on the tape
+    when the parameters are; `arrays()` is the plain-array twin that the
+    update functions read.
+    """
+
+    s_rows: Var | np.ndarray
+    u_s: Var | np.ndarray
+    v_s: Var | np.ndarray
+    bias: Var | np.ndarray | None
+    support: np.ndarray
+    rows_valid: np.ndarray | None
+
+    def arrays(self) -> "SweepInvariants":
+        return replace(self, s_rows=val(self.s_rows), u_s=val(self.u_s), v_s=val(self.v_s),
+                       bias=None if self.bias is None else val(self.bias))
+
+
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
               token_mask: np.ndarray | None = None) -> MFVIState:
-    """Sweep-0 posteriors: unary-only labels, uniform heads and topics."""
+    """Sweep-0 posteriors, unary-only labels with uniform heads and topics,
+    and the invariants every sweep reads."""
     tokens = np.asarray(tokens)
     if not np.issubdtype(tokens.dtype, np.integer):
         raise ConfigError("tokens must be integers")
@@ -192,8 +238,9 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
         raise ConfigError(f"token_mask must have the tokens' shape {tokens.shape}, "
                           f"got {np.shape(token_mask)}")
 
-    s_rows = ad.take(params["S"], tokens)
-    q_z = ad.softmax_rows(ad.mul(s_rows, iw.w_unary))
+    width, stacked = config.width, config.channels * config.rank
+    s_rows = ad.take(params["S"], tokens.reshape(-1))
+    q_z = ad.softmax_rows(ad.reshape(ad.mul(s_rows, iw.w_unary), (batch, n, width)))
 
     support = _attn_mask(n, token_mask)
     counts = support.sum(axis=-1, keepdims=True)
@@ -205,103 +252,95 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
             raise ConfigError("degenerate distribution support: a position has no head candidates")
         uniform_h = uniform_h * rows_valid
     q_h = np.broadcast_to(uniform_h, (batch, config.channels, n, n)).copy()
-
     q_g = np.full((batch, n, config.topics), 1.0 / config.topics, dtype=np.float64)
+
+    bias = None
+    if config.pos_bias:
+        buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
+        bias = ad.transpose(ad.take(ad.swapaxes(params["P_rel"], 0, 1), buckets), (2, 0, 1))
+    invariants = SweepInvariants(
+        s_rows=s_rows,
+        u_s=ad.reshape(ad.transpose(params["U"], (1, 0, 2)), (width, stacked)),
+        v_s=ad.reshape(ad.transpose(params["V"], (1, 0, 2)), (width, stacked)),
+        bias=bias, support=support, rows_valid=rows_valid)
     return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
-                     token_mask=token_mask, sweeps=0)
+                     token_mask=token_mask, sweeps=0, invariants=invariants)
 
 
-def low_rank_products(config: PTConfig, params: ParamsLike, state: MFVIState):
-    """(Nz U, Nz V, U_s, V_s): the stacked factors U_s, V_s of shape (N, C*r),
-    column c*r + k holding U[c][:, k] (and V), and Nz of `state` flattened to
-    (B*n, N) times each of them, (B*n, C*r)."""
-    width, stacked = config.width, config.channels * config.rank
-    u_s = ad.reshape(ad.transpose(params["U"], (1, 0, 2)), (width, stacked))
-    v_s = ad.reshape(ad.transpose(params["V"], (1, 0, 2)), (width, stacked))
-    nz = ad.reshape(quasi(state.q_z, width), (-1, width))
-    return ad.matmul(nz, u_s), ad.matmul(nz, v_s), u_s, v_s
+def _per_channel(config: PTConfig, x: np.ndarray) -> np.ndarray:
+    """(B, n, C*r) -> the (B, C, n, r) view with channels ahead of positions."""
+    return x.reshape(x.shape[:2] + (config.channels, config.rank)).transpose(0, 2, 1, 3)
 
 
-def _per_channel(config: PTConfig, x, batch: int):
-    """(B*n, C*r) -> the (B, C, n, r) view with channels ahead of positions."""
-    x = ad.reshape(x, (batch, -1, config.channels, config.rank))
-    return ad.transpose(x, (0, 2, 1, 3))
+def _stacked(config: PTConfig, per_channel: np.ndarray) -> np.ndarray:
+    """(B, C, n, r) -> (B*n, C*r), the inverse of `_per_channel` flattened."""
+    return per_channel.transpose(0, 2, 1, 3).reshape(-1, config.channels * config.rank)
 
 
-def _channel_sum(config: PTConfig, per_channel, factor_t):
-    """sum_c per_channel[:, c] @ factor_c^T as one GEMM: (B, C, n, r) against
-    the transposed stacked factor (C*r, N) gives (B*n, N)."""
-    stacked = ad.reshape(ad.transpose(per_channel, (0, 2, 1, 3)),
-                         (-1, config.channels * config.rank))
-    return ad.matmul(stacked, factor_t)
+def low_rank_products(inv: SweepInvariants, nz: np.ndarray):
+    """(Nz U_s, Nz V_s), each (B, n, C*r), from the quasi-labels Nz, (B, n, N):
+    one (B*n, N) @ (N, C*r) GEMM each for all channels."""
+    flat = nz.reshape(-1, nz.shape[-1])
+    shape = nz.shape[:2] + (-1,)
+    return np.matmul(flat, inv.u_s).reshape(shape), np.matmul(flat, inv.v_s).reshape(shape)
 
 
-def update_heads(config: PTConfig, params: ParamsLike, state: MFVIState,
-                 iw: InfoWeights, products):
+def update_heads(config: PTConfig, iw: InfoWeights, inv: SweepInvariants,
+                 nz_u: np.ndarray, nz_v: np.ndarray):
     """(F, Q_h): the bilinear head logits of all channels, (B, C, n, n), and
     the softmax of w_attn * F over j != i, exact zeros off-support.
 
     F[b, c, i, j] = (1/r) (Nz[i] U_c) . (Nz[j] V_c), plus the learned
-    relative-position bias when the geometry enables it. `products` is
-    `low_rank_products` of this state.
+    relative-position bias when the geometry enables it. nz_u and nz_v are
+    `low_rank_products` of the incoming Nz.
     """
-    batch, n = state.tokens.shape
-    nz_u, nz_v = products[:2]
-    q = _per_channel(config, nz_u, batch)
-    k = _per_channel(config, nz_v, batch)
-    f = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / config.rank)
-    if config.pos_bias:
-        buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
-        prel = ad.take(ad.swapaxes(params["P_rel"], 0, 1), buckets)
-        f = ad.add(f, ad.transpose(prel, (2, 0, 1)))
-    q_h = ad.softmax_rows(ad.mul(f, iw.w_attn), _attn_mask(n, state.token_mask))
-    rows_valid = _valid_rows(state.token_mask)
-    if rows_valid is not None:
-        q_h = ad.mul(q_h, rows_valid)
+    f = np.matmul(_per_channel(config, nz_u), _per_channel(config, nz_v).swapaxes(-1, -2))
+    f *= 1.0 / config.rank
+    if inv.bias is not None:
+        f += inv.bias
+    q_h = ad._softmax_np(f * iw.w_attn, inv.support)
+    if inv.rows_valid is not None:
+        q_h *= inv.rows_valid
     return f, q_h
 
 
-def update_topics(config: PTConfig, params: ParamsLike, state: MFVIState,
-                  iw: InfoWeights):
+def update_topics(config: PTConfig, iw: InfoWeights, b: np.ndarray, nz: np.ndarray):
     """(topic logits, Q_g): w_topic * (M/N) * Nz B^T, (B, n, M), and its softmax."""
-    nz = ad.reshape(quasi(state.q_z, config.width), (-1, config.width))
-    logits = ad.mul(ad.matmul(nz, ad.swapaxes(params["B"], 0, 1)),
-                    iw.w_topic * (config.topics / config.width))
-    logits = ad.reshape(logits, state.tokens.shape + (config.topics,))
-    return logits, ad.softmax_rows(logits)
+    logits = np.matmul(nz.reshape(-1, config.width), b.swapaxes(0, 1))
+    logits *= iw.w_topic * (config.topics / config.width)
+    logits = logits.reshape(nz.shape[:2] + (config.topics,))
+    return logits, ad._softmax_np(logits, None)
 
 
-def update_z(config: PTConfig, params: ParamsLike, state: MFVIState,
-             iw: InfoWeights, products):
-    """(label logits, Q_z): unary + topic message + both ternary messages,
-    (B, n, N), and their softmax.
+def update_z(config: PTConfig, iw: InfoWeights, inv: SweepInvariants, b: np.ndarray,
+             q_h: np.ndarray, q_g: np.ndarray, nz_u: np.ndarray, nz_v: np.ndarray):
+    """(label logits, Q_z, ternary): unary + topic message + both ternary
+    messages, (B, n, N), their softmax, and the two (B*n, C*r) GEMM operands
+    the ternary messages were formed from.
 
-    The head posteriors in `state` weight messages in both directions: as the
-    dependent (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and
-    as somebody's head (column i of Q_h, direction V_c U_c^T). `products` is
+    The head posteriors weight messages in both directions: as the dependent
+    (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and as
+    somebody's head (column i of Q_h, direction V_c U_c^T). nz_u and nz_v are
     `low_rank_products` of the Q_z the messages are sent from; Q_h is applied
     per channel in r dimensions and the channel sum happens inside the GEMM
     against the stacked factor.
     """
-    batch = state.tokens.shape[0]
-    nz_u, nz_v, u_s, v_s = products
-    q_h = state.q_h
-    dep = _channel_sum(config, ad.matmul(q_h, _per_channel(config, nz_v, batch)),
-                       ad.swapaxes(u_s, 0, 1))
-    head = _channel_sum(config, ad.matmul(ad.swapaxes(q_h, -1, -2),
-                                          _per_channel(config, nz_u, batch)),
-                        ad.swapaxes(v_s, 0, 1))
+    dep_in = _stacked(config, np.matmul(q_h, _per_channel(config, nz_v)))
+    head_in = _stacked(config, np.matmul(q_h.swapaxes(-1, -2), _per_channel(config, nz_u)))
+    ng = (q_g * float(config.topics)).reshape(-1, config.topics)
 
-    s_rows = ad.take(params["S"], state.tokens.reshape(-1))
-    ng = ad.reshape(quasi(state.q_g, config.topics), (-1, config.topics))
-    binary = ad.matmul(ng, params["B"])
-
-    logits = ad.add(
-        ad.add(ad.mul(s_rows, iw.w_unary), ad.mul(binary, iw.w_binary)),
-        ad.add(ad.mul(dep, iw.w_tern_dep), ad.mul(head, iw.w_tern_head)),
-    )
-    logits = ad.reshape(logits, state.tokens.shape + (config.width,))
-    return logits, ad.softmax_rows(logits)
+    logits = inv.s_rows * iw.w_unary
+    binary = np.matmul(ng, b)
+    binary *= iw.w_binary
+    logits += binary
+    dep = np.matmul(dep_in, inv.u_s.swapaxes(0, 1))
+    dep *= iw.w_tern_dep
+    head = np.matmul(head_in, inv.v_s.swapaxes(0, 1))
+    head *= iw.w_tern_head
+    dep += head
+    logits += dep
+    logits = logits.reshape(q_g.shape[:2] + (config.width,))
+    return logits, ad._softmax_np(logits, None), (dep_in, head_in)
 
 
 def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeights):
@@ -312,13 +351,121 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     `low_rank_products`, and shared by both. The topic and label logits are
     exactly what the sweep passed through softmax; F is the head softmax's
     input before the w_attn factor.
+
+    The sweep is one tape node. Only the new Q_z crosses sweeps, so it is the
+    node's one output, a Var, on the tape when the incoming Q_z, the
+    invariants or B are; Q_h, Q_g and the three logit tensors are plain
+    arrays. Its vjp, `_sweep_backward`, keeps the arrays it reads, not F or
+    w_attn * F.
     """
-    products = low_rank_products(config, params, state)
-    f, q_h = update_heads(config, params, state, iw, products)
-    g, q_g = update_topics(config, params, state, iw)
-    refreshed = replace(state, q_h=q_h, q_g=q_g)
-    z, q_z = update_z(config, params, refreshed, iw, products)
-    return replace(refreshed, q_z=q_z, sweeps=state.sweeps + 1), f, g, z
+    inv = state.invariants
+    if inv is None:
+        raise ConfigError("sweep needs a state from init_mfvi, which forms its invariants")
+    arrays = inv.arrays()
+    q_z, b = ad.as_var(state.q_z), ad.as_var(params["B"])
+    nz = q_z.value * float(config.width)
+    # Topics first, and Nz freed before the heads. With the heads first, a
+    # second width-512 evaluation pass grew the heap by 768 KiB (192 page
+    # faults) in 12 of 190 heap layouts, varied through the environment's
+    # size; in this order it grew in none of 390.
+    g, q_g = update_topics(config, iw, b.value, nz)
+    nz_u, nz_v = low_rank_products(arrays, nz)
+    del nz
+    f, q_h = update_heads(config, iw, arrays, nz_u, nz_v)
+    z, q_z_next, ternary = update_z(config, iw, arrays, b.value, q_h, q_g, nz_u, nz_v)
+
+    kept = _SweepKept(q_z_in=q_z.value, q_z=q_z_next, q_h=q_h, q_g=q_g, nz_u=nz_u,
+                      nz_v=nz_v, dep_in=ternary[0], head_in=ternary[1],
+                      u_s=arrays.u_s, v_s=arrays.v_s, b=b.value)
+    inputs = (q_z, inv.s_rows, inv.u_s, inv.v_s, b) + (() if inv.bias is None else (inv.bias,))
+    out = ad.fused(q_z_next, inputs, lambda grad, wanted: _sweep_backward(
+        config, iw, kept, grad, wanted))
+    return replace(state, q_z=out, q_h=q_h, q_g=q_g, sweeps=state.sweeps + 1), f, g, z
+
+
+@dataclass(frozen=True)
+class _SweepKept:
+    """The arrays a sweep's vjp reads: its input and output Q_z, the refreshed
+    Q_h (zero on padding rows) and Q_g, Nz U and Nz V, the ternary GEMM
+    operands, and the factors U_s, V_s and B."""
+
+    q_z_in: np.ndarray
+    q_z: np.ndarray
+    q_h: np.ndarray
+    q_g: np.ndarray
+    nz_u: np.ndarray
+    nz_v: np.ndarray
+    dep_in: np.ndarray
+    head_in: np.ndarray
+    u_s: np.ndarray
+    v_s: np.ndarray
+    b: np.ndarray
+
+
+def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.ndarray,
+                    wanted: tuple):
+    """The reverse of one sweep: from the cotangent g of the new Q_z to those
+    of (incoming Q_z, s_rows, U_s, V_s, B[, bias]), None where not wanted.
+
+    Each step undoes one line of the forward, in reverse: the label softmax;
+    the unary, topic and ternary messages; the topic softmax and logits; the
+    head softmax, which needs no rows_valid because Q_h is already zero on
+    padding rows; the bilinear logits; and Nz U, Nz V and Nz = N * Q_z.
+    """
+    want_qz, want_s, want_u, want_v, want_b = wanted[:5]
+    want_bias = len(wanted) > 5 and wanted[5]
+    width, topics = config.width, config.topics
+    gl = ad._softmax_vjp(kept.q_z, g).reshape(-1, width)
+    nz = (kept.q_z_in * float(width)).reshape(-1, width)
+    g_nz = g_s = g_u = g_v = g_b = g_bias = None
+
+    if want_s:
+        g_s = gl * iw.w_unary
+    if want_qz or want_b:                       # binary message and topic update
+        g_bin = gl * iw.w_binary
+        g_ng = np.matmul(g_bin, kept.b.swapaxes(-1, -2))
+        g_ng *= float(topics)
+        g_log = ad._softmax_vjp(kept.q_g, g_ng.reshape(kept.q_g.shape)).reshape(-1, topics)
+        g_log *= iw.w_topic * (topics / width)
+        if want_b:
+            ng = (kept.q_g * float(topics)).reshape(-1, topics)
+            g_b = np.matmul(ng.swapaxes(-1, -2), g_bin)
+            g_b += np.matmul(nz.swapaxes(-1, -2), g_log).swapaxes(0, 1)
+        if want_qz:
+            g_nz = np.matmul(g_log, kept.b)
+    if want_qz or want_u or want_v or want_bias:    # ternary messages and heads
+        q, k = _per_channel(config, kept.nz_u), _per_channel(config, kept.nz_v)
+        g_dep = gl * iw.w_tern_dep
+        g_head = gl * iw.w_tern_head
+        shape = kept.nz_u.shape
+        g_dep_pc = _per_channel(config, np.matmul(g_dep, kept.u_s).reshape(shape))
+        g_head_pc = _per_channel(config, np.matmul(g_head, kept.v_s).reshape(shape))
+        g_qh = np.matmul(g_dep_pc, k.swapaxes(-1, -2))
+        g_qh += np.matmul(g_head_pc, q.swapaxes(-1, -2)).swapaxes(-1, -2)
+        g_f = ad._softmax_vjp(kept.q_h, g_qh)
+        g_f *= iw.w_attn
+        if want_bias:
+            g_bias = g_f.sum(axis=0)
+        g_f *= 1.0 / config.rank
+        g_q = np.matmul(g_f, k)
+        g_q += np.matmul(kept.q_h, g_head_pc)
+        g_k = np.matmul(q.swapaxes(-1, -2), g_f).swapaxes(-1, -2)
+        g_k += np.matmul(kept.q_h.swapaxes(-1, -2), g_dep_pc)
+        g_nz_u, g_nz_v = _stacked(config, g_q), _stacked(config, g_k)
+        if want_u:
+            g_u = np.matmul(nz.swapaxes(-1, -2), g_nz_u)
+            g_u += np.matmul(kept.dep_in.swapaxes(-1, -2), g_dep).swapaxes(0, 1)
+        if want_v:
+            g_v = np.matmul(nz.swapaxes(-1, -2), g_nz_v)
+            g_v += np.matmul(kept.head_in.swapaxes(-1, -2), g_head).swapaxes(0, 1)
+        if want_qz:
+            g_nz += np.matmul(g_nz_u, kept.u_s.swapaxes(-1, -2))
+            g_nz += np.matmul(g_nz_v, kept.v_s.swapaxes(-1, -2))
+    g_qz = None
+    if want_qz:
+        g_nz *= float(width)
+        g_qz = g_nz.reshape(kept.q_z_in.shape)
+    return (g_qz, g_s, g_u, g_v, g_b, g_bias)[:len(wanted)]
 
 
 def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,

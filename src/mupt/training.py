@@ -134,12 +134,12 @@ def _corrupt_batch(chunks: np.ndarray, ratio: float, corpus: Corpus, rng: Seeded
 def _token_mask_or_none(chunks: np.ndarray, corpus: Corpus):
     """The chunks' token mask, or None (the fast path) where every token is real.
 
-    A mask costs each sweep an `ad.mul(q_h, rows_valid)` and its vjp, 1.0-1.3
-    ms at the width-256 training shape (4, 8, 64, 64), three sweeps a step,
-    against 0.05 ms to rebuild the head mask and buckets (timeit, min of 5 x
-    200, one BLAS thread, 2-core Xeon). Always masking was bit-identical in a
-    prototype, but its step time was unresolved over 6 alternating runs:
-    merge the two paths only with a benchmark.
+    A mask costs each sweep an in-place `q_h *= rows_valid`, 0.08 ms at the
+    width-256 training shape (4, 8, 64, 64), three sweeps a step (timeit, min
+    of 5 x 200, one BLAS thread, 2-core Xeon); the sweep's vjp needs no
+    multiplier, because Q_h is already zero on the padding rows. Always
+    masking gives bit-identical results; merge the two paths only with a
+    benchmark.
     """
     tm = corpus.token_mask(chunks)
     return None if tm.all() else tm

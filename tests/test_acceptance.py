@@ -7,6 +7,7 @@ loosening a tolerance is never an acceptable fix for a red criterion.
 Criteria 9-11 train real models and are marked slow (minutes, not seconds);
 run `pytest -m "not slow"` while iterating and the full suite before release.
 """
+import hashlib
 import math
 import os
 
@@ -22,6 +23,7 @@ from mupt import (DIAG_HP, PARADIGMS, SCALE_CHANNELS, SCALE_RANK, HPPoint,
                   min_samples, mlm_logits, run_mfvi, sample_size_bound,
                   synth_text, tau_cancellation_check, train_run,
                   transfer_sweep, verify_local_optimality)
+from mupt.diagnostics import write_coord_csv
 from mupt.search import confidence
 
 pytestmark = pytest.mark.acceptance
@@ -147,8 +149,14 @@ def test_criterion_5_logit_variance_slope(acceptance_record):
     assert passed
 
 
+def _csv_hash(report, path) -> str:
+    """The first 16 hex digits of the SHA-256 of a coord report's CSV."""
+    write_coord_csv(report, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 @pytest.mark.slow
-def test_criterion_6_coordinate_stability(acceptance_record):
+def test_criterion_6_coordinate_stability(acceptance_record, golden_record, tmp_path):
     """Ten training steps across the width ladder keep label coordinates,
     attention logits, output logits, and one-step deltas inside [1/3, 3]
     between consecutive widths; a constant hidden LR does not."""
@@ -159,6 +167,9 @@ def test_criterion_6_coordinate_stability(acceptance_record):
     control = coord_check(scaler, LADDER_WIDTHS, DIAG_HP, steps=10, seed=0,
                           batch_size=4, iters=3, hidden_lr_scaling="constant")
     control_violations = control.band_violations()
+    golden_record("criterion 6 coord CSV (mup)", _csv_hash(report, tmp_path / "mup.csv"))
+    golden_record("criterion 6 coord CSV (constant)",
+                  _csv_hash(control, tmp_path / "constant.csv"))
     passed = not violations and bool(control_violations)
     acceptance_record(
         "criterion 6 (coordinate check stable, mis-scaled control violates)",
@@ -233,7 +244,7 @@ def test_criterion_8_sample_size_closed_forms(acceptance_record):
 
 
 @pytest.mark.slow
-def test_criterion_9_training_convergence_and_determinism(acceptance_record):
+def test_criterion_9_training_convergence_and_determinism(acceptance_record, golden_record):
     """A width-256 model trained 2000 steps on 1 MiB of synthetic bytes ends
     at least 20% below the uniform-prediction loss, and a rerun of the same
     configuration reproduces the record bit-for-bit."""
@@ -252,6 +263,7 @@ def test_criterion_9_training_convergence_and_determinism(acceptance_record):
     digest_a = train_run(config, DIAG_HP, corpus, seed=5, settings=short).semantic_digest()
     digest_b = train_run(config, DIAG_HP, corpus, seed=5, settings=short).semantic_digest()
     deterministic = digest_a == digest_b
+    golden_record("criterion 9 replica digest", digest_a[:12])
     passed = loss_ok and deterministic
     acceptance_record(
         "criterion 9 (width-256 training converges, reruns bit-identical)",

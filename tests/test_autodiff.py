@@ -242,11 +242,11 @@ def _tape_case():
     return params, tokens, token_mask, selected
 
 
-def _taped_loss():
+def _taped_loss(iters=2):
     params, tokens, token_mask, selected = _tape_case()
     leaves = params.as_vars()
     state = model.run_mfvi(TAPE_CFG, leaves, tokens, DIAG_WEIGHTS,
-                           token_mask=token_mask, iters=2)
+                           token_mask=token_mask, iters=iters)
     logits = model.mlm_logits(TAPE_CFG, leaves, state)
     return model.masked_ce_loss(logits, tokens, selected), leaves
 
@@ -256,9 +256,12 @@ def test_forward_on_plain_arrays_builds_no_tape():
     state = model.run_mfvi(TAPE_CFG, params.tensors, tokens, DIAG_WEIGHTS,
                            token_mask=token_mask, iters=2)
     logits = model.mlm_logits(TAPE_CFG, params.tensors, state)
-    for out in (state.q_z, state.q_h, state.q_g, logits):
+    inv = state.invariants
+    for out in (state.q_z, logits, inv.s_rows, inv.u_s, inv.v_s, inv.bias):
         assert isinstance(out, ad.Var)
         assert not out.on_tape and out._link is None
+    # only Q_z crosses sweeps: the head and topic posteriors are plain arrays
+    assert type(state.q_h) is np.ndarray and type(state.q_g) is np.ndarray
 
 
 def test_gradients_equal_those_of_a_tape_that_records_every_operand(monkeypatch):
@@ -290,37 +293,53 @@ def test_backward_never_calls_the_vjp_of_a_constant(monkeypatch):
     assert on_tape and all(on_tape)
 
 
+def test_the_fused_sweep_computes_no_cotangent_of_a_constant(monkeypatch):
+    # with S a plain array, the first sweep's incoming Q_z and S[tokens] are
+    # constants: its vjp is asked for, and returns, only the other cotangents
+    asked = []
+    fused = ad.fused
+
+    def spy_fused(value, inputs, backward):
+        taped = tuple(ad.as_var(a).on_tape for a in inputs)
+
+        def recording(g, wanted):
+            out = backward(g, wanted)
+            asked.append((taped, wanted, tuple(c is not None for c in out)))
+            return out
+        return fused(value, inputs, recording)
+
+    monkeypatch.setattr(ad, "fused", spy_fused)
+    params, tokens, token_mask, selected = _tape_case()
+    leaves = {k: v for k, v in params.as_vars().items() if k != "S"}
+    state = model.run_mfvi(TAPE_CFG, {**leaves, "S": params.tensors["S"]}, tokens,
+                           DIAG_WEIGHTS, token_mask=token_mask, iters=2)
+    logits = model.mlm_logits(TAPE_CFG, leaves, state)
+    grads = ad.reverse_grad(model.masked_ce_loss(logits, tokens, selected), leaves)
+    # (Q_z, S[tokens], U_s, V_s, B, bias), the last sweep's vjp first
+    assert [a[0] for a in asked] == [(True, False, True, True, True, True),
+                                     (False, False, True, True, True, True)]
+    assert all(taped == wanted == computed for taped, wanted, computed in asked)
+    assert all(np.any(g) for g in grads.values())
+
+
 def test_tape_keeps_only_what_backward_reads(monkeypatch):
     want = ad.reverse_grad(*_taped_loss())
     dead, alive = [], []
-    mul, add, matmul, softmax_rows = ad.mul, ad.add, ad.matmul, ad.softmax_rows
+    update_heads, softmax_np = model.update_heads, ad._softmax_np
 
-    def spy_mul(a, b):
-        out = mul(a, b)
-        if isinstance(b, float) and b == 1.0 / TAPE_CFG.rank and out.ndim == 4:  # F / r
-            dead.append(weakref.ref(out.value))
-        return out
+    def spy_update_heads(*args):
+        f, q_h = update_heads(*args)
+        dead.append(weakref.ref(f))         # F: the sweep hands it back, run_mfvi drops it
+        alive.append(weakref.ref(q_h))      # Q_h: the sweep's vjp reads it
+        return f, q_h
 
-    def spy_add(a, b):
-        out = add(a, b)
-        if out.ndim == 4:                                  # F + position bias
-            dead.append(weakref.ref(out.value))
-        return out
+    def spy_softmax_np(x, mask):
+        if x.ndim == 4:                     # w_attn * F
+            dead.append(weakref.ref(x))
+        return softmax_np(x, mask)
 
-    def spy_matmul(a, b):
-        if not alive:
-            alive.append(weakref.ref(ad.val(a)))
-        return matmul(a, b)
-
-    def spy_softmax_rows(x, mask=None):
-        out = softmax_rows(x, mask)
-        if len(alive) == 1:
-            alive.append(weakref.ref(out.value))
-        return out
-
-    for name, spy in (("mul", spy_mul), ("add", spy_add), ("matmul", spy_matmul),
-                      ("softmax_rows", spy_softmax_rows)):
-        monkeypatch.setattr(ad, name, spy)
+    monkeypatch.setattr(model, "update_heads", spy_update_heads)
+    monkeypatch.setattr(ad, "_softmax_np", spy_softmax_np)
     loss, leaves = _taped_loss()
     assert len(dead) == 4 and len(alive) == 2
     assert all(ref() is None for ref in dead)
@@ -331,8 +350,10 @@ def test_tape_keeps_only_what_backward_reads(monkeypatch):
     assert all(ref() is None for ref in alive)
 
 
-def test_walking_parents_counts_exactly_the_toposorted_links():
-    loss, _ = _taped_loss()
+def _tape_links(iters):
+    """The links of a loss's tape, counted by walking `_parents` as the
+    benchmark's tape count does; the walk must find the toposorted links."""
+    loss, _ = _taped_loss(iters)
     seen, stack = {id(loss)}, [loss]
     while stack:
         for p in getattr(stack.pop(), "_parents", ()):
@@ -340,8 +361,16 @@ def test_walking_parents_counts_exactly_the_toposorted_links():
                 seen.add(id(p))
                 stack.append(p)
     order = ad._toposort(loss._link)
-    assert len(seen) == len(order) > 100
+    assert len(seen) == len(order)
     assert order[-1] is loss._link
+    return len(order)
+
+
+def test_walking_parents_counts_exactly_the_toposorted_links():
+    # a sweep is one link, and the invariants it reads are formed once per
+    # forward: each further sweep adds exactly one link
+    counts = [_tape_links(iters) for iters in (1, 2, 3)]
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 1
 
 
 def test_finite_diff_check_passes_on_smooth_composite():

@@ -49,6 +49,18 @@ def _tiny_params(config):
     return {name: np.zeros(shape) for name, shape in shapes.items()}
 
 
+def _products(cfg, state):
+    """The plain invariants of `state` and `low_rank_products` of its Q_z."""
+    inv = state.invariants.arrays()
+    return inv, low_rank_products(inv, cfg.width * val(state.q_z))
+
+
+def _heads(cfg, state):
+    """update_heads on the incoming Q_z of `state`: (F, Q_h)."""
+    inv, products = _products(cfg, state)
+    return update_heads(cfg, IW, inv, *products)
+
+
 # ---------------------------------------------------------------- hand oracles
 
 def test_attention_logits_hand_case():
@@ -62,8 +74,7 @@ def test_attention_logits_hand_case():
     state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
     np.testing.assert_allclose(val(state.q_z)[0], [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
-    f = val(update_heads(cfg, params, state, IW,
-                         low_rank_products(cfg, params, state))[0])[0]
+    f = _heads(cfg, state)[0][0]
     assert f.shape == (1, 2, 2)
     # Nz = [[1, 1], [0.5, 1.5]]; q = [0.4, 0.3]; k = [0.4, 0.4]
     np.testing.assert_allclose(f[0, 0, 1], 0.16, atol=1e-14)
@@ -75,8 +86,7 @@ def test_update_heads_two_tokens_deterministic():
     cfg = _tiny_config()
     params = _tiny_params(cfg)
     state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
-    q_h = val(update_heads(cfg, params, state, IW,
-                           low_rank_products(cfg, params, state))[1])[0]
+    q_h = _heads(cfg, state)[1][0]
     np.testing.assert_array_equal(np.diagonal(q_h, axis1=-2, axis2=-1), 0.0)
     np.testing.assert_allclose(q_h[0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
@@ -85,11 +95,9 @@ def test_topic_update_hand_case():
     cfg = _tiny_config(topics=2)
     params = _tiny_params(cfg)
     params["B"] = np.array([[np.log(2.0) / 2, np.log(2.0) / 2], [0.0, 0.0]])
-    q_z = np.full((1, 2, 2), 0.5)
-    state = MFVIState(tokens=np.array([[0, 1]]), q_z=Var(q_z),
-                      q_h=np.zeros((1, 1, 2, 2)), q_g=np.full((1, 2, 2), 0.5))
+    nz = cfg.width * np.full((1, 2, 2), 0.5)
     # topic logits = (M/N) Nz B^T = [ln 2, 0] per row
-    g, q_g = (val(x)[0] for x in update_topics(cfg, params, state, IW))
+    g, q_g = (x[0] for x in update_topics(cfg, IW, params["B"], nz))
     np.testing.assert_allclose(g, [[np.log(2.0), 0.0]] * 2, atol=1e-15)
     np.testing.assert_allclose(q_g, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], atol=1e-14)
 
@@ -105,13 +113,13 @@ def test_z_logits_decompose_by_weights():
 
     only_unary = InfoWeights(w_unary=1.0, w_tern_dep=0.0, w_tern_head=0.0,
                              w_binary=0.0, w_attn=0.0, w_topic=0.0)
-    products = low_rank_products(cfg, params, state)
-    lz = val(update_z(cfg, params, state, only_unary, products)[0])[0]
+    inv, products = _products(cfg, state)
+    lz = update_z(cfg, only_unary, inv, params["B"], state.q_h, state.q_g, *products)[0][0]
     np.testing.assert_allclose(lz, params["S"][tokens], atol=1e-15)
 
     only_binary = InfoWeights(w_unary=0.0, w_tern_dep=0.0, w_tern_head=0.0,
                               w_binary=1.0, w_attn=0.0, w_topic=0.0)
-    lz = val(update_z(cfg, params, state, only_binary, products)[0])[0]
+    lz = update_z(cfg, only_binary, inv, params["B"], state.q_h, state.q_g, *products)[0][0]
     ng = val(quasi(state.q_g, cfg.topics))[0]
     np.testing.assert_allclose(lz, ng @ params["B"], atol=1e-14)
 
@@ -157,7 +165,7 @@ def test_position_bias_enters_attention():
     params = _tiny_params(cfg)
     params["P_rel"] = np.array([[1.0, 2.0, 3.0, 4.0]])
     state = init_mfvi(cfg, params, np.array([[0, 1, 0]]), IW)
-    f = val(update_heads(cfg, params, state, IW, low_rank_products(cfg, params, state))[0])
+    f = _heads(cfg, state)[0]
     # all bilinear terms are zero, so F is exactly the bucketed bias table
     buckets = position_buckets(3, 4, 2)
     np.testing.assert_array_equal(f[0, 0], params["P_rel"][0][buckets])
@@ -278,8 +286,7 @@ def test_sweep_logits_reproduce_posteriors():
     np.testing.assert_array_equal(val(ad.softmax_rows(val(g))), val(swept.q_g))
     np.testing.assert_array_equal(val(ad.softmax_rows(val(z))), val(swept.q_z))
     # F is read off the incoming state, before any posterior is refreshed
-    products = low_rank_products(cfg, params, state)
-    np.testing.assert_array_equal(val(f), val(update_heads(cfg, params, state, IW, products)[0]))
+    np.testing.assert_array_equal(f, _heads(cfg, state)[0])
     assert swept.sweeps == state.sweeps + 1
 
 
@@ -295,12 +302,11 @@ def test_fused_ternary_messages_equal_per_channel_sum(paradigm):
     head_ref = sum(q_h[:, c].swapaxes(-1, -2) @ (nz @ u[c]) @ v[c].T
                    for c in range(cfg.channels))
 
-    products = low_rank_products(cfg, params, state)
+    inv, products = _products(cfg, state)
     none = dict(w_unary=0.0, w_binary=0.0, w_tern_dep=0.0, w_tern_head=0.0)
-    dep = val(update_z(cfg, params, state, InfoWeights(**{**none, "w_tern_dep": 1.0}),
-                       products)[0])
-    head = val(update_z(cfg, params, state, InfoWeights(**{**none, "w_tern_head": 1.0}),
-                        products)[0])
+    dep, head = (update_z(cfg, InfoWeights(**{**none, w: 1.0}), inv, params["B"], q_h,
+                          state.q_g, *products)[0]
+                 for w in ("w_tern_dep", "w_tern_head"))
     # an entry that cancels to far below the others' size carries their
     # rounding error, hence the floor at 1e-13 of the largest entry
     for got, ref in ((dep, dep_ref), (head, head_ref)):
@@ -310,34 +316,42 @@ def test_fused_ternary_messages_equal_per_channel_sum(paradigm):
 def test_stacked_factor_columns_are_channels():
     cfg, params, tokens, mask = _masked_batch_setup("scale_channels")
     state = init_mfvi(cfg, params, tokens, IW, token_mask=mask)
-    nz_u, nz_v, u_s, v_s = low_rank_products(cfg, params, state)
-    r = cfg.rank
-    assert val(u_s).shape == val(v_s).shape == (cfg.width, cfg.channels * r)
-    assert val(nz_u).shape == val(nz_v).shape == (tokens.size, cfg.channels * r)
+    inv, (nz_u, nz_v) = _products(cfg, state)
+    u_s, v_s, r = inv.u_s, inv.v_s, cfg.rank
+    assert u_s.shape == v_s.shape == (cfg.width, cfg.channels * r)
+    assert nz_u.shape == nz_v.shape == tokens.shape + (cfg.channels * r,)
     for c in range(cfg.channels):
-        np.testing.assert_array_equal(val(u_s)[:, c * r:(c + 1) * r], params["U"][c])
-        np.testing.assert_array_equal(val(v_s)[:, c * r:(c + 1) * r], params["V"][c])
+        np.testing.assert_array_equal(u_s[:, c * r:(c + 1) * r], params["U"][c])
+        np.testing.assert_array_equal(v_s[:, c * r:(c + 1) * r], params["V"][c])
 
 
 def test_sweep_forms_low_rank_products_once_and_no_channel_expansion(monkeypatch):
+    # the sweep's GEMMs run on plain arrays, so every np.matmul is recorded,
+    # those of the forward and of the sweep's hand-derived vjp alike
     cfg, params, tokens, mask = _masked_batch_setup("scale_channels")
     batch, n = tokens.shape
     c, width, r = cfg.channels, cfg.width, cfg.rank
     assert cfg.topics != c * r  # keeps Nz B^T apart from Nz U and Nz V
-    shapes = []
-    matmul = ad.matmul
+    shapes = {"forward": [], "backward": []}
+    phase = "forward"
+    matmul = np.matmul
 
     def recording(a, b):
         out = matmul(a, b)
-        shapes.append((val(a).shape, val(b).shape, val(out).shape))
+        shapes[phase].append((a.shape, b.shape, out.shape))
         return out
 
-    monkeypatch.setattr(ad, "matmul", recording)
+    monkeypatch.setattr(np, "matmul", recording)
     iters = 3
-    mlm_logits(cfg, params, run_mfvi(cfg, params, tokens, IW, token_mask=mask, iters=iters))
-    assert shapes
-    assert all(out != (batch, c, n, width) for _, _, out in shapes)
-    low_rank = [s for s in shapes if s[:2] == ((batch * n, width), (width, c * r))]
+    leaves = ModelParams(cfg, params).as_vars()
+    state = run_mfvi(cfg, leaves, tokens, IW, token_mask=mask, iters=iters)
+    loss = masked_ce_loss(mlm_logits(cfg, leaves, state), tokens, mask)
+    phase = "backward"
+    ad.reverse_grad(loss, leaves)
+    assert shapes["forward"] and shapes["backward"]
+    for recorded in shapes.values():
+        assert all(out != (batch, c, n, width) for _, _, out in recorded)
+    low_rank = [s for s in shapes["forward"] if s[:2] == ((batch * n, width), (width, c * r))]
     assert len(low_rank) == 2 * iters
 
 
@@ -360,6 +374,10 @@ def test_input_validation():
                   token_mask=np.array([[True, True, False], [True, False, False]]))
     with pytest.raises(ConfigError, match="iters"):
         run_mfvi(cfg, params, np.array([[0, 1]]), IW, iters=-1)
+    state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
+    with pytest.raises(ConfigError, match="init_mfvi"):
+        sweep(cfg, params, MFVIState(tokens=state.tokens, q_z=state.q_z, q_h=state.q_h,
+                                     q_g=state.q_g), IW)
 
 
 # ------------------------------------------------------------------- plumbing
