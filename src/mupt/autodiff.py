@@ -38,8 +38,8 @@ intermediates are freed after its forward unless that backward reads them.
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.
 
-Importing this module pins glibc malloc's mmap and trim thresholds for the
-whole process (see _pin_malloc); every numeric path imports it.
+Importing this module pins glibc malloc's mmap and trim thresholds and its
+arena count for the whole process (see _pin_malloc); every numeric path imports it.
 """
 from __future__ import annotations
 
@@ -74,6 +74,13 @@ def _pin_malloc() -> None:
     took 3840 minor page faults against 0 after a width-512 training. With
     both thresholds fixed, blocks up to 32 MiB come from the heap and the
     heap keeps up to 64 MiB of free top, whatever ran before.
+
+    Arenas are capped at two: the heap, and one for the sweep's lane thread
+    (parallel.fork_join). A thread lets go of its arena only after its join
+    has returned, so without the cap a lane started right after often found
+    it taken and made a new one: three rounds of the benchmark's width-512
+    evaluation loop grew the process 62 -> 75 -> 88 MB, a 4.6 MiB arena a
+    round, against 62 -> 70 -> 79 MB with it.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -85,6 +92,7 @@ def _pin_malloc() -> None:
     libc = ctypes.CDLL(None)
     libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, the cap of glibc's dynamic one
     libc.mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
+    libc.mallopt(-8, 2)           # M_ARENA_MAX
 
 
 _pin_malloc()

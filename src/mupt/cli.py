@@ -20,9 +20,12 @@ environment already sets them) before anything loads NumPy: neither
 `import mupt` nor `import mupt.cli` does, so the pools are sized as asked.
 One thread is what makes training runs bit-reproducible. Calling main()
 from a process that has already imported NumPy cannot resize its pools.
-The independent training runs of transfer-sweep and verify-local-opt fan
-out over the usable CPUs, one process per N of them; `taskset -c 0 mupt ...`
-runs them one after another instead, and the results are identical either way.
+The independent training runs of transfer-sweep, verify-local-opt and
+coord-check fan out over the usable CPUs, one process per N of them. Within
+one run, the mean-field sweeps of a large enough pass (from width 256 at
+batch 4 and seq 64) run their topic path and their head and ternary path as
+two lanes on two such shares. Nothing moves a number either way;
+`taskset -c 0 mupt ...` turns both off.
 """
 from __future__ import annotations
 

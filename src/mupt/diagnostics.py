@@ -35,8 +35,9 @@ from .autodiff import _softmax_np, val
 from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
+from .parallel import map_jobs
 from .rng import SeededRng
-from .training import TrainSettings, map_jobs, train_steps
+from .training import TrainSettings, train_steps
 from .util import canonical_json
 
 __all__ = [
@@ -448,7 +449,7 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
 
     Every width's geometry is built before any width trains, so a width the
     scaler refuses fails at once. The widths then train in parallel on the
-    usable CPUs (training.map_jobs), widest first, each whole in one process,
+    usable CPUs (parallel.map_jobs), widest first, each whole in one process,
     so the report is identical to a serial ladder; `taskset -c 0` makes the
     ladder serial.
     """

@@ -33,18 +33,26 @@ against the stacked factor; no (B, C, n, N) tensor is formed.
 
 A sweep is one tape node, in the manner of CRF-as-RNN (arXiv:1502.03240),
 not a chain of about sixty primitive ops. Its forward runs update_topics,
-update_heads and update_z on plain arrays, each in the order of operations
-the composed sweep used, so every forward value is bit-identical to it. Only
+topic_message, low_rank_products, update_heads, ternary_messages and
+update_z on plain arrays, each in the order of operations the composed sweep
+used, so every forward value is bit-identical to it. The topic path (the
+first two) and the head and ternary path (the next three) read only the
+incoming Q_z, so they run as two lanes on two CPUs where init_mfvi's
+`parallel.lanes` allows it, and update_z joins them; the vjp's two branches
+run the same way. A lane changes where an operation runs, never its operands
+or their order, so every number is the same with one lane or two. Only
 the new Q_z crosses sweeps, so it is the node's one taped output; Q_h, Q_g
 and the logits come back as plain arrays. Its vjp, `_sweep_backward`, is the
 hand-derived reverse of the sweep, from the new Q_z's cotangent to those of
 the incoming Q_z, S[tokens], the stacked U_s and V_s, B and the position
-bias; it keeps only the arrays it reads, not F or w_attn * F. What every
-sweep reads but none changes (S[tokens], U_s, V_s, the position bias, the
-head support and the valid-row multiplier) init_mfvi forms once per forward
-as ordinary tape nodes, the `SweepInvariants`, so each cotangent is summed
-over the sweeps before it goes further back. tests/composed_sweep.py keeps
-the composed sweep as the oracle.
+bias; it keeps only the arrays it reads, not F or w_attn * F, and with two
+lanes it forms Nz U, Nz V and the ternary operands again beside the topic
+branch instead of keeping them. What every sweep reads but none changes
+(S[tokens], U_s, V_s, the position bias, the head support and the valid-row
+multiplier) init_mfvi forms once per forward as ordinary tape nodes, the
+`SweepInvariants`, so each cotangent is summed over the sweeps before it
+goes further back. tests/composed_sweep.py keeps the composed sweep as the
+oracle.
 
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
@@ -58,7 +66,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import autodiff as ad
-from . import mup
+from . import mup, parallel
 from .autodiff import Var, val
 from .config import PTConfig, InfoWeights
 from .errors import ConfigError
@@ -67,8 +75,8 @@ from .rng import SeededRng, gaussian_tensor
 __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
     "position_buckets", "SweepInvariants", "init_mfvi", "low_rank_products",
-    "update_heads", "update_topics", "update_z", "sweep", "run_mfvi", "quasi",
-    "mlm_logits", "masked_ce_loss", "uniform_posteriors",
+    "update_heads", "update_topics", "topic_message", "ternary_messages", "update_z",
+    "sweep", "run_mfvi", "quasi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
 
 ParamsLike = Mapping[str, Union[Var, np.ndarray]]
@@ -205,7 +213,8 @@ class SweepInvariants:
     (B, C, n, n); rows_valid is the (B, 1, n, 1) multiplier zeroing the head
     rows of padding positions, or None. The first four are Vars, on the tape
     when the parameters are; `arrays()` is the plain-array twin that the
-    update functions read.
+    update functions read. lanes is how many lanes every sweep of the
+    forward and its vjp run on (parallel.lanes), decided once, here.
     """
 
     s_rows: Var | np.ndarray
@@ -214,6 +223,7 @@ class SweepInvariants:
     bias: Var | np.ndarray | None
     support: np.ndarray
     rows_valid: np.ndarray | None
+    lanes: int
 
     def arrays(self) -> "SweepInvariants":
         return replace(self, s_rows=val(self.s_rows), u_s=val(self.u_s), v_s=val(self.v_s),
@@ -262,7 +272,8 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
         s_rows=s_rows,
         u_s=ad.reshape(ad.transpose(params["U"], (1, 0, 2)), (width, stacked)),
         v_s=ad.reshape(ad.transpose(params["V"], (1, 0, 2)), (width, stacked)),
-        bias=bias, support=support, rows_valid=rows_valid)
+        bias=bias, support=support, rows_valid=rows_valid,
+        lanes=parallel.lanes(batch * n * width * config.topics))
     return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
                      token_mask=token_mask, sweeps=0, invariants=invariants)
 
@@ -312,11 +323,25 @@ def update_topics(config: PTConfig, iw: InfoWeights, b: np.ndarray, nz: np.ndarr
     return logits, ad._softmax_np(logits, None)
 
 
-def update_z(config: PTConfig, iw: InfoWeights, inv: SweepInvariants, b: np.ndarray,
-             q_h: np.ndarray, q_g: np.ndarray, nz_u: np.ndarray, nz_v: np.ndarray):
-    """(label logits, Q_z, ternary): unary + topic message + both ternary
-    messages, (B, n, N), their softmax, and the two (B*n, C*r) GEMM operands
-    the ternary messages were formed from.
+def topic_message(config: PTConfig, iw: InfoWeights, b: np.ndarray, q_g: np.ndarray):
+    """The topic (binary) message to the labels, w_binary * Ng B, (B, n, N)."""
+    ng = (q_g * float(config.topics)).reshape(-1, config.topics)
+    binary = np.matmul(ng, b)
+    binary *= iw.w_binary
+    return binary.reshape(q_g.shape[:2] + (config.width,))
+
+
+def _ternary_operands(config: PTConfig, q_h: np.ndarray, nz_u: np.ndarray, nz_v: np.ndarray):
+    """Q_h applied per channel to Nz V and, transposed, to Nz U: the two
+    (B*n, C*r) operands of the ternary messages' GEMMs."""
+    return (_stacked(config, np.matmul(q_h, _per_channel(config, nz_v))),
+            _stacked(config, np.matmul(q_h.swapaxes(-1, -2), _per_channel(config, nz_u))))
+
+
+def ternary_messages(config: PTConfig, iw: InfoWeights, inv: SweepInvariants,
+                     q_h: np.ndarray, nz_u: np.ndarray, nz_v: np.ndarray):
+    """(both ternary messages to the labels, summed, (B, n, N); the two
+    (B*n, C*r) GEMM operands they were formed from).
 
     The head posteriors weight messages in both directions: as the dependent
     (row i of Q_h selects heads j, low-rank direction U_c V_c^T) and as
@@ -325,22 +350,24 @@ def update_z(config: PTConfig, iw: InfoWeights, inv: SweepInvariants, b: np.ndar
     per channel in r dimensions and the channel sum happens inside the GEMM
     against the stacked factor.
     """
-    dep_in = _stacked(config, np.matmul(q_h, _per_channel(config, nz_v)))
-    head_in = _stacked(config, np.matmul(q_h.swapaxes(-1, -2), _per_channel(config, nz_u)))
-    ng = (q_g * float(config.topics)).reshape(-1, config.topics)
-
-    logits = inv.s_rows * iw.w_unary
-    binary = np.matmul(ng, b)
-    binary *= iw.w_binary
-    logits += binary
+    dep_in, head_in = _ternary_operands(config, q_h, nz_u, nz_v)
     dep = np.matmul(dep_in, inv.u_s.swapaxes(0, 1))
     dep *= iw.w_tern_dep
     head = np.matmul(head_in, inv.v_s.swapaxes(0, 1))
     head *= iw.w_tern_head
     dep += head
-    logits += dep
-    logits = logits.reshape(q_g.shape[:2] + (config.width,))
-    return logits, ad._softmax_np(logits, None), (dep_in, head_in)
+    return dep.reshape(nz_u.shape[:2] + (config.width,)), (dep_in, head_in)
+
+
+def update_z(config: PTConfig, iw: InfoWeights, inv: SweepInvariants,
+             binary: np.ndarray, ternary: np.ndarray):
+    """(label logits, Q_z): the unary term plus the `topic_message` binary
+    and the summed `ternary_messages` ternary, (B, n, N), added in that
+    order, and their softmax."""
+    logits = (inv.s_rows * iw.w_unary).reshape(binary.shape)
+    logits += binary
+    logits += ternary
+    return logits, ad._softmax_np(logits, None)
 
 
 def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeights):
@@ -348,9 +375,13 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
 
     Q_h and Q_g come from the incoming Q_z, then Q_z from the refreshed Q_h,
     Q_g and the incoming Q_z's messages; Nz U and Nz V are formed once, by
-    `low_rank_products`, and shared by both. The topic and label logits are
-    exactly what the sweep passed through softmax; F is the head softmax's
-    input before the w_attn factor.
+    `low_rank_products`, and shared by the heads and the ternary messages.
+    The topic logits, Q_g and the topic message depend on nothing the head
+    logits, Q_h and the ternary messages depend on, so the two run as lanes
+    (parallel.fork_join) on two CPUs when the invariants say so, and the
+    label update joins them. The topic and label logits are exactly what the
+    sweep passed through softmax; F is the head softmax's input before the
+    w_attn factor.
 
     The sweep is one tape node. Only the new Q_z crosses sweeps, so it is the
     node's one output, a Var, on the tape when the incoming Q_z, the
@@ -364,19 +395,32 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     arrays = inv.arrays()
     q_z, b = ad.as_var(state.q_z), ad.as_var(params["B"])
     nz = q_z.value * float(config.width)
-    # Topics first, and Nz freed before the heads. With the heads first, a
-    # second width-512 evaluation pass grew the heap by 768 KiB (192 page
-    # faults) in 12 of 190 heap layouts, varied through the environment's
-    # size; in this order it grew in none of 390.
-    g, q_g = update_topics(config, iw, b.value, nz)
-    nz_u, nz_v = low_rank_products(arrays, nz)
-    del nz
-    f, q_h = update_heads(config, iw, arrays, nz_u, nz_v)
-    z, q_z_next, ternary = update_z(config, iw, arrays, b.value, q_h, q_g, nz_u, nz_v)
 
-    kept = _SweepKept(q_z_in=q_z.value, q_z=q_z_next, q_h=q_h, q_g=q_g, nz_u=nz_u,
-                      nz_v=nz_v, dep_in=ternary[0], head_in=ternary[1],
-                      u_s=arrays.u_s, v_s=arrays.v_s, b=b.value)
+    def topic_lane():
+        g, q_g = update_topics(config, iw, b.value, nz)
+        return g, q_g, topic_message(config, iw, b.value, q_g)
+
+    def head_lane():
+        nz_u, nz_v = low_rank_products(arrays, nz)
+        f, q_h = update_heads(config, iw, arrays, nz_u, nz_v)
+        return (nz_u, nz_v, f, q_h) + ternary_messages(config, iw, arrays, q_h, nz_u, nz_v)
+
+    # The topic lane is the one on the new thread. The other way round, the
+    # second of two width-512 evaluation passes in a new process took 200-280
+    # page faults in 38 of 40 environment sizes, against 9-90 this way.
+    (g, q_g, binary), (nz_u, nz_v, f, q_h, ternary, operands) = parallel.fork_join(
+        topic_lane, head_lane, inv.lanes)
+    del nz
+    z, q_z_next = update_z(config, iw, arrays, binary, ternary)
+    del binary, ternary
+
+    # With two lanes the vjp's head branch ends well before its topic branch,
+    # so it forms Nz U, Nz V and the ternary operands again from the incoming
+    # Q_z instead of keeping them on the tape: 1 MiB less per sweep at width
+    # 256, and no slower. With one lane that work would add to the step.
+    products = None if inv.lanes == 2 else (nz_u, nz_v) + operands
+    kept = _SweepKept(q_z_in=q_z.value, q_z=q_z_next, q_h=q_h, q_g=q_g, products=products,
+                      u_s=arrays.u_s, v_s=arrays.v_s, b=b.value, lanes=inv.lanes)
     inputs = (q_z, inv.s_rows, inv.u_s, inv.v_s, b) + (() if inv.bias is None else (inv.bias,))
     out = ad.fused(q_z_next, inputs, lambda grad, wanted: _sweep_backward(
         config, iw, kept, grad, wanted))
@@ -386,20 +430,20 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
 @dataclass(frozen=True)
 class _SweepKept:
     """The arrays a sweep's vjp reads: its input and output Q_z, the refreshed
-    Q_h (zero on padding rows) and Q_g, Nz U and Nz V, the ternary GEMM
-    operands, and the factors U_s, V_s and B."""
+    Q_h (zero on padding rows) and Q_g, (Nz U, Nz V and the two ternary GEMM
+    operands) or None where the vjp forms them again, and the factors U_s,
+    V_s (so `low_rank_products` can read it as it reads the invariants) and
+    B; and the lanes of its forward."""
 
     q_z_in: np.ndarray
     q_z: np.ndarray
     q_h: np.ndarray
     q_g: np.ndarray
-    nz_u: np.ndarray
-    nz_v: np.ndarray
-    dep_in: np.ndarray
-    head_in: np.ndarray
+    products: tuple | None
     u_s: np.ndarray
     v_s: np.ndarray
     b: np.ndarray
+    lanes: int
 
 
 def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.ndarray,
@@ -410,59 +454,88 @@ def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.n
     Each step undoes one line of the forward, in reverse: the label softmax;
     the unary, topic and ternary messages; the topic softmax and logits; the
     head softmax, which needs no rows_valid because Q_h is already zero on
-    padding rows; the bilinear logits; and Nz U, Nz V and Nz = N * Q_z.
+    padding rows; the bilinear logits; and Nz U, Nz V and Nz = N * Q_z. The
+    topic branch and the head and ternary branch are the forward's two
+    lanes, and run as lanes again; each frees its temporaries once they are
+    dead. Q_z's cotangent is the topic branch's part, then the U and then the
+    V part of the other's, added after the join.
     """
     want_qz, want_s, want_u, want_v, want_b = wanted[:5]
     want_bias = len(wanted) > 5 and wanted[5]
     width, topics = config.width, config.topics
+    u_s, v_s = kept.u_s, kept.v_s
     gl = ad._softmax_vjp(kept.q_z, g).reshape(-1, width)
     nz = (kept.q_z_in * float(width)).reshape(-1, width)
-    g_nz = g_s = g_u = g_v = g_b = g_bias = None
 
-    if want_s:
-        g_s = gl * iw.w_unary
-    if want_qz or want_b:                       # binary message and topic update
+    def topic_branch():                     # binary message and topic update
+        g_nz = g_b = None
+        if not (want_qz or want_b):
+            return g_nz, g_b
         g_bin = gl * iw.w_binary
-        g_ng = np.matmul(g_bin, kept.b.swapaxes(-1, -2))
-        g_ng *= float(topics)
-        g_log = ad._softmax_vjp(kept.q_g, g_ng.reshape(kept.q_g.shape)).reshape(-1, topics)
-        g_log *= iw.w_topic * (topics / width)
         if want_b:
             ng = (kept.q_g * float(topics)).reshape(-1, topics)
             g_b = np.matmul(ng.swapaxes(-1, -2), g_bin)
+            del ng
+        g_ng = np.matmul(g_bin, kept.b.swapaxes(-1, -2))
+        del g_bin
+        g_ng *= float(topics)
+        g_log = ad._softmax_vjp(kept.q_g, g_ng.reshape(kept.q_g.shape)).reshape(-1, topics)
+        del g_ng
+        g_log *= iw.w_topic * (topics / width)
+        if want_b:
             g_b += np.matmul(nz.swapaxes(-1, -2), g_log).swapaxes(0, 1)
         if want_qz:
             g_nz = np.matmul(g_log, kept.b)
-    if want_qz or want_u or want_v or want_bias:    # ternary messages and heads
-        q, k = _per_channel(config, kept.nz_u), _per_channel(config, kept.nz_v)
+        return g_nz, g_b
+
+    def head_branch():                      # ternary messages and heads
+        g_u = g_v = g_bias = t_u = t_v = None
+        if not (want_qz or want_u or want_v or want_bias):
+            return g_u, g_v, g_bias, t_u, t_v
+        nz_u, nz_v = (kept.products[:2] if kept.products else
+                      low_rank_products(kept, nz.reshape(kept.q_z_in.shape)))
+        q, k = _per_channel(config, nz_u), _per_channel(config, nz_v)
         g_dep = gl * iw.w_tern_dep
         g_head = gl * iw.w_tern_head
-        shape = kept.nz_u.shape
-        g_dep_pc = _per_channel(config, np.matmul(g_dep, kept.u_s).reshape(shape))
-        g_head_pc = _per_channel(config, np.matmul(g_head, kept.v_s).reshape(shape))
+        g_dep_pc = _per_channel(config, np.matmul(g_dep, u_s).reshape(nz_u.shape))
+        g_head_pc = _per_channel(config, np.matmul(g_head, v_s).reshape(nz_u.shape))
         g_qh = np.matmul(g_dep_pc, k.swapaxes(-1, -2))
         g_qh += np.matmul(g_head_pc, q.swapaxes(-1, -2)).swapaxes(-1, -2)
         g_f = ad._softmax_vjp(kept.q_h, g_qh)
+        del g_qh
         g_f *= iw.w_attn
         if want_bias:
             g_bias = g_f.sum(axis=0)
         g_f *= 1.0 / config.rank
         g_q = np.matmul(g_f, k)
         g_q += np.matmul(kept.q_h, g_head_pc)
+        del g_head_pc
         g_k = np.matmul(q.swapaxes(-1, -2), g_f).swapaxes(-1, -2)
+        del g_f
         g_k += np.matmul(kept.q_h.swapaxes(-1, -2), g_dep_pc)
+        del g_dep_pc
         g_nz_u, g_nz_v = _stacked(config, g_q), _stacked(config, g_k)
+        del g_q, g_k
+        dep_in, head_in = (kept.products[2:] if kept.products else
+                           _ternary_operands(config, kept.q_h, nz_u, nz_v))
         if want_u:
             g_u = np.matmul(nz.swapaxes(-1, -2), g_nz_u)
-            g_u += np.matmul(kept.dep_in.swapaxes(-1, -2), g_dep).swapaxes(0, 1)
+            g_u += np.matmul(dep_in.swapaxes(-1, -2), g_dep).swapaxes(0, 1)
         if want_v:
             g_v = np.matmul(nz.swapaxes(-1, -2), g_nz_v)
-            g_v += np.matmul(kept.head_in.swapaxes(-1, -2), g_head).swapaxes(0, 1)
+            g_v += np.matmul(head_in.swapaxes(-1, -2), g_head).swapaxes(0, 1)
         if want_qz:
-            g_nz += np.matmul(g_nz_u, kept.u_s.swapaxes(-1, -2))
-            g_nz += np.matmul(g_nz_v, kept.v_s.swapaxes(-1, -2))
+            t_u = np.matmul(g_nz_u, u_s.swapaxes(-1, -2))
+            t_v = np.matmul(g_nz_v, v_s.swapaxes(-1, -2))
+        return g_u, g_v, g_bias, t_u, t_v
+
+    g_s = gl * iw.w_unary if want_s else None
+    (g_nz, g_b), (g_u, g_v, g_bias, t_u, t_v) = parallel.fork_join(
+        topic_branch, head_branch, kept.lanes)
     g_qz = None
     if want_qz:
+        g_nz += t_u
+        g_nz += t_v
         g_nz *= float(width)
         g_qz = g_nz.reshape(kept.q_z_in.shape)
     return (g_qz, g_s, g_u, g_v, g_b, g_bias)[:len(wanted)]

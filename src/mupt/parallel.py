@@ -1,0 +1,133 @@
+"""Where the process's CPUs go: independent runs over processes, one sweep over two lanes.
+
+Both decisions read the same budget, the CPUs in the process's affinity
+divided by the pinned BLAS threads, and neither has a setting: `taskset -c 0`
+(or leaving BLAS unpinned) turns both off, and no number moves either way.
+
+- map_jobs trains independent runs (the cells of training.transfer_sweep, the
+  runs of search.verify_local_optimality, the widths of
+  diagnostics.coord_check) side by side in forked processes, each run whole
+  in one process.
+- Within one run, a mean-field sweep's topic path and its head and ternary
+  path read only the incoming Q_z, and so do their reverses; model.sweep and
+  its vjp run them as two lanes, the topic lane on a thread that fork_join
+  starts and joins inside the pass, when `lanes` allows it.
+"""
+from __future__ import annotations
+
+import os
+import threading
+
+__all__ = ["map_jobs", "lanes", "fork_join", "LANE_MIN_MACS"]
+
+# The least B*n*N*M, the multiply-adds of one pass's topic GEMM, worth a second
+# lane: width 128 at batch 4 and seq 64 (8.4M) ran slower in two lanes, width
+# 256 (33.5M) faster (one BLAS thread per lane, 2-core Xeon).
+LANE_MIN_MACS = 1 << 24
+
+_WORKER_JOBS: tuple | None = None    # (fn, jobs) while map_jobs runs a pool, else None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """BLAS threads per process as pinned (the CLI's --threads); unpinned,
+    BLAS starts one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Processes for n_jobs jobs: one per BLAS-sized share of the usable CPUs,
+    at most one per job. 1 while a pool runs, so inside a worker (pools never
+    nest), where fork is missing, and where another thread runs: a forked
+    child gets no copy of it, and any lock it holds stays locked there."""
+    import multiprocessing
+
+    if (_WORKER_JOBS is not None or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return max(1, min(n_jobs, _usable_cpus() // _blas_threads()))
+
+
+def _run_job(i: int):
+    fn, jobs = _WORKER_JOBS
+    return fn(*jobs[i])
+
+
+def map_jobs(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], the jobs spread over forked processes.
+
+    Each job runs whole in one process, so its result is the one a serial
+    call returns, bit for bit, and results come back in job order whatever
+    order the jobs finish in. The pool has one process per usable CPU
+    (divided by the pinned BLAS threads, at most one per job); it is serial
+    in a process pinned to one CPU (`taskset -c 0`), with BLAS unpinned,
+    inside a worker, beside another thread and where fork is missing. The
+    workers inherit fn and the jobs by fork, so neither is pickled; results
+    and exceptions are. An exception in a job, or a KeyboardInterrupt in the
+    caller, ends every worker before it propagates: no process outlives the
+    call.
+    """
+    global _WORKER_JOBS
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+    import signal
+
+    _WORKER_JOBS = (fn, jobs)    # before the fork: every worker starts with it
+    try:                         # the workers ignore Ctrl-C, the caller's to handle
+        with multiprocessing.get_context("fork").Pool(
+                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+            results = pool.map(_run_job, range(len(jobs)), chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _WORKER_JOBS = None
+    return results
+
+
+def lanes(topic_macs: int) -> int:
+    """Lanes for the sweeps of one forward whose topic GEMM takes topic_macs
+    multiply-adds: 2 where the affinity holds two BLAS-sized shares of CPUs,
+    outside a map_jobs worker (its siblings have the other CPUs) and from
+    LANE_MIN_MACS on; 1 otherwise."""
+    if (_WORKER_JOBS is not None or topic_macs < LANE_MIN_MACS
+            or _usable_cpus() < 2 * _blas_threads()):
+        return 1
+    return 2
+
+
+def fork_join(side, main, n_lanes: int):
+    """(side(), main()): with 2 lanes, side runs on a new thread while main
+    runs on this one, and the thread is joined before either result is used;
+    with 1, side runs first, then main. An exception in either is raised
+    here once both have ended, main's first, so no thread outlives the call.
+    """
+    if n_lanes < 2:
+        return side(), main()
+    box: list = []
+
+    def run() -> None:
+        try:
+            box.append(side())
+        except BaseException as exc:    # handed to the caller below
+            box.append(exc)
+
+    thread = threading.Thread(target=run, name="mupt-lane")
+    thread.start()
+    try:
+        main_result = main()
+    finally:
+        thread.join()
+    if isinstance(box[0], BaseException):
+        raise box[0]
+    return box[0], main_result

@@ -19,9 +19,10 @@ import numpy as np
 from .config import HPPoint, PTConfig
 from .corpus import Corpus
 from .errors import ConfigError
+from .parallel import map_jobs
 from .rng import SeededRng
 from .svgplot import line_svg, scatter_svg
-from .training import TrainSettings, map_jobs, train_run
+from .training import TrainSettings, train_run
 from .util import canonical_json, short_hash
 
 __all__ = [

@@ -5,14 +5,16 @@ order, per-step corruption, and the frozen eval corruption all come from named
 child streams of the run seed, so a rerun reproduces every recorded number
 bit for bit. The wall-clock field is the one exception and is excluded from
 semantic equality. Being pure, the runs of a sweep are independent jobs, and
-map_jobs trains them side by side on the usable CPUs: the cells of
-transfer_sweep here, the runs of search.verify_local_optimality and the
-widths of diagnostics.coord_check.
+parallel.map_jobs trains them side by side in forked processes on the usable
+CPUs: the cells of transfer_sweep here, the runs of
+search.verify_local_optimality and the widths of diagnostics.coord_check.
+Within one run, each mean-field sweep runs its topic path and its head and
+ternary path as two lanes on two CPUs where the process has them to spare
+(parallel.lanes). Neither moves a number; `taskset -c 0` turns both off.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -25,11 +27,12 @@ from .config import HPPoint, PTConfig
 from .corpus import Corpus
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
+from .parallel import map_jobs
 from .rng import SeededRng
 from .util import canonical_json, short_hash
 
 __all__ = ["TrainSettings", "RunRecord", "train_run", "train_steps", "evaluate",
-           "SweepResult", "transfer_sweep", "SWEEP_CSV_HEADER", "map_jobs"]
+           "SweepResult", "transfer_sweep", "SWEEP_CSV_HEADER"]
 
 SWEEP_CSV_HEADER = "width,lr,seed,step,split,loss"
 
@@ -196,6 +199,9 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
     and the masked-LM loss, and the gradient step is applied to
     params.tensors in place before the loss is yielded. After the first
     non-finite loss every later batch yields +inf and nothing steps again.
+    The step's tape and gradients are freed before its loss is yielded, so
+    the next step's forward never runs beside them; the heap they leave
+    stays mapped (autodiff._pin_malloc), so the next step reuses it.
     """
     diverged = False
     for chunks, mask_rng in batches:
@@ -207,8 +213,8 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
             loss_val = float(val(loss))
             diverged = not math.isfinite(loss_val)
             if not diverged:
-                grads = reverse_grad(loss, leaves)
-                opt.step(params.tensors, grads)
+                opt.step(params.tensors, reverse_grad(loss, leaves))
+            del loss, leaves
         yield math.inf if diverged else loss_val
 
 
@@ -277,77 +283,6 @@ def train_run(config: PTConfig, hp: HPPoint, corpus: Corpus, seed: int,
         wall_clock_s=time.perf_counter() - t0,
     )
     return (record, params) if return_params else record
-
-
-_WORKER_JOBS: tuple | None = None    # (fn, jobs) while map_jobs runs a pool, else None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity, where the OS has one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """BLAS threads per process as pinned (the CLI's --threads); unpinned,
-    BLAS starts one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _usable_cpus()
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Processes for n_jobs jobs: one per BLAS-sized share of the usable CPUs,
-    at most one per job. 1 while a pool runs, so inside a worker (pools never
-    nest), where fork is missing, and where another thread runs: a forked
-    child gets no copy of it, and any lock it holds stays locked there."""
-    import multiprocessing
-    import threading
-
-    if (_WORKER_JOBS is not None or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return max(1, min(n_jobs, _usable_cpus() // _blas_threads()))
-
-
-def _run_job(i: int):
-    fn, jobs = _WORKER_JOBS
-    return fn(*jobs[i])
-
-
-def map_jobs(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], the jobs spread over forked processes.
-
-    Each job runs whole in one process, so its result is the one a serial
-    call returns, bit for bit, and results come back in job order whatever
-    order the jobs finish in. The pool has one process per usable CPU
-    (divided by the pinned BLAS threads, at most one per job); it is serial
-    in a process pinned to one CPU (`taskset -c 0`), with BLAS unpinned,
-    inside a worker, beside another thread and where fork is missing. The
-    workers inherit fn and the jobs by fork, so neither is pickled; results
-    and exceptions are. An exception in a job, or a KeyboardInterrupt in the
-    caller, ends every worker before it propagates: no process outlives the
-    call.
-    """
-    global _WORKER_JOBS
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        return [fn(*job) for job in jobs]
-    import multiprocessing
-    import signal
-
-    _WORKER_JOBS = (fn, jobs)    # before the fork: every worker starts with it
-    try:                         # the workers ignore Ctrl-C, the caller's to handle
-        with multiprocessing.get_context("fork").Pool(
-                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            results = pool.map(_run_job, range(len(jobs)), chunksize=1)
-            pool.close()
-            pool.join()
-    finally:
-        _WORKER_JOBS = None
-    return results
 
 
 @dataclass

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from mupt import cli, diagnostics, training
+from mupt import cli, diagnostics, parallel
 from mupt.cli import main
 
 TINY_MODEL = [
@@ -463,7 +463,7 @@ def test_verify_local_opt_small(tmp_path, capsys):
 
 def test_worker_config_error_exits_1(tmp_path, monkeypatch, capfd):
     # the corpus has 259 byte tokens, the model 64: train_run refuses, in a worker
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     rc = _run(["verify-local-opt", *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN,
                "--set", "model.vocab_size=64", "--set", "p=0.5",
                "--set", "alpha=0.5", "--set", "n=2"], tmp_path)
@@ -487,7 +487,7 @@ def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
 # named by its pid once it has started a job.
 _POOLED_VERIFY = """
 import os, sys
-import mupt.training as t
+import mupt.parallel as t
 t._usable_cpus = lambda: 2
 run_job = t._run_job
 def mark_and_run(i):

@@ -11,7 +11,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from mupt import diagnostics, training
+from mupt import diagnostics, parallel
 from mupt.config import HPPoint, InfoWeights, PTConfig
 from mupt.diagnostics import (
     BAND_PROBES,
@@ -173,7 +173,7 @@ def test_coord_check_structure():
 def test_coord_check_pooled_equals_serial(monkeypatch, tmp_path):
     reports = []
     for cpus in (1, 2):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
         reports.append(coord_check(TINY_LADDER, [16, 32, 64], DIAG_HP, steps=2, seed=0,
                                    batch_size=2, iters=2))
         write_coord_csv(reports[-1], tmp_path / f"coord{cpus}.csv")
@@ -190,7 +190,7 @@ def test_coord_check_refuses_an_uneven_width_before_training(monkeypatch):
     def no_training(*args):
         raise AssertionError("a width trained")
 
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(diagnostics, "train_steps", no_training)
     with pytest.raises(ConfigError, match="to 36"):
         coord_check(TINY_LADDER, [16, 32, 36], DIAG_HP, steps=1, batch_size=2, iters=2)

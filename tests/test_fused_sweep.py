@@ -7,8 +7,15 @@ gradients of a masked-LM loss through the sweeps must match to rounding,
 within 1e-12 of each tensor's largest entry, because the vjp sums some
 cotangents in another order. The example test pins the position bias, a
 padded position and both paradigms; the property test draws small
-geometries, information weights and token masks.
+geometries, information weights and token masks. Both run the sweep in two
+lanes, the size floor of `parallel.lanes` lowered to 0, and a third test
+holds one lane against two, where the vjp forms Nz U, Nz V and the ternary
+operands again instead of keeping them: every forward tensor and every
+cotangent of every sweep's vjp must be the same bits.
 """
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +23,7 @@ from hypothesis import strategies as st
 
 import composed_sweep
 from mupt import autodiff as ad
-from mupt import model
+from mupt import model, parallel
 from mupt.config import InfoWeights, PTConfig
 from mupt.mup import PARADIGMS, scale_width
 from mupt.rng import SeededRng
@@ -28,6 +35,16 @@ TAPE_CFG = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
 IW = InfoWeights(w_unary=1.3, w_tern_dep=0.7, w_tern_head=0.9, w_binary=1.1,
                  w_attn=0.8, w_topic=1.2)
 SWEEPS = 3
+
+
+@contextlib.contextmanager
+def _lanes(n):
+    """Every forward in the block decides on n lanes: no size floor, and n
+    BLAS-sized shares of CPUs. Yields the MonkeyPatch for further patches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "LANE_MIN_MACS", 0)
+        mp.setattr(parallel, "_usable_cpus", lambda: n * parallel._blas_threads())
+        yield mp
 
 
 def _case(config, seed, batch, n):
@@ -51,6 +68,7 @@ def _loss(run, config, params, tokens, iw, token_mask, selected):
 
 def _assert_matches_composed(config, params, tokens, iw, token_mask, selected):
     fused = model.init_mfvi(config, params.tensors, tokens, iw, token_mask)
+    assert fused.invariants.lanes == 2
     composed = composed_sweep.init(config, params.tensors, tokens, iw, token_mask)
     assert np.array_equal(ad.val(fused.q_z), ad.val(composed.q_z))
     for t in range(1, SWEEPS + 1):
@@ -86,7 +104,8 @@ def test_fused_sweep_matches_the_composed_sweep(paradigm, width, masked):
         token_mask = np.ones((2, 6), dtype=bool)
         token_mask[1, -1] = False
     params, tokens, selected = _case(config, 5, 2, 6)
-    _assert_matches_composed(config, params, tokens, IW, token_mask, selected)
+    with _lanes(2):
+        _assert_matches_composed(config, params, tokens, IW, token_mask, selected)
 
 
 @st.composite
@@ -113,4 +132,59 @@ def _geometries(draw):
 def test_fused_sweep_matches_the_composed_sweep_on_random_geometries(case, seed):
     config, batch, n, token_mask, iw = case
     params, tokens, selected = _case(config, seed, batch, n)
-    _assert_matches_composed(config, params, tokens, iw, token_mask, selected)
+    with _lanes(2):
+        _assert_matches_composed(config, params, tokens, iw, token_mask, selected)
+
+
+def _in_lanes(n, config, params, tokens, token_mask, selected):
+    """(every forward tensor of every sweep, what every sweep's vjp returned,
+    the parameter gradients) of a masked-LM loss, run in n lanes, switching
+    threads about every microsecond."""
+    returned = []
+    backward = model._sweep_backward
+
+    def recording(*args):
+        returned.append(backward(*args))
+        return returned[-1]
+
+    interval = sys.getswitchinterval()
+    with _lanes(n) as mp:
+        mp.setattr(model, "_sweep_backward", recording)
+        sys.setswitchinterval(1e-6)
+        try:
+            leaves = params.as_vars()
+            state = model.init_mfvi(config, leaves, tokens, IW, token_mask)
+            assert state.invariants.lanes == n
+            forward = [ad.val(state.q_z)]
+            for _ in range(SWEEPS):
+                state, *logits = model.sweep(config, leaves, state, IW)
+                forward += [ad.val(state.q_z), state.q_h, state.q_g, *logits]
+            loss = model.masked_ce_loss(model.mlm_logits(config, leaves, state), tokens,
+                                        selected)
+            grads = ad.reverse_grad(loss, leaves)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(returned) == SWEEPS
+    return forward, returned, grads
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "padded"])
+@pytest.mark.parametrize("pos_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_two_lanes_compute_the_same_bits_as_one(paradigm, pos_bias, masked):
+    config = scale_width(TAPE_CFG.with_(pos_bias=pos_bias), 16, paradigm)
+    token_mask = None
+    if masked:
+        token_mask = np.ones((2, 6), dtype=bool)
+        token_mask[1, -1] = False
+    params, tokens, selected = _case(config, 7, 2, 6)
+    one, two = (_in_lanes(n, config, params, tokens, token_mask, selected) for n in (1, 2))
+    for got, want in zip(two[0], one[0], strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(two[1], one[1], strict=True):
+        assert len(got) == len(want) == (6 if pos_bias else 5)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            assert g is None or np.array_equal(g, w)
+    assert two[2].keys() == one[2].keys()
+    assert all(np.array_equal(two[2][k], one[2][k]) for k in one[2])

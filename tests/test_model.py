@@ -29,6 +29,8 @@ from mupt.model import (
     tensor_shapes,
     uniform_posteriors,
     low_rank_products,
+    ternary_messages,
+    topic_message,
     update_heads,
     update_topics,
     update_z,
@@ -53,6 +55,12 @@ def _products(cfg, state):
     """The plain invariants of `state` and `low_rank_products` of its Q_z."""
     inv = state.invariants.arrays()
     return inv, low_rank_products(inv, cfg.width * val(state.q_z))
+
+
+def _label_logits(cfg, iw, inv, b, q_h, q_g, products):
+    """update_z's label logits from the topic and ternary messages of its lanes."""
+    binary = topic_message(cfg, iw, b, q_g)
+    return update_z(cfg, iw, inv, binary, ternary_messages(cfg, iw, inv, q_h, *products)[0])[0]
 
 
 def _heads(cfg, state):
@@ -114,12 +122,12 @@ def test_z_logits_decompose_by_weights():
     only_unary = InfoWeights(w_unary=1.0, w_tern_dep=0.0, w_tern_head=0.0,
                              w_binary=0.0, w_attn=0.0, w_topic=0.0)
     inv, products = _products(cfg, state)
-    lz = update_z(cfg, only_unary, inv, params["B"], state.q_h, state.q_g, *products)[0][0]
+    lz = _label_logits(cfg, only_unary, inv, params["B"], state.q_h, state.q_g, products)[0]
     np.testing.assert_allclose(lz, params["S"][tokens], atol=1e-15)
 
     only_binary = InfoWeights(w_unary=0.0, w_tern_dep=0.0, w_tern_head=0.0,
                               w_binary=1.0, w_attn=0.0, w_topic=0.0)
-    lz = update_z(cfg, only_binary, inv, params["B"], state.q_h, state.q_g, *products)[0][0]
+    lz = _label_logits(cfg, only_binary, inv, params["B"], state.q_h, state.q_g, products)[0]
     ng = val(quasi(state.q_g, cfg.topics))[0]
     np.testing.assert_allclose(lz, ng @ params["B"], atol=1e-14)
 
@@ -304,8 +312,8 @@ def test_fused_ternary_messages_equal_per_channel_sum(paradigm):
 
     inv, products = _products(cfg, state)
     none = dict(w_unary=0.0, w_binary=0.0, w_tern_dep=0.0, w_tern_head=0.0)
-    dep, head = (update_z(cfg, InfoWeights(**{**none, w: 1.0}), inv, params["B"], q_h,
-                          state.q_g, *products)[0]
+    dep, head = (_label_logits(cfg, InfoWeights(**{**none, w: 1.0}), inv, params["B"], q_h,
+                               state.q_g, products)
                  for w in ("w_tern_dep", "w_tern_head"))
     # an entry that cancels to far below the others' size carries their
     # rounding error, hence the floor at 1e-13 of the largest entry

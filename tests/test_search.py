@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from mupt import search, training
+from mupt import parallel, search
 from mupt.config import HPPoint, InfoWeights, PTConfig
 from mupt.corpus import encode_corpus, synth_text
 from mupt.errors import ConfigError
@@ -143,7 +143,7 @@ TINY_SETTINGS = TrainSettings(steps=2, batch_size=2, eval_interval=2, max_eval_c
 
 def _verify(tmp_path, monkeypatch, cpus, config=TINY):
     """A 4-sample verification on `cpus` usable CPUs (1: serial, 2: a pool)."""
-    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     return verify_local_optimality(config, HPPoint(lr=3e-3),
                                    encode_corpus(synth_text(2048, 5), seq_len=12), seed=0,
                                    settings=TINY_SETTINGS, out_dir=str(tmp_path),

@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from mupt import training
+from mupt import parallel
 from mupt.config import HPPoint, PTConfig
 from mupt.corpus import encode_corpus, synth_text
 from mupt.errors import ConfigError
 from mupt.mup import WidthScaler
+from mupt.parallel import map_jobs
 from mupt.training import (
     RunRecord,
     SWEEP_CSV_HEADER,
     SweepResult,
     TrainSettings,
-    map_jobs,
     train_run,
     train_steps,
     transfer_sweep,
@@ -258,7 +258,7 @@ def test_a_width_where_every_lr_diverged_has_no_best_lr(steps, best):
 
 def _cpus(monkeypatch, n):
     """Let map_jobs see n usable CPUs: 1 is serial, 2 a pool of two workers."""
-    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: n)
 
 
 def _finish_in_reverse(i, n):
@@ -282,24 +282,24 @@ def test_worker_count(monkeypatch):
         monkeypatch.setenv(var, "1")
     if hasattr(os, "sched_getaffinity"):          # pinned to one CPU, as by taskset -c 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert training._worker_count(8) == 1
+        assert parallel._worker_count(8) == 1
     _cpus(monkeypatch, 8)
-    assert training._worker_count(8) == 8
-    assert training._worker_count(3) == 3       # at most one per job
-    assert training._worker_count(1) == 1
+    assert parallel._worker_count(8) == 8
+    assert parallel._worker_count(3) == 3       # at most one per job
+    assert parallel._worker_count(1) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert training._worker_count(8) == 2       # 8 CPUs hold two 3-thread BLAS pools
+    assert parallel._worker_count(8) == 2       # 8 CPUs hold two 3-thread BLAS pools
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var)
-    assert training._worker_count(8) == 1       # unpinned BLAS takes every CPU
+    assert parallel._worker_count(8) == 1       # unpinned BLAS takes every CPU
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert training._worker_count(8) == 8
+    assert parallel._worker_count(8) == 8
 
 
 def test_worker_count_is_one_inside_a_worker(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert training._worker_count(4) == 2
-    assert map_jobs(training._worker_count, [(4,), (4,)]) == [1, 1]
+    assert parallel._worker_count(4) == 2
+    assert map_jobs(parallel._worker_count, [(4,), (4,)]) == [1, 1]
 
 
 def _worker_view():
@@ -314,10 +314,10 @@ def test_workers_ignore_ctrl_c_and_never_nest(monkeypatch):
         assert pid != os.getpid() and ignores_ctrl_c
         assert nested == [pid, pid]             # serial, in the worker itself
     # the job table is the caller's only while its pool runs, errors or not
-    assert training._WORKER_JOBS is None
+    assert parallel._WORKER_JOBS is None
     with pytest.raises(ZeroDivisionError):
         map_jobs(_fail_on_second, [(i,) for i in range(4)])
-    assert training._WORKER_JOBS is None
+    assert parallel._WORKER_JOBS is None
     assert signal.getsignal(signal.SIGINT) is handler
     assert multiprocessing.active_children() == []
 
@@ -328,18 +328,18 @@ def test_another_thread_means_serial(monkeypatch):
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
     try:
-        assert training._worker_count(4) == 1
+        assert parallel._worker_count(4) == 1
     finally:
         release.set()
         thread.join(10)
     assert not thread.is_alive()
-    assert training._worker_count(4) == 2
+    assert parallel._worker_count(4) == 2
 
 
 def test_no_fork_means_serial(monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert training._worker_count(4) == 1
+    assert parallel._worker_count(4) == 1
     assert map_jobs(os.getpid, [()] * 3) == [os.getpid()] * 3
 
 
