@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("PTConfig", "InfoWeights", "HPPoint", "SCALE_CHANNELS", "SCALE_RANK",
                "PARADIGMS"),
-    "errors": ("ConfigError", "CheckFailure", "CheckpointError"),
+    "errors": ("ConfigError", "CheckFailure", "CheckpointError", "WorkerDied"),
     "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
                  "softmax_rows", "rms_norm"),
     "rng": ("SeededRng",),

@@ -36,7 +36,7 @@ import json
 import os
 import sys
 
-from .errors import CheckFailure, ConfigError
+from .errors import CheckFailure, ConfigError, WorkerDied
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -634,7 +634,7 @@ def main(argv=None) -> int:
         tag = short_hash({"cfg": cfg, "seed": args.seed})  # names the artifacts
         _COMMANDS[args.command](run, args.seed, tag, out_dir)
         return 0
-    except ConfigError as e:
+    except (ConfigError, WorkerDied) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except CheckFailure as e:

@@ -192,32 +192,45 @@ _WORDS = (
 ).split()
 
 
+# Zipf weights over _WORDS: the i-th word is drawn with probability ~ 1/(i+1).
+_ZIPF = 1.0 / np.arange(1, len(_WORDS) + 1, dtype=np.float64)
+_WORD_CDF = np.cumsum(_ZIPF / _ZIPF.sum())
+# Uniforms synth_text draws at once: 1024 words of two draws each.
+_SYNTH_BLOCK = 2048
+
+
 def synth_text(n_bytes: int, seed: int) -> bytes:
     """Deterministic pseudo-text: Zipf-weighted common words with punctuation.
 
     Pure function of (n_bytes, seed); used by tests, demos, and any run that
-    does not bring its own corpus.
+    does not bring its own corpus. Each word takes two uniforms from the
+    private `synth-text` stream, in stream order: the first picks the word,
+    the second ends the sentence or adds a comma. The uniforms are drawn in
+    blocks of _SYNTH_BLOCK, and PCG64 draws an array as the same successive
+    doubles as one call each, so no block size changes a byte; the draws
+    past the last word are never read.
     """
     if n_bytes < 8:
         raise ConfigError(f"n_bytes must be >= 8, got {n_bytes}")
     rng = SeededRng(seed).spawn("synth-text")
-    weights = 1.0 / np.arange(1, len(_WORDS) + 1, dtype=np.float64)
-    cdf = np.cumsum(weights / weights.sum())
     pieces: list[str] = []
     size = 0
     sentence_len = 0
     while size < n_bytes:
-        w = _WORDS[int(np.searchsorted(cdf, float(rng.uniform(0.0, 1.0))))]
-        sentence_len += 1
-        if sentence_len == 1:
-            w = w.capitalize()
-        end = float(rng.uniform(0.0, 1.0))
-        if sentence_len >= 6 and end < 0.22:
-            w += ".\n" if end < 0.05 else "."
-            sentence_len = 0
-        elif end > 0.93:
-            w += ","
-        pieces.append(w)
-        size += len(w) + 1
+        u = rng.uniform(0.0, 1.0, _SYNTH_BLOCK)
+        for i, end in zip(np.searchsorted(_WORD_CDF, u[0::2]).tolist(), u[1::2].tolist()):
+            sentence_len += 1
+            w = _WORDS[i]
+            if sentence_len == 1:
+                w = w.capitalize()
+            if sentence_len >= 6 and end < 0.22:
+                w += ".\n" if end < 0.05 else "."
+                sentence_len = 0
+            elif end > 0.93:
+                w += ","
+            pieces.append(w)
+            size += len(w) + 1
+            if size >= n_bytes:
+                break
     text = " ".join(pieces)
     return text.encode("ascii")[:n_bytes]

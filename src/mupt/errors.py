@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Anything user-facing (CLI) maps ConfigError to exit code 1 and CheckFailure
-to exit code 2; everything else is a plain bug and escapes as-is.
+Anything user-facing (CLI) maps ConfigError and WorkerDied to exit code 1
+and CheckFailure to exit code 2; everything else is a plain bug and escapes
+as-is.
 """
 
 
@@ -15,3 +16,8 @@ class CheckFailure(AssertionError):
 
 class CheckpointError(ValueError):
     """Unreadable, truncated, or version-mismatched checkpoint container."""
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker ended before its jobs did: killed from outside, as by the
+    OOM killer, or exited without returning a result."""

@@ -16,7 +16,10 @@ divided by the pinned BLAS threads, and neither has a setting: `taskset -c 0`
 from __future__ import annotations
 
 import os
+import signal
 import threading
+
+from .errors import WorkerDied
 
 __all__ = ["map_jobs", "lanes", "fork_join", "LANE_MIN_MACS"]
 
@@ -73,26 +76,54 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     inside a worker, beside another thread and where fork is missing. The
     workers inherit fn and the jobs by fork, so neither is pickled; results
     and exceptions are. An exception in a job, or a KeyboardInterrupt in the
-    caller, ends every worker before it propagates: no process outlives the
-    call.
+    caller, ends every worker before it propagates, and a worker that dies
+    mid-job (as under the OOM killer) raises WorkerDied, naming the jobs that
+    did not finish and how the worker ended: no process outlives the call.
     """
     global _WORKER_JOBS
     workers = _worker_count(len(jobs))
     if workers == 1:
         return [fn(*job) for job in jobs]
     import multiprocessing
-    import signal
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
+    # forks its workers at the first submit; they ignore Ctrl-C, the caller's to handle
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
     _WORKER_JOBS = (fn, jobs)    # before the fork: every worker starts with it
-    try:                         # the workers ignore Ctrl-C, the caller's to handle
-        with multiprocessing.get_context("fork").Pool(
-                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            results = pool.map(_run_job, range(len(jobs)), chunksize=1)
-            pool.close()
-            pool.join()
+    processes, results = [], None
+    try:
+        futures = [pool.submit(_run_job, i) for i in range(len(jobs))]
+        processes = list(pool._processes.values())    # a fork pool starts them all at once
+        wait(futures, return_when=FIRST_EXCEPTION)
+        failed = [f for f in futures if f.done() and f.exception() is not None]
+        if not failed:
+            results = [f.result() for f in futures]
+        elif not any(isinstance(f.exception(), BrokenProcessPool) for f in failed):
+            failed[0].result()                         # the job's own error, as raised
     finally:
         _WORKER_JOBS = None
-    return results
+        if results is None:                            # an error, a dead worker or Ctrl-C
+            for process in processes:
+                process.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+    if results is not None:
+        return results
+    lost = [str(i) for i, f in enumerate(futures) if f.cancelled() or f.exception() is not None]
+    raise WorkerDied(f"a pool worker died ({_endings(processes)}); "
+                     f"job{'s' * (len(lost) > 1)} {', '.join(lost)} of {len(jobs)} did not finish")
+
+
+def _endings(processes) -> str:
+    """How the workers that ended on their own ended, e.g. 'SIGKILL' or
+    'exit code 0'. Every worker has been joined, and map_jobs sent SIGTERM
+    to the ones still running."""
+    codes = {p.exitcode for p in processes}
+    own = codes - {-signal.SIGTERM} or codes
+    names = {-s.value: s.name for s in signal.Signals}    # a real-time signal has none
+    return ", ".join(names.get(c, f"exit code {c}" if c >= 0 else f"signal {-c}")
+                     for c in sorted(own))
 
 
 def lanes(topic_macs: int) -> int:

@@ -1,7 +1,13 @@
 """Tokenization, chunking, corruption, and the synthetic corpus generator."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_synth
+from mupt import corpus as corpus_module
 from mupt.corpus import (
     BYTE_VOCAB,
     MASK_ID,
@@ -152,3 +158,55 @@ def test_synth_text_shape_and_content():
     assert "." in text and " " in text
     with pytest.raises(ConfigError):
         synth_text(4, 0)
+
+
+# SHA-256 prefixes of synth_text(n_bytes, seed), recorded from the scalar-draw
+# generator (tests/reference_synth.py). Every corpus, digest and golden line of
+# the suite starts from these bytes, so no rewrite of the generator may move one.
+_PINNED_SYNTH = {
+    (8, 0): "bf3789e7f5fe8702",
+    (1000, 3): "f721c30bac3ff1aa",
+    (2048, 7): "50c1dad0cf01a1bd",
+    (4096, 0): "af968a0e0ebd97de",
+    (1 << 15, 0): "55daf9ec7d30abf3",
+    (1 << 17, 0): "72fa762219a63d44",
+    (1 << 17, 11): "f95717d212dcfa87",
+    (1 << 20, 13): "0831ef928be1c034",
+}
+
+
+def test_synth_text_bytes_are_pinned():
+    got = {key: hashlib.sha256(synth_text(*key)).hexdigest()[:16] for key in _PINNED_SYNTH}
+    assert got == _PINNED_SYNTH
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n_bytes=st.integers(8, 65536), seed=st.integers(0, 2**32 - 1))
+def test_synth_text_matches_the_scalar_draw_oracle(n_bytes, seed):
+    assert synth_text(n_bytes, seed) == reference_synth.synth_text(n_bytes, seed)
+
+
+def _word_ends(seed, n_words):
+    """ends[k - 1] is the n_bytes at which synth_text(n_bytes, seed) stops
+    after exactly k words: its words' lengths, each plus one space, summed."""
+    pieces = reference_synth.synth_text(16 * n_words, seed).decode("ascii").split(" ")
+    assert len(pieces) > n_words
+    return np.cumsum([len(p) + 1 for p in pieces[:n_words]]).tolist()
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_synth_text_matches_the_oracle_at_block_boundaries(seed):
+    per_block = corpus_module._SYNTH_BLOCK // 2          # words per block
+    ends = _word_ends(seed, 2 * per_block + 1)
+    for boundary in (per_block, 2 * per_block):
+        for words in (boundary - 1, boundary, boundary + 1):
+            n_bytes = ends[words - 1]
+            assert synth_text(n_bytes, seed) == reference_synth.synth_text(n_bytes, seed)
+
+
+@pytest.mark.parametrize("block", [2, 6, 2046])
+def test_no_block_size_changes_a_byte(monkeypatch, block):
+    monkeypatch.setattr(corpus_module, "_SYNTH_BLOCK", block)
+    for n_bytes, seed in [(8, 0), (1000, 3), (4096, 0), (1 << 15, 5)]:
+        assert synth_text(n_bytes, seed) == reference_synth.synth_text(n_bytes, seed)

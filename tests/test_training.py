@@ -3,6 +3,7 @@ the process pool that trains independent runs side by side."""
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -375,6 +376,89 @@ def test_job_errors_escape_as_they_are(monkeypatch, cpus):
     with pytest.raises(ZeroDivisionError, match="job 1"):
         map_jobs(_fail_on_second, [(i,) for i in range(4)])
     assert multiprocessing.active_children() == []
+
+
+def _own_session(script, *args):
+    """(returncode, stdout, stderr) of `python -c script *args`, run in a
+    session of its own and given 30 s: past that, every process of its group
+    is killed and the test fails instead of hanging. Either way no process
+    of the group may be left behind."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-c", script, *args], env=env,
+                            start_new_session=True, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the call hung on a dead worker")
+    time.sleep(0.1)                    # a stray worker would still be in the group
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out, err
+
+
+# A pool of two workers whose job 3 of 9 SIGKILLs its own worker, as the OOM
+# killer would.
+_KILLED_WORKER = """
+import multiprocessing, os, signal
+from mupt import parallel
+from mupt.errors import WorkerDied
+parallel._usable_cpus = lambda: 2
+def job(i):
+    if i == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+try:
+    parallel.map_jobs(job, [(i,) for i in range(9)])
+except WorkerDied as e:
+    print(e)
+print(multiprocessing.active_children(), parallel._WORKER_JOBS)
+print(parallel.map_jobs(os.getpid, [(), ()]) != [os.getpid()] * 2)
+"""
+
+
+def test_a_killed_worker_is_an_error_not_a_hang():
+    rc, out, err = _own_session(_KILLED_WORKER)
+    assert rc == 0, out + err
+    died, left, pooled_again = out.splitlines()
+    lost = re.fullmatch(r"a pool worker died \(SIGKILL\); jobs? ([\d, ]+) of 9 did not finish",
+                        died)
+    assert lost and "3" in lost.group(1).split(", "), died
+    assert left == "[] None"
+    assert pooled_again == "True"                # the next call forks a pool again
+
+
+# verify-local-opt on a pool of two workers whose second job SIGKILLs its worker.
+_KILLED_VERIFY = """
+import os, signal, sys
+from mupt import parallel
+parallel._usable_cpus = lambda: 2
+run_job = parallel._run_job
+def killed_on_the_second(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_job(i)
+parallel._run_job = killed_on_the_second
+from mupt.cli import main
+sys.exit(main(sys.argv[2:] + ["--out-dir", sys.argv[1]]))
+"""
+
+
+def test_a_killed_worker_ends_the_cli_with_one_line_and_exit_1(tmp_path):
+    tiny = ["--set", "model.width=8", "--set", "model.rank=2", "--set", "model.channels=2",
+            "--set", "model.topics=16", "--set", "corpus.synthetic_bytes=4096",
+            "--set", "corpus.seq_len=12", "--set", "train.steps=2",
+            "--set", "train.batch_size=2", "--set", "train.max_eval_chunks=4",
+            "--set", "p=0.5", "--set", "alpha=0.5", "--set", "n=2"]
+    rc, out, err = _own_session(_KILLED_VERIFY, str(tmp_path), "verify-local-opt", *tiny)
+    assert rc == 1, out + err
+    assert err.startswith("error: a pool worker died (SIGKILL); job"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())           # nothing written on failure
 
 
 # Evaluates a freshly initialised width-512 model twice in a new process and
