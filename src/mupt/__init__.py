@@ -19,7 +19,7 @@ _EXPORTS = {
                "PARADIGMS"),
     "errors": ("ConfigError", "CheckFailure", "CheckpointError", "WorkerDied"),
     "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
-                 "softmax_rows", "rms_norm"),
+                 "softmax_rows"),
     "rng": ("SeededRng",),
     "model": ("ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "mlm_logits",
               "masked_ce_loss", "uniform_posteriors", "param_count"),

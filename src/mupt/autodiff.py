@@ -12,28 +12,26 @@ A Var wraps an ndarray. Whether it is on the tape follows from its inputs:
 The tape is a graph of links, kept apart from the values. A taped Var points
 to its link; the link points to the links of exactly the taped inputs and
 holds, for each, the vjp that pushes a cotangent through to it. A vjp keeps
-only the arrays it reads (matmul both operands, mul the other operand, div
-its divisor and output, sqrt and softmax_rows their output, logsumexp its
-softmax, square its input), and the shape-only ops keep shapes and indices.
+only the arrays it reads (matmul both operands, mul the other operand,
+softmax_rows its output), and the shape-only ops keep shapes and indices.
 So the tape holds no Var: an intermediate's array is freed as soon as the
 caller drops its Var, unless a vjp reads it, and what a vjp reads lives until
 reverse_grad has passed its link. A backward pass frees the vjps it has used,
 so each forward pass takes one backward pass; a second one through the same
 links raises.
 
-The ops are deliberately few: add, sub, mul, div, sqrt, square; batched
-matmul, transpose, swapaxes, reshape; reduce_sum, reduce_mean; the gathers
-take and take_along; and the fused rows primitives logsumexp and softmax_rows,
-whose closed-form vjps keep the backward pass exact. rms_norm and
-log_softmax_rows are not primitives: they compose square, reduce_mean, add,
-sqrt, div and mul, and sub and logsumexp. Everything is float64 unless the
-caller hands in float32 explicitly.
+The ops are deliberately few: add, mul; batched matmul, transpose,
+swapaxes, reshape; the gather take; and softmax_rows, whose closed-form vjp
+keeps the backward pass exact. Everything is float64 unless the caller hands
+in float32 explicitly.
 
 `fused` makes one node of a composite whose reverse is written by hand:
-model.sweep, a whole mean-field sweep, is one. Its backward runs once and
-hands each taped input its cotangent; it is never asked for a constant's.
-Such a node keeps what its backward reads, like any other, so the composite's
-intermediates are freed after its forward unless that backward reads them.
+model.sweep, a whole mean-field sweep, is one, and so are the readout
+(model.mlm_logits) and the loss (model.masked_ce_loss). Its backward runs
+once and hands each taped input its cotangent; it is never asked for a
+constant's. Such a node keeps what its backward reads, like any other, so
+the composite's intermediates are freed after its forward unless that
+backward reads them.
 
 Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
 never touched gets an exact zero gradient of matching shape.
@@ -54,10 +52,7 @@ __all__ = [
     "as_var",
     "val",
     "fused",
-    "add", "sub", "mul", "div", "sqrt", "square",
-    "matmul", "transpose", "swapaxes", "reshape",
-    "reduce_sum", "reduce_mean", "take", "take_along",
-    "logsumexp", "softmax_rows", "rms_norm", "log_softmax_rows",
+    "add", "mul", "matmul", "transpose", "swapaxes", "reshape", "take", "softmax_rows",
     "reverse_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
@@ -206,14 +201,6 @@ def add(a, b) -> Var:
                   lambda g: _unbroadcast(g, sb)))
 
 
-def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    sa, sb = a.value.shape, b.value.shape
-    return _node(a.value - b.value, (a, b),
-                 (lambda g: _unbroadcast(g, sa),
-                  lambda g: _unbroadcast(-g, sb)))
-
-
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
@@ -221,28 +208,6 @@ def mul(a, b) -> Var:
     return _node(av * bv, (a, b),
                  (lambda g: _unbroadcast(g * bv, sa),
                   lambda g: _unbroadcast(g * av, sb)))
-
-
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    bv = b.value
-    sa, sb = a.value.shape, bv.shape
-    out = a.value / bv
-    return _node(out, (a, b),
-                 (lambda g: _unbroadcast(g / bv, sa),
-                  lambda g: _unbroadcast(-g * out / bv, sb)))
-
-
-def sqrt(a) -> Var:
-    a = as_var(a)
-    out = np.sqrt(a.value)
-    return _node(out, (a,), (lambda g: g * (0.5 / out),))
-
-
-def square(a) -> Var:
-    a = as_var(a)
-    av = a.value
-    return _node(av * av, (a,), (lambda g: g * (2.0 * av),))
 
 
 def matmul(a, b) -> Var:
@@ -280,29 +245,6 @@ def reshape(a, shape) -> Var:
     return _node(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-    in_shape = a.value.shape
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, in_shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, in_shape).copy()
-
-    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), (vjp,))
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-    if axis is None:
-        count = a.value.size
-    else:
-        count = a.value.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     """Zeros of `shape` plus g summed in at the flat positions `flat` (g's shape).
 
@@ -330,40 +272,6 @@ def take(a, indices) -> Var:
         return _scatter_add(flat, g, in_shape)
 
     return _node(a.value[idx], (a,), (vjp,))
-
-
-def take_along(a, indices, axis: int = -1) -> Var:
-    """Gather along an axis with np.take_along_axis semantics."""
-    a = as_var(a)
-    idx = np.asarray(indices)
-    in_shape = a.value.shape
-    ax = axis % len(in_shape)
-
-    def vjp(g):
-        grids = np.ogrid[tuple(slice(0, s) for s in idx.shape)]
-        full = tuple(idx if d == ax else grids[d] for d in range(len(in_shape)))
-        return _scatter_add(np.ravel_multi_index(full, in_shape, mode="wrap"), g, in_shape)
-
-    return _node(np.take_along_axis(a.value, idx, axis=ax), (a,), (vjp,))
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Var:
-    """log(sum(exp(a))) with the usual max-shift; gradient is softmax(a)."""
-    a = as_var(a)
-    m = np.max(a.value, axis=axis, keepdims=True)
-    e = np.exp(a.value - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = m + np.log(s)
-    soft = e / s
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return g * soft
-
-    return _node(out, (a,), (vjp,))
 
 
 def softmax_rows(x, mask=None) -> Var:
@@ -400,18 +308,6 @@ def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def rms_norm(x, gain, eps: float = 1e-6) -> Var:
-    """x / sqrt(mean(x^2) + eps) * gain over the last axis."""
-    x = as_var(x)
-    ms = reduce_mean(square(x), axis=-1, keepdims=True)
-    return mul(div(x, sqrt(add(ms, eps))), gain)
-
-
-def log_softmax_rows(x) -> Var:
-    x = as_var(x)
-    return sub(x, logsumexp(x, axis=-1, keepdims=True))
 
 
 def _toposort(root: _Link) -> list[_Link]:

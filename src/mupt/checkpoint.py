@@ -21,6 +21,7 @@ from . import mup
 from .config import PTConfig
 from .errors import CheckpointError, ConfigError
 from .model import tensor_order, tensor_shapes
+from .util import atomic_write
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -56,7 +57,7 @@ def save_checkpoint(path, config: PTConfig, params: dict, extra: dict | None = N
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)

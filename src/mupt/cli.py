@@ -295,8 +295,10 @@ def _validated(command: str, cfg: dict) -> dict:
 
 
 def _write(path: str, text: str) -> str:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text if text.endswith("\n") else text + "\n")
+    from .util import atomic_write
+
+    with atomic_write(path) as f:
+        f.write((text if text.endswith("\n") else text + "\n").encode("utf-8"))
     return path
 
 

@@ -31,6 +31,7 @@ class PTConfig:
     pos_buckets = 2 * pos_clip. It defaults on for training; the diagnostics
     take the geometry they are given, and their callers turn it off to probe
     the bare bilinear logits.
+    rms_eps is added to the mean square under the readout's square root.
     """
 
     width: int
@@ -53,6 +54,9 @@ class PTConfig:
         if self.pos_clip < 1 or self.pos_buckets != 2 * self.pos_clip:
             raise ConfigError(f"pos_clip must be >= 1 and pos_buckets 2 * pos_clip, "
                               f"got {self.pos_clip} and {self.pos_buckets}")
+        # 0 is valid: a quasi-label row's mean square is at least 1
+        if not np.isfinite(self.rms_eps) or self.rms_eps < 0:
+            raise ConfigError(f"rms_eps must be finite and >= 0, got {self.rms_eps!r}")
 
     @property
     def tau(self) -> float:

@@ -38,7 +38,7 @@ from .mup import AdamW, WidthScaler
 from .parallel import map_jobs
 from .rng import SeededRng
 from .training import TrainSettings, train_steps
-from .util import canonical_json
+from .util import atomic_write, canonical_json
 
 __all__ = [
     "DIAG_WEIGHTS", "DIAG_HP", "EXACT_TOL", "INIT_VARIANCE_TOL",
@@ -691,8 +691,8 @@ def write_coord_csv(report: CoordReport, path) -> None:
                 m = report.mean_abs[probe][width][step]
                 v = report.variance[probe][width][step]
                 lines.append(f"{width},{probe},{step},{m!r},{v!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    with atomic_write(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def coord_summary_json(report: CoordReport) -> str:

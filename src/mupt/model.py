@@ -54,6 +54,10 @@ multiplier) init_mfvi forms once per forward as ordinary tape nodes, the
 goes further back. tests/composed_sweep.py keeps the composed sweep as the
 oracle.
 
+A training tape is init_mfvi's nodes, one node per sweep, then the readout
+`mlm_logits` and the loss `masked_ce_loss`, one node each with a closed-form
+vjp (`_readout_backward`, `_ce_backward`).
+
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
 real positions; masked-out positions neither attend nor get attended to.
@@ -76,7 +80,7 @@ __all__ = [
     "ModelParams", "MFVIState", "tensor_shapes", "tensor_order", "param_count",
     "position_buckets", "SweepInvariants", "init_mfvi", "low_rank_products",
     "update_heads", "update_topics", "topic_message", "ternary_messages", "update_z",
-    "sweep", "run_mfvi", "quasi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
+    "sweep", "run_mfvi", "mlm_logits", "masked_ce_loss", "uniform_posteriors",
 ]
 
 ParamsLike = Mapping[str, Union[Var, np.ndarray]]
@@ -194,11 +198,6 @@ def _valid_rows(token_mask: np.ndarray | None):
     if token_mask is None:
         return None
     return np.asarray(token_mask, dtype=np.float64)[:, None, :, None]
-
-
-def quasi(q, count: int):
-    """Quasi-distribution count * q; rows then average to exactly 1."""
-    return ad.mul(q, float(count))
 
 
 @dataclass(frozen=True)
@@ -553,10 +552,42 @@ def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
 
 
 def mlm_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
-    """Vocabulary logits: rms-normalized quasi-labels through the output map."""
-    nz = quasi(state.q_z, config.width)
-    feature = ad.rms_norm(nz, params["gamma"], config.rms_eps)
-    return ad.add(ad.matmul(feature, params["W_out"]), params["b_out"])
+    """Vocabulary logits, (B, n, V): the quasi-labels Nz = N * Q_z over their
+    root mean square, times gamma, through W_out and b_out; float64 whatever
+    Q_z's dtype. One tape node over (Q_z, gamma, W_out, b_out)."""
+    inputs = tuple(ad.as_var(x) for x in (state.q_z, params["gamma"], params["W_out"],
+                                          params["b_out"]))
+    q_z, gamma, w_out, b_out = (x.value for x in inputs)
+    nz = q_z * np.float64(config.width)
+    den = np.sqrt((nz * nz).sum(axis=-1, keepdims=True) * (1.0 / config.width) + config.rms_eps)
+    normed = nz / den
+    feature = normed * gamma
+    return ad.fused(np.matmul(feature, w_out) + b_out, inputs, lambda g, wanted: _readout_backward(
+        g, wanted, nz, den, normed, feature, gamma, w_out, b_out.shape))
+
+
+def _readout_backward(g, wanted, nz, den, normed, feature, gamma, w_out, b_shape):
+    """The reverse of `mlm_logits`: from the logits' cotangent g to those of
+    (Q_z, gamma, W_out, b_out), None where not wanted. W_out's is a batched
+    product summed over the batch; Nz's is the part through Nz / den, then
+    the part through den's mean square."""
+    want_qz, want_gamma, want_w, want_b = wanted
+    g_qz = g_gamma = g_w = None
+    g_b = ad._unbroadcast(g, b_shape) if want_b else None
+    if want_w:
+        g_w = ad._unbroadcast(np.matmul(feature.swapaxes(-1, -2), g), w_out.shape)
+    if want_qz or want_gamma:
+        g_feature = np.matmul(g, w_out.swapaxes(-1, -2))
+        if want_gamma:
+            g_gamma = ad._unbroadcast(g_feature * normed, gamma.shape)
+        if want_qz:
+            width = nz.shape[-1]
+            g_normed = g_feature * gamma
+            g_den = ad._unbroadcast(-g_normed * normed / den, den.shape)
+            g_nz = g_normed / den
+            g_nz += g_den * (0.5 / den) * (1.0 / width) * (2.0 * nz)
+            g_qz = g_nz * float(width)
+    return g_qz, g_gamma, g_w, g_b
 
 
 def masked_ce_loss(logits, targets, positions):
@@ -564,19 +595,36 @@ def masked_ce_loss(logits, targets, positions):
 
     targets holds the original token at every selected position (values at
     unselected positions are ignored); positions is boolean with at least one
-    True entry.
+    True entry. One tape node over the logits.
     """
     positions = np.asarray(positions, dtype=bool)
     count = int(positions.sum())
     if count == 0:
         raise ConfigError("masked_ce_loss: no positions selected")
-    targets = np.asarray(targets)
-    safe_targets = np.where(positions, targets, 0)
-    lsm = ad.log_softmax_rows(logits)
-    picked = ad.take_along(lsm, safe_targets[..., None], axis=-1)
-    picked = ad.reshape(picked, positions.shape)
-    total = ad.reduce_sum(ad.mul(picked, positions.astype(np.float64)))
-    return ad.mul(total, -1.0 / count)
+    safe_targets = np.where(positions, np.asarray(targets), 0)
+    logits = ad.as_var(logits)
+    x = logits.value
+    top = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - top)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = top + np.log(total)
+    soft = e / total
+    del e
+    picked = np.take_along_axis(x - lse, safe_targets[..., None], axis=-1)
+    weights = positions.astype(np.float64)
+    loss = (picked.reshape(positions.shape) * weights).sum() * (-1.0 / count)
+    return ad.fused(loss, (logits,), lambda g, wanted: (
+        _ce_backward(soft, safe_targets, (g * (-1.0 / count)) * weights),))
+
+
+def _ce_backward(soft, targets, g_picked):
+    """The logits' cotangent, softmax minus one-hot: g_picked scattered at the
+    targets, then its negated row sum times the softmax added."""
+    vocab = soft.shape[-1]
+    flat = np.arange(targets.size) * vocab + targets.ravel() % vocab
+    g = ad._scatter_add(flat, g_picked, soft.shape)
+    g += (-g).sum(axis=-1, keepdims=True) * soft
+    return g
 
 
 def uniform_posteriors(config: PTConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from .parallel import map_jobs
 from .rng import SeededRng
 from .svgplot import line_svg, scatter_svg
 from .training import TrainSettings, train_run
-from .util import canonical_json, short_hash
+from .util import atomic_write, canonical_json, short_hash
 
 __all__ = [
     "min_samples", "sample_size_bound", "confidence",
@@ -157,8 +157,8 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
     rows = [VERIFY_CSV_HEADER, f"0,0.0,{base_loss!r},0.0"]
     for i, (d, x, r) in enumerate(zip(dists, losses, rel_increase), start=1):
         rows.append(f"{i},{d!r},{x!r},{r!r}")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(rows) + "\n")
+    with atomic_write(csv_path) as f:
+        f.write(("\n".join(rows) + "\n").encode("utf-8"))
 
     scatter_path = os.path.join(out_dir, f"verify-scatter-{tag}.svg")
     verify_scatter_svg(scatter_path, list(zip(dists, rel_increase)))
@@ -181,7 +181,7 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
         artifacts={"csv": csv_path, "scatter_svg": scatter_path,
                    "rank_svg": rank_path})
     json_path = os.path.join(out_dir, f"verify-{tag}.json")
-    with open(json_path, "w", encoding="utf-8") as f:
-        f.write(report.to_json() + "\n")
+    with atomic_write(json_path) as f:
+        f.write((report.to_json() + "\n").encode("utf-8"))
     report.artifacts["json"] = json_path
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
+from .util import atomic_write
 
 __all__ = ["scatter_svg", "line_svg"]
 
@@ -126,8 +127,8 @@ def scatter_svg(path, points, title: str = "", xlabel: str = "", ylabel: str = "
             parts.append(f'<text x="{hx+9:.1f}" y="{hy-7:.1f}" fill="{_PALETTE[1]}">'
                          f'{_esc(highlight_label)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    with atomic_write(path) as f:
+        f.write(("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def line_svg(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -157,5 +158,5 @@ def line_svg(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
                          f'stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{_W-_MR-92}" y="{ly}">{_esc(label)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    with atomic_write(path) as f:
+        f.write(("\n".join(parts) + "\n").encode("utf-8"))

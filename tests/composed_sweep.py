@@ -9,7 +9,12 @@ composed sweep did.
 import numpy as np
 
 from mupt import autodiff as ad
-from mupt.model import MFVIState, _attn_mask, _valid_rows, position_buckets, quasi
+from mupt.model import MFVIState, _attn_mask, _valid_rows, position_buckets
+
+
+def quasi(q, count):
+    """Quasi-distribution count * q; rows then average to exactly 1."""
+    return ad.mul(q, float(count))
 
 
 def init(config, params, tokens, iw, token_mask=None):

@@ -7,8 +7,9 @@ several tests assert exact digests.
 Every acceptance line, and every value a test hands to `golden_record` (the
 criterion-9 replica digest, the criterion-6 coord-CSV hashes), must equal
 its line in golden/acceptance.txt: at the end of a session in which any of
-them ran, a difference fails the session and is printed. A deliberate change
-of a number updates that file.
+them ran, a difference fails the session and is printed, with the BLAS
+kernel this session ran under: the golden numbers hold for the one named in
+the file. A deliberate change of a number updates that file.
 """
 import os
 
@@ -21,6 +22,7 @@ from pathlib import Path  # noqa: E402
 import pytest  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden") / "acceptance.txt"
+RECORDED_UNDER = "# recorded under OpenBLAS core "
 
 _ACCEPTANCE_LINES: list[str] = []
 _GOLDEN_SEEN: dict[str, str] = {}
@@ -66,6 +68,25 @@ def pytest_sessionfinish(session, exitstatus):
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
+def _blas_core() -> str:
+    """The kernel NumPy's bundled OpenBLAS picked for this CPU, such as
+    'SkylakeX', or 'unknown' where that library or its symbol is missing."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
@@ -73,5 +94,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
     if _GOLDEN_MISMATCHES:
         terminalreporter.section(f"differs from {GOLDEN.parent.name}/{GOLDEN.name}", red=True)
+        recorded = next((line[len(RECORDED_UNDER):] for line in
+                         GOLDEN.read_text(encoding="utf-8").splitlines()
+                         if line.startswith(RECORDED_UNDER)), "unknown")
+        terminalreporter.write_line(f"OpenBLAS core: running {_blas_core()}, "
+                                    f"golden recorded under {recorded}")
         for mismatch in _GOLDEN_MISMATCHES:
             terminalreporter.write_line(mismatch)

@@ -23,9 +23,17 @@ def _fd_grad(f, x, eps=1e-6):
     return g
 
 
+def _sum(x):
+    """The sum of x's entries as one node, whose vjp hands every entry the
+    cotangent of the sum."""
+    x = ad.as_var(x)
+    shape = x.value.shape
+    return ad.fused(x.value.sum(), (x,), lambda g, wanted: (np.broadcast_to(g, shape).copy(),))
+
+
 def _check_unary(op, x, tol=1e-6):
     leaf = ad.Var(x.copy())
-    loss = ad.reduce_sum(ad.mul(op(leaf), np.cos(x) + 2.0))
+    loss = _sum(ad.mul(op(leaf), np.cos(x) + 2.0))
     got = ad.reverse_grad(loss, {"x": leaf})["x"]
     want = _fd_grad(lambda v: float(np.sum((np.cos(x) + 2.0) * ad.val(op(v)))), x)
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
@@ -34,20 +42,19 @@ def _check_unary(op, x, tol=1e-6):
 def test_elementwise_grads_match_finite_differences():
     rng = SeededRng(0)
     x = np.asarray(rng.uniform(0.2, 1.8, (3, 4)))
-    _check_unary(ad.sqrt, x)
-    _check_unary(ad.square, x)
-    _check_unary(lambda v: ad.div(1.0, v), x)
-    _check_unary(lambda v: ad.sub(0.0, v), x)
+    _check_unary(lambda v: ad.mul(v, v), x)            # one Var, both operands
+    _check_unary(lambda v: ad.add(ad.mul(v, -3.0), v), x)
+    _check_unary(lambda v: ad.mul(v, ad.add(v, 1.0)), x)
 
 
 def test_arithmetic_operators_and_broadcasting():
     a = ad.Var(np.arange(6, dtype=float).reshape(2, 3))
     b = ad.Var(np.ones(3) * 2.0)
-    out = ad.add(ad.sub(ad.mul(ad.add(a, b), b), ad.div(a, 2.0)), 1.5)
+    out = ad.add(ad.add(ad.mul(ad.add(a, b), b), ad.mul(a, -0.5)), 1.5)
     np.testing.assert_allclose(
         ad.val(out), (np.arange(6).reshape(2, 3) + 2.0) * 2.0
         - np.arange(6).reshape(2, 3) / 2.0 + 1.5)
-    grads = ad.reverse_grad(ad.reduce_sum(out), {"a": a, "b": b})
+    grads = ad.reverse_grad(_sum(out), {"a": a, "b": b})
     np.testing.assert_allclose(grads["a"], np.full((2, 3), 1.5))
     # d/db sum((a+b)*b) = sum over rows of (a + 2b)
     np.testing.assert_allclose(grads["b"], (np.arange(6).reshape(2, 3)
@@ -60,19 +67,19 @@ def test_matmul_batched_grad():
     b = np.asarray(rng.normal((4, 5), 1.0))
     va, vb = ad.Var(a.copy()), ad.Var(b.copy())
     w = np.asarray(rng.normal((2, 3, 5), 1.0))
-    loss = ad.reduce_sum(ad.mul(ad.matmul(va, vb), ad.Var(w)))
+    loss = _sum(ad.mul(ad.matmul(va, vb), ad.Var(w)))
     grads = ad.reverse_grad(loss, {"a": va, "b": vb})
     np.testing.assert_allclose(grads["a"], w @ b.T, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads["b"], sum(a[k].T @ w[k] for k in range(2)),
                                rtol=1e-12, atol=1e-12)
 
 
-def test_take_and_take_along_scatter_add():
+def test_take_scatter_adds_repeated_rows():
     table = ad.Var(np.arange(10, dtype=float).reshape(5, 2))
     idx = np.array([1, 3, 1])
     out = ad.take(table, idx)
     np.testing.assert_allclose(ad.val(out), np.arange(10).reshape(5, 2)[idx])
-    g = ad.reverse_grad(ad.reduce_sum(out), {"t": table})["t"]
+    g = ad.reverse_grad(_sum(out), {"t": table})["t"]
     want = np.zeros((5, 2))
     np.add.at(want, idx, 1.0)   # repeated rows accumulate
     np.testing.assert_allclose(g, want)
@@ -92,44 +99,22 @@ def test_gather_scatter_equals_add_at_bitwise():
     # row 2 sums 1e16, 1, -1e16 in input order to 0; cancelling the 1e16s first gives 1
     w[0, 0, [0, 2]], w[0, 2, [0, 2]], w[1, 0, [0, 2]] = 1e16, 1.0, -1e16
     leaf = ad.Var(table.copy())
-    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take(leaf, idx), w)), {"t": leaf})["t"]
+    got = ad.reverse_grad(_sum(ad.mul(ad.take(leaf, idx), w)), {"t": leaf})["t"]
     want = np.zeros_like(table)
     np.add.at(want, idx, w)
     assert _bits_equal(got, want)
     assert not np.signbit(got[:, 1]).any() and not got[1].any()
     assert got[2, 0] == got[2, 2] == 0.0
 
-    lsm = np.asarray(rng.normal((2, 3, 5), 1.0))
-    along = np.array([[[4], [4], [0]], [[1], [1], [1]]])
-    w = np.asarray(rng.normal((2, 3, 1), 1.0))
-    w[0, 2] = -0.0
-    leaf = ad.Var(lsm.copy())
-    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take_along(leaf, along, axis=-1), w)),
-                          {"x": leaf})["x"]
-    want = np.zeros_like(lsm)
-    grids = np.ogrid[0:2, 0:3, 0:1]
-    np.add.at(want, (grids[0], grids[1], along), w)
-    assert _bits_equal(got, want)
-
     # 1-D table, repeated and negative indices
     vec = np.asarray(rng.normal((5,), 1.0))
     idx = np.array([1, 4, 1, -1, 1])
     w = np.array([0.1, 0.2, 0.3, -0.0, 1e16])
     leaf = ad.Var(vec.copy())
-    got = ad.reverse_grad(ad.reduce_sum(ad.mul(ad.take(leaf, idx), w)), {"v": leaf})["v"]
+    got = ad.reverse_grad(_sum(ad.mul(ad.take(leaf, idx), w)), {"v": leaf})["v"]
     want = np.zeros_like(vec)
     np.add.at(want, idx, w)
     assert _bits_equal(got, want)
-
-
-def test_logsumexp_matches_numpy_and_grad_is_softmax():
-    x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    v = ad.Var(x.copy())
-    out = ad.logsumexp(v, axis=-1)
-    want = np.log(np.exp(x).sum(axis=-1))
-    np.testing.assert_allclose(ad.val(out), want, rtol=1e-14)
-    g = ad.reverse_grad(ad.reduce_sum(out), {"x": v})["x"]
-    np.testing.assert_allclose(g, np.exp(x - want[:, None]), rtol=1e-12)
 
 
 def test_softmax_rows_oracle_quarters():
@@ -175,23 +160,14 @@ def test_softmax_rows_and_vjp_equal_the_plain_expressions_bitwise():
         out = ad.softmax_rows(leaf, m)
         assert _bits_equal(ad.val(out), p)
         # the cotangent reaching softmax_rows is w itself
-        got = ad.reverse_grad(ad.reduce_sum(ad.mul(out, w)), {"x": leaf})["x"]
+        got = ad.reverse_grad(_sum(ad.mul(out, w)), {"x": leaf})["x"]
         assert _bits_equal(got, p * (w - (w * p).sum(axis=-1, keepdims=True)))
-
-
-def test_rms_norm_oracle():
-    # rms([3,4]) = sqrt(12.5); zero eps makes the oracle exact
-    out = ad.val(ad.rms_norm(np.array([[3.0, 4.0]]), np.array([1.0, 1.0]), eps=0.0))
-    np.testing.assert_allclose(out, np.array([[3.0, 4.0]]) / math.sqrt(12.5),
-                               rtol=1e-15)
-    gained = ad.val(ad.rms_norm(np.array([[3.0, 4.0]]), np.array([2.0, 0.5]), eps=0.0))
-    np.testing.assert_allclose(gained, out * np.array([2.0, 0.5]), rtol=1e-15)
 
 
 def test_reverse_grad_returns_exact_zeros_for_untouched_params():
     x = ad.Var(np.ones(3))
     unused = ad.Var(np.ones(4))
-    loss = ad.reduce_sum(ad.square(x))
+    loss = _sum(ad.mul(x, x))
     grads = ad.reverse_grad(loss, {"x": x, "unused": unused})
     np.testing.assert_allclose(grads["x"], 2.0 * np.ones(3))
     assert grads["unused"].shape == (4,)
@@ -202,7 +178,7 @@ def test_backward_frees_what_its_vjps_read_and_walks_a_tape_once():
     x = ad.Var(np.arange(3.0))
     w = np.full(3, 2.0)
     read = weakref.ref(w)
-    loss = ad.reduce_sum(ad.mul(x, w))      # mul's vjp reads w
+    loss = _sum(ad.mul(x, w))               # mul's vjp reads w
     del w
     assert read() is not None
     np.testing.assert_array_equal(ad.reverse_grad(loss, {"x": x})["x"], np.full(3, 2.0))
@@ -211,7 +187,7 @@ def test_backward_frees_what_its_vjps_read_and_walks_a_tape_once():
         ad.reverse_grad(loss, {"x": x})
     # the leaf starts a new tape
     np.testing.assert_array_equal(
-        ad.reverse_grad(ad.reduce_sum(ad.square(x)), {"x": x})["x"], 2.0 * np.arange(3.0))
+        ad.reverse_grad(_sum(ad.mul(x, x)), {"x": x})["x"], 2.0 * np.arange(3.0))
 
 
 def test_ops_on_constants_stay_off_the_tape():
@@ -219,10 +195,9 @@ def test_ops_on_constants_stay_off_the_tape():
     const = ad.mul(np.ones(3), 2.0)
     assert leaf.on_tape and not ad.as_var(np.ones(3)).on_tape
     assert not const.on_tape and const._parents == ()
-    mixed = ad.sub(const, leaf)
+    mixed = ad.add(const, leaf)
     assert mixed.on_tape and mixed._link._parents == (leaf._link,)
-    np.testing.assert_array_equal(ad.reverse_grad(ad.reduce_sum(mixed), {"x": leaf})["x"],
-                                  -np.ones(3))
+    np.testing.assert_array_equal(ad.reverse_grad(_sum(mixed), {"x": leaf})["x"], np.ones(3))
 
 
 # a small model with the position bias and a padded position, so the masks
@@ -295,7 +270,8 @@ def test_backward_never_calls_the_vjp_of_a_constant(monkeypatch):
 
 def test_the_fused_sweep_computes_no_cotangent_of_a_constant(monkeypatch):
     # with S a plain array, the first sweep's incoming Q_z and S[tokens] are
-    # constants: its vjp is asked for, and returns, only the other cotangents
+    # constants, and with gamma a plain array the readout's gamma is: each
+    # vjp is asked for, and returns, only the other cotangents
     asked = []
     fused = ad.fused
 
@@ -310,14 +286,18 @@ def test_the_fused_sweep_computes_no_cotangent_of_a_constant(monkeypatch):
 
     monkeypatch.setattr(ad, "fused", spy_fused)
     params, tokens, token_mask, selected = _tape_case()
-    leaves = {k: v for k, v in params.as_vars().items() if k != "S"}
+    leaves = {k: v for k, v in params.as_vars().items() if k not in ("S", "gamma")}
     state = model.run_mfvi(TAPE_CFG, {**leaves, "S": params.tensors["S"]}, tokens,
                            DIAG_WEIGHTS, token_mask=token_mask, iters=2)
-    logits = model.mlm_logits(TAPE_CFG, leaves, state)
+    logits = model.mlm_logits(TAPE_CFG, {**leaves, "gamma": params.tensors["gamma"]}, state)
     grads = ad.reverse_grad(model.masked_ce_loss(logits, tokens, selected), leaves)
-    # (Q_z, S[tokens], U_s, V_s, B, bias), the last sweep's vjp first
-    assert [a[0] for a in asked] == [(True, False, True, True, True, True),
-                                     (False, False, True, True, True, True)]
+    # backward meets the loss (logits), the readout (Q_z, gamma, W_out,
+    # b_out), then the sweeps (Q_z, S[tokens], U_s, V_s, B, bias), last first
+    loss, readout, *sweeps = asked
+    assert loss[0] == (True,)
+    assert readout[0] == (True, False, True, True)
+    assert [a[0] for a in sweeps] == [(True, False, True, True, True, True),
+                                      (False, False, True, True, True, True)]
     assert all(taped == wanted == computed for taped, wanted, computed in asked)
     assert all(np.any(g) for g in grads.values())
 
@@ -378,10 +358,12 @@ def test_finite_diff_check_passes_on_smooth_composite():
     w0 = np.asarray(rng.normal((4, 3), 0.5))
     b0 = np.asarray(rng.normal((3,), 0.5))
 
+    c = np.asarray(rng.normal((4, 4), 1.0))
+
     def loss_fn(params):
         h = ad.matmul(params["w"], ad.swapaxes(params["w"], 0, 1))
-        z = ad.reduce_sum(ad.softmax_rows(h), axis=0)
-        return ad.reduce_sum(ad.mul(ad.square(ad.reduce_mean(params["b"])), ad.reduce_sum(z)))
+        mean_b = ad.mul(_sum(params["b"]), 1.0 / 3.0)
+        return _sum(ad.mul(ad.mul(ad.softmax_rows(h), c), ad.mul(mean_b, mean_b)))
 
     report = ad.finite_diff_check(loss_fn, {"w": w0, "b": b0})
     assert report.passed, report.worst_coord
@@ -396,7 +378,7 @@ def test_finite_diff_check_detects_wrong_gradient():
     def lying_loss(params):
         calls.append(0)
         jitter = 1e-3 if len(calls) > 1 else 0.0
-        return ad.reduce_sum(ad.mul(params["x"], np.array([1.0, 1.0 + jitter])))
+        return _sum(ad.mul(params["x"], np.array([1.0, 1.0 + jitter])))
 
     with pytest.raises(ValueError, match="deterministic"):
         ad.finite_diff_check(lying_loss, {"x": x0})

@@ -178,6 +178,23 @@ def test_print_config_refuses_what_the_run_refuses(tmp_path, capsys, assignment)
     assert captured.err == run_err and not captured.out
 
 
+@pytest.mark.parametrize("source, value", [
+    ("set", "-1"), ("set", "NaN"), ("set", "-Infinity"), ("config", "NaN"), ("config", "Infinity"),
+])
+def test_a_bad_rms_eps_is_one_error_line_not_a_run(tmp_path, capsys, source, value):
+    if source == "set":
+        given = ["--set", f"model.rms_eps={value}"]
+    else:
+        (tmp_path / "eps.json").write_text(f'{{"model": {{"rms_eps": {value}}}}}')
+        given = ["--config", str(tmp_path / "eps.json")]
+    out = tmp_path / "out"
+    argv = ["train", *given, *TINY_MODEL, *TINY_CORPUS, *TINY_TRAIN, "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rms_eps must be finite and >= 0") and err.count("\n") == 1
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_unknown_key_fails_cleanly(tmp_path, capsys):
     assert _run(["train", "--set", "model.depth=4"], tmp_path) == 1
     assert "unknown config key: model.depth" in capsys.readouterr().err

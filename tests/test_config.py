@@ -47,6 +47,17 @@ def test_position_geometry_validated():
         _cfg(pos_clip=0)
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_rms_eps_must_be_finite_and_not_negative(eps):
+    with pytest.raises(ConfigError, match="rms_eps"):
+        _cfg(rms_eps=eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1])
+def test_rms_eps_zero_and_positive_are_valid(eps):
+    assert _cfg(rms_eps=eps).rms_eps == eps
+
+
 def test_paradigm_constants():
     assert PARADIGMS == (SCALE_CHANNELS, SCALE_RANK)
     assert SCALE_CHANNELS == "scale_channels"
