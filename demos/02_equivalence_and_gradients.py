@@ -13,7 +13,8 @@ import numpy as np
 
 from mupt import (InfoWeights, ModelParams, PTConfig, SeededRng,
                   dense_oracle_check, equivalence_check, finite_diff_check,
-                  masked_ce_loss, mlm_logits, run_mfvi, tau_cancellation_check)
+                  masked_ce_loss, mlm_logits, reverse_grad, run_mfvi,
+                  tau_cancellation_check)
 
 config = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
                   pos_bias=True, pos_buckets=8, pos_clip=4)
@@ -55,7 +56,9 @@ def loss_fn(leaves):
     return masked_ce_loss(mlm_logits(config, leaves, state), tokens[None], selected[None])
 
 
-report = finite_diff_check(loss_fn, params.tensors, rtol=1e-6, atol=1e-8)
+leaves = params.as_vars()
+grads = reverse_grad(loss_fn(leaves), leaves)
+report = finite_diff_check(loss_fn, params.tensors, grads, rtol=1e-6, atol=1e-8)
 print(f"\ngradients vs finite differences: passed={report.passed}, "
       f"worst ratio {report.worst_ratio:.2e} of tolerance at {report.worst_coord}")
 for name, ratio in sorted(report.per_tensor.items()):

@@ -3,7 +3,8 @@
 A CRF contextualizer whose forward pass is unrolled mean-field inference over
 label, head-selection, and topic variables, parametrized so that one
 hyperparameter point transfers across model widths. Ships with its own
-reverse-mode autodiff, a masked-LM trainer, width-scaling diagnostics, and a
+reverse mode over the training forward, an explicit chain of hand-derived
+stages, a masked-LM trainer, width-scaling diagnostics, and a
 neighborhood-based hyperparameter verification procedure.
 
 Public names load their submodule on first access (PEP 562), so importing
@@ -18,8 +19,7 @@ _EXPORTS = {
     "config": ("PTConfig", "InfoWeights", "HPPoint", "SCALE_CHANNELS", "SCALE_RANK",
                "PARADIGMS"),
     "errors": ("ConfigError", "CheckFailure", "CheckpointError", "WorkerDied"),
-    "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport",
-                 "softmax_rows"),
+    "autodiff": ("Var", "val", "reverse_grad", "finite_diff_check", "FiniteDiffReport"),
     "rng": ("SeededRng",),
     "model": ("ModelParams", "MFVIState", "init_mfvi", "run_mfvi", "mlm_logits",
               "masked_ce_loss", "uniform_posteriors", "param_count"),

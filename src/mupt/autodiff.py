@@ -1,40 +1,31 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Reverse mode over a chain of hand-derived stages, on numpy arrays.
 
-A Var wraps an ndarray. Whether it is on the tape follows from its inputs:
+A training forward of the model is a fixed chain of stages, each with a
+closed-form vjp (model.py): init_mfvi, one stage per mean-field sweep, the
+readout mlm_logits and the loss masked_ce_loss. A `Var` is a value plus the
+`Chain` that made it:
 
-  - `Var(x)` is a leaf on the tape, a parameter for reverse_grad;
-  - every other operand (an ndarray, a scalar) is wrapped by `as_var` as a
-    constant, off the tape;
-  - an op's result is on the tape iff at least one input is. An op on
-    constants keeps no links, so a forward pass on plain arrays builds no tape
-    and no cotangent is ever computed for a constant.
+  - `Var(x)` is a leaf, with no chain: a parameter for reverse_grad;
+  - a stage whose input along the chain is the latest output of a chain
+    extends that chain, and one whose inputs hold Vars but no chain starts
+    a new one (`chain_of`); its output is then a Var of that chain;
+  - a stage on plain arrays records nothing and returns plain arrays, so a
+    forward on plain arrays keeps nothing for a backward pass.
 
-The tape is a graph of links, kept apart from the values. A taped Var points
-to its link; the link points to the links of exactly the taped inputs and
-holds, for each, the vjp that pushes a cotangent through to it. A vjp keeps
-only the arrays it reads (matmul both operands, mul the other operand,
-softmax_rows its output), and the shape-only ops keep shapes and indices.
-So the tape holds no Var: an intermediate's array is freed as soon as the
-caller drops its Var, unless a vjp reads it, and what a vjp reads lives until
-reverse_grad has passed its link. A backward pass frees the vjps it has used,
-so each forward pass takes one backward pass; a second one through the same
-links raises.
+A chain keeps each stage's vjp, a closure over just the arrays it reads, and
+the cotangents its vjps have summed so far, by key: a leaf Var, or a name
+two stages agree on. reverse_grad calls the vjps last stage first, each with
+the cotangent the one after it returned, and drops each once it has run, so
+what a vjp reads goes back to the heap during the backward pass. A chain
+takes one backward pass; a second raises. A leaf the loss never touched
+gets an exact zero gradient of matching shape.
 
-The ops are deliberately few: add, mul; batched matmul, transpose,
-swapaxes, reshape; the gather take; and softmax_rows, whose closed-form vjp
-keeps the backward pass exact. Everything is float64 unless the caller hands
-in float32 explicitly.
-
-`fused` makes one node of a composite whose reverse is written by hand:
-model.sweep, a whole mean-field sweep, is one, and so are the readout
-(model.mlm_logits) and the loss (model.masked_ce_loss). Its backward runs
-once and hands each taped input its cotangent; it is never asked for a
-constant's. Such a node keeps what its backward reads, like any other, so
-the composite's intermediates are freed after its forward unless that
-backward reads them.
-
-Gradients returned by reverse_grad are plain ndarrays; a parameter the loss
-never touched gets an exact zero gradient of matching shape.
+The array kernels the stages share live here too: the masked row softmax
+and its vjp, the exact scatter-add behind a gather's vjp, the sum of a
+cotangent down to a broadcast operand's shape, and `matmul`, the checked
+batched product of the readout's forward. `finite_diff_check` holds a
+gradient, however it was computed, against central differences of a loss
+on plain arrays.
 
 Importing this module pins glibc malloc's mmap and trim thresholds and its
 arena count for the whole process (see _pin_malloc); every numeric path imports it.
@@ -47,14 +38,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-__all__ = [
-    "Var",
-    "as_var",
-    "val",
-    "fused",
-    "add", "mul", "matmul", "transpose", "swapaxes", "reshape", "take", "softmax_rows",
-    "reverse_grad", "finite_diff_check", "FiniteDiffReport",
-]
+__all__ = ["Var", "Chain", "chain_of", "val", "matmul", "reverse_grad",
+           "finite_diff_check", "FiniteDiffReport"]
 
 _FLOATS = (np.float32, np.float64)
 
@@ -100,87 +85,75 @@ def _as_array(x) -> np.ndarray:
     return a
 
 
-class _Link:
-    """One node of the tape: the links of its taped inputs and their vjps."""
-
-    __slots__ = ("_parents", "_vjps")
-
-    def __init__(self, parents: tuple = (), vjps: tuple = ()) -> None:
-        self._parents = parents
-        self._vjps = vjps
-
-
 class Var:
-    """An ndarray value, on the tape (with a link) or not."""
+    """An ndarray value and the chain that made it, None for a leaf."""
 
-    __slots__ = ("value", "_link")
+    __slots__ = ("value", "chain")
 
-    def __init__(self, value, on_tape: bool = True) -> None:
+    def __init__(self, value, chain: Chain | None = None) -> None:
         self.value = value if isinstance(value, np.ndarray) and value.dtype in _FLOATS else _as_array(value)
-        self._link = _Link() if on_tape else None
-
-    @property
-    def on_tape(self) -> bool:
-        return self._link is not None
-
-    @property
-    def _parents(self) -> tuple:
-        """The links of the taped inputs, where a walk of the tape starts."""
-        return () if self._link is None else self._link._parents
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
+        self.chain = chain
 
     def __repr__(self) -> str:
-        return f"Var(shape={self.value.shape}, on_tape={self.on_tape}, leaf={not self._parents})"
+        return f"Var(shape={self.value.shape}, leaf={self.chain is None})"
 
 
-def as_var(x) -> Var:
-    """x itself if it is a Var, else x as a constant."""
-    return x if isinstance(x, Var) else Var(x, on_tape=False)
+class Chain:
+    """The record of one forward: its stages' vjps in forward order, the leaf
+    its first stage read along the chain (or None), and the cotangents the
+    vjps have summed so far, by key.
 
-
-def _node(value, inputs: tuple, vjps: tuple) -> Var:
-    """An op's result, linked to the links of the taped inputs and their vjps only."""
-    out = Var(value, on_tape=False)
-    links = [(a._link, vjp) for a, vjp in zip(inputs, vjps) if a._link is not None]
-    if links:
-        parents, kept = zip(*links)
-        out._link = _Link(parents, kept)
-    return out
-
-
-def fused(value, inputs: tuple, backward: Callable) -> Var:
-    """One node for a composite whose reverse is written by hand.
-
-    backward(g, wanted) gets the cotangent of `value` and one flag per input,
-    true where the input is on the tape, and returns one cotangent per input
-    (None where the flag is false, so a constant's cotangent is never
-    computed). It runs once per backward pass: the node's per-input vjps
-    share its result, and reverse_grad calls them back to back.
+    A vjp is called as vjp(g, chain) with the cotangent of its stage's
+    output. It sums the cotangents of the stage's other inputs into the
+    chain (`add`) and returns that of its input along the chain, None for a
+    first stage with none.
     """
-    inputs = tuple(as_var(a) for a in inputs)
-    wanted = tuple(a.on_tape for a in inputs)
-    pending: dict[int, np.ndarray] = {}
 
-    def part(i):
-        def vjp(g):
-            if not pending:
-                pending.update((j, c) for j, c in enumerate(backward(g, wanted)) if wanted[j])
-            return pending.pop(i)
-        return vjp
+    __slots__ = ("vjps", "root", "sums", "tip")
 
-    return _node(value, inputs, tuple(part(i) for i in range(len(inputs))))
+    def __init__(self, root: Var | None = None) -> None:
+        self.vjps: list[Callable] = []
+        self.root = root
+        self.sums: dict = {}
+        self.tip = None     # id of the latest output: only it may be extended
+
+    def add(self, key, g: np.ndarray) -> None:
+        """Sum g into key's cotangent, after what was summed there before."""
+        acc = self.sums.get(key)
+        self.sums[key] = g if acc is None else acc + g
+
+    def extend(self, value, vjp: Callable) -> Var:
+        """value as the output of a new last stage whose reverse is vjp."""
+        self.vjps.append(vjp)
+        out = Var(value, self)
+        self.tip = id(out)
+        return out
+
+
+def chain_of(x, beside=()) -> Chain | None:
+    """The chain a stage extends that reads x along the chain and `beside`
+    next to it: x's own, if x is the latest output of a chain; a new one,
+    rooted at x, if x is a leaf; a new one if any of beside is a Var; else
+    None, and the stage records nothing."""
+    if isinstance(x, Var):
+        if x.chain is None:
+            return Chain(root=x)
+        if x.chain.tip != id(x):
+            raise ValueError("a recorded forward is one chain: extend it from its latest output")
+        return x.chain
+    return Chain() if any(isinstance(b, Var) for b in beside) else None
 
 
 def val(x) -> np.ndarray:
-    """The plain ndarray behind x, whether or not it is on the tape."""
+    """The plain ndarray behind x, whether or not it is a Var."""
     return x.value if isinstance(x, Var) else _as_array(x)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched matrix product; both operands must be at least 2-D."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs ndim >= 2 operands, got {a.ndim} and {b.ndim}")
+    return np.matmul(a, b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -191,58 +164,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    sa, sb = a.value.shape, b.value.shape
-    return _node(a.value + b.value, (a, b),
-                 (lambda g: _unbroadcast(g, sa),
-                  lambda g: _unbroadcast(g, sb)))
-
-
-def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    av, bv = a.value, b.value
-    sa, sb = av.shape, bv.shape
-    return _node(av * bv, (a, b),
-                 (lambda g: _unbroadcast(g * bv, sa),
-                  lambda g: _unbroadcast(g * av, sb)))
-
-
-def matmul(a, b) -> Var:
-    """Batched matrix product; both operands must be at least 2-D."""
-    a, b = as_var(a), as_var(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs ndim >= 2 operands, got {a.ndim} and {b.ndim}")
-    av, bv = a.value, b.value
-    sa, sb = av.shape, bv.shape
-
-    def vjp_a(g):
-        return _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), sa)
-
-    def vjp_b(g):
-        return _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), sb)
-
-    return _node(np.matmul(av, bv), (a, b), (vjp_a, vjp_b))
-
-
-def transpose(a, axes) -> Var:
-    a = as_var(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _node(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
-
-
-def swapaxes(a, i, j) -> Var:
-    a = as_var(a)
-    return _node(a.value.swapaxes(i, j), (a,), (lambda g: g.swapaxes(i, j),))
-
-
-def reshape(a, shape) -> Var:
-    a = as_var(a)
-    old = a.value.shape
-    return _node(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -258,32 +179,12 @@ def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return out.reshape(shape).astype(g.dtype, copy=False)
 
 
-def take(a, indices) -> Var:
-    """Gather along axis 0; backward is an exact scatter-add (`_scatter_add`)."""
-    a = as_var(a)
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError("take indices must be integers")
-    in_shape = a.value.shape
-
-    def vjp(g):
-        rest = math.prod(in_shape[1:])
-        flat = (idx % in_shape[0])[..., None] * rest + np.arange(rest)
-        return _scatter_add(flat, g, in_shape)
-
-    return _node(a.value[idx], (a,), (vjp,))
-
-
-def softmax_rows(x, mask=None) -> Var:
-    """Row-stochastic softmax over the last axis.
-
-    mask, if given, is boolean and broadcastable to x: False entries are
-    excluded from the support and come out exactly 0. A row whose support is
-    empty has no normalizable distribution and is an error.
-    """
-    x = as_var(x)
-    p = _softmax_np(x.value, mask)
-    return _node(p, (x,), (lambda g: _softmax_vjp(p, g),))
+def _gather_vjp(indices: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The cotangent of a table of `shape` gathered along axis 0 at integer
+    `indices`, g the gather's cotangent: an exact scatter-add."""
+    rest = math.prod(shape[1:])
+    flat = (indices % shape[0])[..., None] * rest + np.arange(rest)
+    return _scatter_add(flat, g, shape)
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -297,10 +198,16 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
+    """Row-stochastic softmax over the last axis.
+
+    mask, if given, is boolean and broadcastable to x: False entries are
+    excluded from the support and come out exactly 0. A row whose support is
+    empty has no normalizable distribution and is an error.
+    """
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=-1).all():
-            raise ValueError("softmax_rows: degenerate distribution support (a row is fully masked)")
+            raise ValueError("row softmax: degenerate distribution support (a row is fully masked)")
         e = np.where(mask, x, -np.inf)
         e -= e.max(axis=-1, keepdims=True)  # exp gives exactly 0 off-support: every row has support
     else:
@@ -310,68 +217,40 @@ def _softmax_np(x: np.ndarray, mask) -> np.ndarray:
     return e
 
 
-def _toposort(root: _Link) -> list[_Link]:
-    """Every link reachable from root, each after all of its parents."""
-    order: list[_Link] = []
-    seen: set[int] = set()
-    stack: list[tuple[_Link, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def reverse_grad(loss: Var, params: Mapping[str, Var]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with respect to named leaf Vars.
 
-    Parameters the loss does not depend on get exact zeros. Each link's vjps
-    are freed once the walk has passed it, so the arrays they read go back to
-    the heap during the walk, not when the caller drops the loss.
+    Runs the loss's chain backward, each stage's vjp dropped once it has
+    run. Parameters the loss does not depend on get exact zeros.
     """
     if not isinstance(loss, Var):
         raise TypeError("loss must be a Var")
     if loss.value.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-    param_ids = {id(p._link) for p in params.values() if p.on_tape}
-    order = _toposort(loss._link) if loss.on_tape else []
-    grads: dict[int, np.ndarray] = {id(loss._link): np.ones((), dtype=loss.value.dtype)}
-    kept: dict[int, np.ndarray] = {}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if id(node) in param_ids:
-            kept[id(node)] = g
-        if node._vjps is None:
-            raise ValueError("reverse_grad reached a link an earlier backward pass "
-                             "freed: build a new forward pass for each backward pass")
-        for parent, vjp in zip(node._parents, node._vjps):
-            pg = vjp(g)
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
-        if node._parents:      # a leaf keeps its (empty) vjps: it may start more tapes
-            node._vjps = None
+    chain, sums = loss.chain, {}
+    if chain is not None:
+        if not chain.vjps:
+            raise ValueError("reverse_grad met a chain an earlier backward pass ran: "
+                             "build a new forward pass for each backward pass")
+        g = np.ones((), dtype=loss.value.dtype)
+        while chain.vjps:
+            g = chain.vjps.pop()(g, chain)
+        if chain.root is not None:
+            chain.add(chain.root, g)
+        sums = chain.sums
     out = {}
     for name, p in params.items():
-        g = kept.get(id(p._link)) if p.on_tape else None
+        g = sums.get(p)
         if g is None:
             out[name] = np.zeros_like(p.value)
         else:
             out[name] = np.broadcast_to(g, p.value.shape).astype(p.value.dtype, copy=True)
+    sums.clear()            # out holds copies; the loss may outlive this call
     return out
 
 
 class FiniteDiffReport:
-    """Worst-case agreement between tape gradients and central differences.
+    """Worst-case agreement between gradients and central differences.
 
     A coordinate passes when |ad - fd| <= atol + rtol * max(|ad|, |fd|); the
     recorded ratio is |ad - fd| / (atol + rtol * max(|ad|, |fd|)), so passing
@@ -402,32 +281,30 @@ class FiniteDiffReport:
                 f"worst_coord={self.worst_coord})")
 
 
-def finite_diff_check(loss_fn: Callable[[dict[str, Var]], Var],
+def finite_diff_check(loss_fn: Callable[[dict[str, np.ndarray]], object],
                       params: Mapping[str, np.ndarray],
+                      grads: Mapping[str, np.ndarray],
                       step: float = 1e-5,
                       rtol: float = 1e-6,
                       atol: float = 1e-8) -> FiniteDiffReport:
-    """Compare reverse-mode gradients against central finite differences.
+    """Compare gradients against central finite differences.
 
-    loss_fn must be a deterministic pure function of its parameters; this is
-    verified by evaluating the base point twice and requiring bit equality.
-    Every coordinate of every parameter is probed with a symmetric step. The
-    probes hand loss_fn plain arrays, so only the gradient pass builds a tape.
+    loss_fn maps plain arrays to a scalar and must be a deterministic pure
+    function of them; this is verified by evaluating the base point twice
+    and requiring bit equality. grads holds the gradient under test for
+    every name in params, however it was computed. Every coordinate of every
+    parameter is probed with a symmetric step.
     """
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
 
     def eval_loss(values: Mapping[str, np.ndarray]) -> float:
-        out = loss_fn({k: v.copy() for k, v in values.items()})
-        v = val(out)
+        v = val(loss_fn({k: v.copy() for k, v in values.items()}))
         if v.shape != ():
             raise ValueError("loss_fn must return a scalar")
         return float(v)
 
     if eval_loss(base) != eval_loss(base):
         raise ValueError("loss_fn is not deterministic: two evaluations disagree bitwise")
-
-    leaves = {k: Var(v.copy()) for k, v in base.items()}
-    grads = reverse_grad(loss_fn(leaves), leaves)
 
     report = FiniteDiffReport(rtol=rtol, atol=atol)
     for name, value in base.items():

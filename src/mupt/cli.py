@@ -36,7 +36,7 @@ import json
 import os
 import sys
 
-from .errors import CheckFailure, ConfigError, WorkerDied
+from .errors import CheckFailure, CheckpointError, ConfigError, WorkerDied
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -636,7 +636,7 @@ def main(argv=None) -> int:
         tag = short_hash({"cfg": cfg, "seed": args.seed})  # names the artifacts
         _COMMANDS[args.command](run, args.seed, tag, out_dir)
         return 0
-    except (ConfigError, WorkerDied) as e:
+    except (ConfigError, CheckpointError, WorkerDied) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except CheckFailure as e:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model
-from .autodiff import _softmax_np, val
+from .autodiff import _softmax_np
 from .config import HPPoint, InfoWeights, PTConfig
 from .errors import ConfigError
 from .mup import AdamW, WidthScaler
@@ -224,19 +224,19 @@ def equivalence_check(config: PTConfig, seed: int, iters: int, n_tokens: int = 8
     state = model.init_mfvi(config, params, tokens[None], iw)
     lit = _LiteralPath(config, params, tokens, iw)
     res = _RescaledPath(config, params, tokens, iw)
-    report.deviations["init/q_z:literal"] = prob_rel_dev(lit.q_z, val(state.q_z)[0])
-    report.deviations["init/q_z:rescaled"] = prob_rel_dev(res.q_z, val(state.q_z)[0])
+    report.deviations["init/q_z:literal"] = prob_rel_dev(lit.q_z, state.q_z[0])
+    report.deviations["init/q_z:rescaled"] = prob_rel_dev(res.q_z, state.q_z[0])
 
     for t in range(1, iters + 1):
         state = model.sweep(config, params, state, iw)[0]
         lit.sweep()
         res.sweep()
         for name, path in (("literal", lit), ("rescaled", res)):
-            report.deviations[f"sweep{t}/q_h:{name}"] = prob_rel_dev(path.q_h, val(state.q_h)[0])
-            report.deviations[f"sweep{t}/q_g:{name}"] = prob_rel_dev(path.q_g, val(state.q_g)[0])
-            report.deviations[f"sweep{t}/q_z:{name}"] = prob_rel_dev(path.q_z, val(state.q_z)[0])
+            report.deviations[f"sweep{t}/q_h:{name}"] = prob_rel_dev(path.q_h, state.q_h[0])
+            report.deviations[f"sweep{t}/q_g:{name}"] = prob_rel_dev(path.q_g, state.q_g[0])
+            report.deviations[f"sweep{t}/q_z:{name}"] = prob_rel_dev(path.q_z, state.q_z[0])
 
-    out = val(model.mlm_logits(config, params, state))[0]
+    out = model.mlm_logits(config, params, state)[0]
     pred = _np_softmax(out)
     for name, path in (("literal", lit), ("rescaled", res)):
         path_out = _np_readout(config, params, path.q_z)
@@ -263,7 +263,7 @@ def tau_cancellation_check(width: int, rank: int, seed: int) -> float:
     swept, _, _, prod = model.sweep(config, params, state, iw)
 
     u, v, b = (np.asarray(params[k]) for k in ("U", "V", "B"))
-    q_z, q_hv, q_gv = val(state.q_z)[0], val(swept.q_h)[0], val(swept.q_g)[0]
+    q_z, q_hv, q_gv = state.q_z[0], swept.q_h[0], swept.q_g[0]
     s_tok = np.asarray(params["S"])[tokens]
     n_val, m_val = config.width, config.topics
     a_dep = np.matmul(q_z[None], v)
@@ -273,7 +273,7 @@ def tau_cancellation_check(width: int, rank: int, seed: int) -> float:
     lit = (iw.w_unary * (tau * s_tok)
            + iw.w_binary * ((tau * m_val) * (q_gv @ b))
            + (tau * n_val) * (iw.w_tern_dep * dep + iw.w_tern_head * head)) / tau
-    return scale_rel_dev(lit, val(prod)[0])
+    return scale_rel_dev(lit, prod[0])
 
 
 def dense_oracle_check(config: PTConfig, seed: int) -> dict[str, float]:
@@ -289,22 +289,22 @@ def dense_oracle_check(config: PTConfig, seed: int) -> dict[str, float]:
     state = model.init_mfvi(config, params, tokens[None], iw)
     swept, f_prod, _, _ = model.sweep(config, params, state, iw)
 
-    nz = config.width * val(state.q_z)[0]
+    nz = config.width * state.q_z[0]
     t_dense = _dense_t(params)
     f_dense = np.einsum("ia,cab,jb->cij", nz, t_dense, nz) / config.rank
 
     only = {"w_unary": 0.0, "w_binary": 0.0, "w_tern_dep": 0.0, "w_tern_head": 0.0,
             "w_attn": iw.w_attn, "w_topic": iw.w_topic}
     # w_attn and w_topic as in iw, so these sweeps refresh Q_h and Q_g as above
-    dep_prod = val(model.sweep(config, params, state,
-                               InfoWeights(**{**only, "w_tern_dep": 1.0}))[3])[0]
-    head_prod = val(model.sweep(config, params, state,
-                                InfoWeights(**{**only, "w_tern_head": 1.0}))[3])[0]
-    q_hv = val(swept.q_h)[0]
+    dep_prod = model.sweep(config, params, state,
+                           InfoWeights(**{**only, "w_tern_dep": 1.0}))[3][0]
+    head_prod = model.sweep(config, params, state,
+                            InfoWeights(**{**only, "w_tern_head": 1.0}))[3][0]
+    q_hv = swept.q_h[0]
     dep_dense = np.einsum("cij,cab,jb->ia", q_hv, t_dense, nz)
     head_dense = np.einsum("cji,cba,jb->ia", q_hv, t_dense, nz)
     return {
-        "attn_logits": scale_rel_dev(f_dense, val(f_prod)[0]),
+        "attn_logits": scale_rel_dev(f_dense, f_prod[0]),
         "tern_dep": scale_rel_dev(dep_dense, dep_prod),
         "tern_head": scale_rel_dev(head_dense, head_prod),
     }
@@ -374,11 +374,11 @@ def _probe_forward(config: PTConfig, params: dict, tokens: np.ndarray,
         state, *logits = model.sweep(config, params, state, iw)
     f_last, g_last, z_last = logits
     return {
-        "nz": config.width * val(state.q_z),
-        "attn_logits": val(f_last),
-        "z_logits": val(z_last),
-        "topic_logits": val(g_last),
-        "out_logits": val(model.mlm_logits(config, params, state)),
+        "nz": config.width * state.q_z,
+        "attn_logits": f_last,
+        "z_logits": z_last,
+        "topic_logits": g_last,
+        "out_logits": model.mlm_logits(config, params, state),
     }
 
 
@@ -467,8 +467,8 @@ def coord_check(scaler: WidthScaler, widths: list[int], hp: HPPoint,
         raise ConfigError("diagnostic corpus too small for the requested step count")
     widest_first = {w: scaler.config_at(w) for w in reversed(widths)}
     done = dict(zip(widest_first, map_jobs(_coord_width, [
-        (config, hp, corpus, seed, steps, batch_size, iters, hidden_lr_scaling)
-        for config in widest_first.values()])))
+        (f"width {w}", (config, hp, corpus, seed, steps, batch_size, iters, hidden_lr_scaling))
+        for w, config in widest_first.items()])))
     return CoordReport(paradigm=scaler.paradigm, widths=list(widths), steps=steps,
                        mean_abs={p: {w: done[w][0][p] for w in widths} for p in PROBES},
                        variance={p: {w: done[w][1][p] for w in widths} for p in PROBES},
@@ -579,7 +579,7 @@ def logit_variance_scan(scaler: WidthScaler, widths: list[int], n_seeds: int = 2
                 params.tensors["W_out"] = rng.spawn("const-wout").normal(
                     params.tensors["W_out"].shape, control_sigma)
             state = model.run_mfvi(config, params.tensors, tokens[None], iw, iters=iters)
-            samples.append(val(model.mlm_logits(config, params.tensors, state)).ravel())
+            samples.append(model.mlm_logits(config, params.tensors, state).ravel())
         variances.append(float(np.concatenate(samples).var()))
     slope = float(np.polyfit(np.log(widths), np.log(variances), 1)[0])
     return VarianceScan(widths=list(widths), variances=variances, slope=slope,

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Anything user-facing (CLI) maps ConfigError and WorkerDied to exit code 1
-and CheckFailure to exit code 2; everything else is a plain bug and escapes
+Anything user-facing (CLI) maps ConfigError, CheckpointError and WorkerDied
+to exit code 1 and CheckFailure to exit code 2; everything else is a plain bug and escapes
 as-is.
 """
 
@@ -15,7 +15,7 @@ class CheckFailure(AssertionError):
 
 
 class CheckpointError(ValueError):
-    """Unreadable, truncated, or version-mismatched checkpoint container."""
+    """Unreadable, truncated, corrupt or version-mismatched checkpoint container."""
 
 
 class WorkerDied(RuntimeError):

@@ -31,32 +31,39 @@ the label messages. The ternary messages apply Q_h per channel in r
 dimensions and sum over channels inside a single (B*n, C*r) @ (C*r, N) GEMM
 against the stacked factor; no (B, C, n, N) tensor is formed.
 
-A sweep is one tape node, in the manner of CRF-as-RNN (arXiv:1502.03240),
-not a chain of about sixty primitive ops. Its forward runs update_topics,
-topic_message, low_rank_products, update_heads, ternary_messages and
-update_z on plain arrays, each in the order of operations the composed sweep
-used, so every forward value is bit-identical to it. The topic path (the
-first two) and the head and ternary path (the next three) read only the
-incoming Q_z, so they run as two lanes on two CPUs where init_mfvi's
-`parallel.lanes` allows it, and update_z joins them; the vjp's two branches
-run the same way. A lane changes where an operation runs, never its operands
-or their order, so every number is the same with one lane or two. Only
-the new Q_z crosses sweeps, so it is the node's one taped output; Q_h, Q_g
-and the logits come back as plain arrays. Its vjp, `_sweep_backward`, is the
+A training forward is an explicit chain of four kinds of stage, each
+written by hand in the manner of CRF-as-RNN (arXiv:1502.03240): init_mfvi,
+one stage per sweep, the readout `mlm_logits` and the loss
+`masked_ce_loss`. Each stage's forward runs on plain arrays and returns its
+value and what its closed-form vjp reads (`_init_backward`,
+`_sweep_backward`, `_readout_backward`, `_ce_backward`); when the
+parameters are autodiff.Var leaves, the stage appends that vjp to the
+chain of its input (autodiff.Chain), and reverse_grad calls the vjps in
+reverse, each dropped once it has run. On plain arrays a forward records
+nothing.
+
+A sweep's forward, `_sweep_forward`, runs update_topics, topic_message,
+low_rank_products, update_heads, ternary_messages and update_z, each in the
+order of operations the composed sweep used, so every forward value is
+bit-identical to it. The topic path (the first two) and the head and
+ternary path (the next three) read only the incoming Q_z, so they run as
+two lanes on two CPUs where init_mfvi's `parallel.lanes` allows it, and
+update_z joins them; the vjp's two branches run the same way. A lane
+changes where an operation runs, never its operands or their order, so
+every number is the same with one lane or two. Only the new Q_z crosses
+sweeps, so it is the stage's one output along the chain; Q_h, Q_g and the
+logits come back as plain arrays. Its vjp, `_sweep_backward`, is the
 hand-derived reverse of the sweep, from the new Q_z's cotangent to those of
 the incoming Q_z, S[tokens], the stacked U_s and V_s, B and the position
 bias; it keeps only the arrays it reads, not F or w_attn * F, and with two
 lanes it forms Nz U, Nz V and the ternary operands again beside the topic
 branch instead of keeping them. What every sweep reads but none changes
 (S[tokens], U_s, V_s, the position bias, the head support and the valid-row
-multiplier) init_mfvi forms once per forward as ordinary tape nodes, the
-`SweepInvariants`, so each cotangent is summed over the sweeps before it
-goes further back. tests/composed_sweep.py keeps the composed sweep as the
-oracle.
-
-A training tape is init_mfvi's nodes, one node per sweep, then the readout
-`mlm_logits` and the loss `masked_ce_loss`, one node each with a closed-form
-vjp (`_readout_backward`, `_ce_backward`).
+multiplier) init_mfvi forms once per forward, the `SweepInvariants`; the
+sweeps sum their cotangents into the chain, last sweep first, and
+init_mfvi's vjp takes each sum back to its parameter. tests/composed_sweep.py
+keeps the composed sweep, and tests/reference_tape.py the general tape the
+chain replaced, as oracles.
 
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
@@ -65,6 +72,7 @@ real positions; masked-out positions neither attend nor get attended to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Union
 
 import numpy as np
@@ -142,7 +150,7 @@ class ModelParams:
     def as_vars(self) -> dict[str, Var]:
         """Leaf Vars sharing this instance's storage, for one backward pass.
 
-        A forward on `tensors` themselves builds no tape."""
+        A forward on `tensors` themselves records nothing."""
         return {k: Var(v) for k, v in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
@@ -156,8 +164,9 @@ class MFVIState:
     q_z: (B, n, N) labels; q_h: (B, C, n, n) head selections, row [b, c, i, :]
     is position i's distribution over heads j != i; q_g: (B, n, M) topics.
     tokens and token_mask are (B, n). Only Q_z crosses sweeps, so only q_z is
-    a Var (on the tape when the parameters are); q_h and q_g are plain
-    arrays. invariants is what init_mfvi formed for every sweep to read.
+    a Var, the latest output of a chain, when the parameters are; q_h and
+    q_g are plain arrays. invariants is what init_mfvi formed for every
+    sweep to read.
     """
 
     tokens: np.ndarray
@@ -210,29 +219,27 @@ class SweepInvariants:
     is the relative-position bias P_rel[c, bucket(i - j)], (C, n, n), or None;
     support is the boolean head support, j != i and j real, broadcastable to
     (B, C, n, n); rows_valid is the (B, 1, n, 1) multiplier zeroing the head
-    rows of padding positions, or None. The first four are Vars, on the tape
-    when the parameters are; `arrays()` is the plain-array twin that the
-    update functions read. lanes is how many lanes every sweep of the
-    forward and its vjp run on (parallel.lanes), decided once, here.
+    rows of padding positions, or None. lanes is how many lanes every sweep
+    of the forward and its vjp run on (parallel.lanes), decided once, here.
     """
 
-    s_rows: Var | np.ndarray
-    u_s: Var | np.ndarray
-    v_s: Var | np.ndarray
-    bias: Var | np.ndarray | None
+    s_rows: np.ndarray
+    u_s: np.ndarray
+    v_s: np.ndarray
+    bias: np.ndarray | None
     support: np.ndarray
     rows_valid: np.ndarray | None
     lanes: int
-
-    def arrays(self) -> "SweepInvariants":
-        return replace(self, s_rows=val(self.s_rows), u_s=val(self.u_s), v_s=val(self.v_s),
-                       bias=None if self.bias is None else val(self.bias))
 
 
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
               token_mask: np.ndarray | None = None) -> MFVIState:
     """Sweep-0 posteriors, unary-only labels with uniform heads and topics,
-    and the invariants every sweep reads."""
+    and the invariants every sweep reads.
+
+    The first stage of a chain when any parameter is a Var: its vjp,
+    `_init_backward`, takes the sweep-0 Q_z's cotangent and the invariants'
+    cotangents the sweeps summed into the chain."""
     tokens = np.asarray(tokens)
     if not np.issubdtype(tokens.dtype, np.integer):
         raise ConfigError("tokens must be integers")
@@ -248,8 +255,9 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
                           f"got {np.shape(token_mask)}")
 
     width, stacked = config.width, config.channels * config.rank
-    s_rows = ad.take(params["S"], tokens.reshape(-1))
-    q_z = ad.softmax_rows(ad.reshape(ad.mul(s_rows, iw.w_unary), (batch, n, width)))
+    flat_tokens = tokens.reshape(-1)
+    s_rows = val(params["S"])[flat_tokens]
+    q_z = ad._softmax_np((s_rows * np.float64(iw.w_unary)).reshape(batch, n, width), None)
 
     support = _attn_mask(n, token_mask)
     counts = support.sum(axis=-1, keepdims=True)
@@ -263,18 +271,53 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
     q_h = np.broadcast_to(uniform_h, (batch, config.channels, n, n)).copy()
     q_g = np.full((batch, n, config.topics), 1.0 / config.topics, dtype=np.float64)
 
-    bias = None
+    bias = buckets = None
     if config.pos_bias:
         buckets = position_buckets(n, config.pos_buckets, config.pos_clip)
-        bias = ad.transpose(ad.take(ad.swapaxes(params["P_rel"], 0, 1), buckets), (2, 0, 1))
+        bias = val(params["P_rel"]).swapaxes(0, 1)[buckets].transpose(2, 0, 1)
     invariants = SweepInvariants(
         s_rows=s_rows,
-        u_s=ad.reshape(ad.transpose(params["U"], (1, 0, 2)), (width, stacked)),
-        v_s=ad.reshape(ad.transpose(params["V"], (1, 0, 2)), (width, stacked)),
+        u_s=val(params["U"]).transpose(1, 0, 2).reshape(width, stacked),
+        v_s=val(params["V"]).transpose(1, 0, 2).reshape(width, stacked),
         bias=bias, support=support, rows_valid=rows_valid,
         lanes=parallel.lanes(batch * n * width * config.topics))
+    chain = ad.chain_of(None, params.values())
+    if chain is not None:
+        leaves = {k: p for k, p in params.items() if isinstance(p, Var)}
+        q_z = chain.extend(q_z, partial(_init_backward, config, iw, leaves, flat_tokens,
+                                        buckets, q_z))
     return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
                      token_mask=token_mask, sweeps=0, invariants=invariants)
+
+
+def _init_backward(config: PTConfig, iw: InfoWeights, leaves: dict, flat_tokens: np.ndarray,
+                   buckets: np.ndarray | None, q_z: np.ndarray, g: np.ndarray,
+                   chain: ad.Chain) -> None:
+    """The reverse of init_mfvi: from the cotangent g of the sweep-0 Q_z and
+    those of the invariants, which the sweeps summed into the chain last
+    sweep first, to the cotangents of the leaves among S, U, V and P_rel.
+
+    S[tokens]'s is the sweeps' sum plus the unary path's, through the label
+    softmax and w_unary, and goes back to S by an exact scatter-add; U_s's
+    and V_s's are reshaped and transposed back to (C, N, r); the bias's is
+    transposed back and scatter-added into the P_rel buckets.
+    """
+    sums = chain.sums
+    s = leaves.get("S")
+    if s is not None:
+        g_rows = ad._softmax_vjp(q_z, g).reshape(-1, config.width) * np.float64(iw.w_unary)
+        swept = sums.pop("s_rows", None)
+        g_rows = g_rows if swept is None else swept + g_rows
+        chain.add(s, ad._gather_vjp(flat_tokens, g_rows, s.value.shape))
+    for name, key in (("U", "u_s"), ("V", "v_s")):
+        if name in leaves and key in sums:
+            factor = leaves[name]
+            g_factor = sums.pop(key).reshape(config.width, config.channels, config.rank)
+            chain.add(factor, g_factor.transpose(1, 0, 2))
+    p_rel = leaves.get("P_rel")
+    if p_rel is not None and "bias" in sums:
+        g_bias = sums.pop("bias").transpose(1, 2, 0)
+        chain.add(p_rel, ad._gather_vjp(buckets, g_bias, p_rel.value.shape[::-1]).swapaxes(0, 1))
 
 
 def _per_channel(config: PTConfig, x: np.ndarray) -> np.ndarray:
@@ -373,36 +416,52 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     """One synchronous sweep: (next state, F, topic logits, label logits).
 
     Q_h and Q_g come from the incoming Q_z, then Q_z from the refreshed Q_h,
-    Q_g and the incoming Q_z's messages; Nz U and Nz V are formed once, by
-    `low_rank_products`, and shared by the heads and the ternary messages.
-    The topic logits, Q_g and the topic message depend on nothing the head
-    logits, Q_h and the ternary messages depend on, so the two run as lanes
-    (parallel.fork_join) on two CPUs when the invariants say so, and the
-    label update joins them. The topic and label logits are exactly what the
-    sweep passed through softmax; F is the head softmax's input before the
-    w_attn factor.
-
-    The sweep is one tape node. Only the new Q_z crosses sweeps, so it is the
-    node's one output, a Var, on the tape when the incoming Q_z, the
-    invariants or B are; Q_h, Q_g and the three logit tensors are plain
-    arrays. Its vjp, `_sweep_backward`, keeps the arrays it reads, not F or
-    w_attn * F.
+    Q_g and the incoming Q_z's messages (`_sweep_forward`). The sweep is one
+    stage of the chain its incoming Q_z belongs to, if it belongs to one.
+    Only the new Q_z crosses sweeps, so it is the stage's one output, a Var
+    of that chain; Q_h, Q_g and the three logit tensors are plain arrays.
+    Its vjp, `_sweep_backward`, keeps the arrays it reads, not F or
+    w_attn * F. The cotangents of B and of the invariants S[tokens], U_s,
+    V_s and the bias are summed into the chain, the invariants' for
+    init_mfvi's vjp to take back to their parameters.
     """
     inv = state.invariants
     if inv is None:
         raise ConfigError("sweep needs a state from init_mfvi, which forms its invariants")
-    arrays = inv.arrays()
-    q_z, b = ad.as_var(state.q_z), ad.as_var(params["B"])
-    nz = q_z.value * float(config.width)
+    b = params["B"]
+    q_z, q_h, q_g, f, g, z, kept = _sweep_forward(config, iw, inv, val(state.q_z), val(b))
+    chain = ad.chain_of(state.q_z)
+    if chain is not None:
+        taped = tuple(isinstance(params.get(k), Var) for k in ("S", "U", "V", "B", "P_rel"))
+        wanted = (True,) + taped[:4 if inv.bias is None else 5]
+        q_z = chain.extend(q_z, partial(_stage_vjp, lambda grad: _sweep_backward(
+            config, iw, kept, grad, wanted), ("s_rows", "u_s", "v_s", b, "bias")))
+    return replace(state, q_z=q_z, q_h=q_h, q_g=q_g, sweeps=state.sweeps + 1), f, g, z
+
+
+def _sweep_forward(config: PTConfig, iw: InfoWeights, inv: SweepInvariants, q_z: np.ndarray,
+                   b: np.ndarray):
+    """One sweep on plain arrays: (new Q_z, Q_h, Q_g, F, topic logits, label
+    logits, what its vjp `_sweep_backward` reads).
+
+    Nz U and Nz V are formed once, by `low_rank_products`, and shared by the
+    heads and the ternary messages. The topic logits, Q_g and the topic
+    message depend on nothing the head logits, Q_h and the ternary messages
+    depend on, so the two run as lanes (parallel.fork_join) on two CPUs when
+    the invariants say so, and the label update joins them. The topic and
+    label logits are exactly what the sweep passed through softmax; F is the
+    head softmax's input before the w_attn factor.
+    """
+    nz = q_z * float(config.width)
 
     def topic_lane():
-        g, q_g = update_topics(config, iw, b.value, nz)
-        return g, q_g, topic_message(config, iw, b.value, q_g)
+        g, q_g = update_topics(config, iw, b, nz)
+        return g, q_g, topic_message(config, iw, b, q_g)
 
     def head_lane():
-        nz_u, nz_v = low_rank_products(arrays, nz)
-        f, q_h = update_heads(config, iw, arrays, nz_u, nz_v)
-        return (nz_u, nz_v, f, q_h) + ternary_messages(config, iw, arrays, q_h, nz_u, nz_v)
+        nz_u, nz_v = low_rank_products(inv, nz)
+        f, q_h = update_heads(config, iw, inv, nz_u, nz_v)
+        return (nz_u, nz_v, f, q_h) + ternary_messages(config, iw, inv, q_h, nz_u, nz_v)
 
     # The topic lane is the one on the new thread. The other way round, the
     # second of two width-512 evaluation passes in a new process took 200-280
@@ -410,20 +469,28 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     (g, q_g, binary), (nz_u, nz_v, f, q_h, ternary, operands) = parallel.fork_join(
         topic_lane, head_lane, inv.lanes)
     del nz
-    z, q_z_next = update_z(config, iw, arrays, binary, ternary)
+    z, q_z_next = update_z(config, iw, inv, binary, ternary)
     del binary, ternary
 
     # With two lanes the vjp's head branch ends well before its topic branch,
     # so it forms Nz U, Nz V and the ternary operands again from the incoming
-    # Q_z instead of keeping them on the tape: 1 MiB less per sweep at width
-    # 256, and no slower. With one lane that work would add to the step.
+    # Q_z instead of keeping them: 1 MiB less per sweep at width 256, and no
+    # slower. With one lane that work would add to the step.
     products = None if inv.lanes == 2 else (nz_u, nz_v) + operands
-    kept = _SweepKept(q_z_in=q_z.value, q_z=q_z_next, q_h=q_h, q_g=q_g, products=products,
-                      u_s=arrays.u_s, v_s=arrays.v_s, b=b.value, lanes=inv.lanes)
-    inputs = (q_z, inv.s_rows, inv.u_s, inv.v_s, b) + (() if inv.bias is None else (inv.bias,))
-    out = ad.fused(q_z_next, inputs, lambda grad, wanted: _sweep_backward(
-        config, iw, kept, grad, wanted))
-    return replace(state, q_z=out, q_h=q_h, q_g=q_g, sweeps=state.sweeps + 1), f, g, z
+    kept = _SweepKept(q_z_in=q_z, q_z=q_z_next, q_h=q_h, q_g=q_g, products=products,
+                      u_s=inv.u_s, v_s=inv.v_s, b=b, lanes=inv.lanes)
+    return q_z_next, q_h, q_g, f, g, z, kept
+
+
+def _stage_vjp(backward, keys: tuple, g: np.ndarray, chain: ad.Chain):
+    """A stage's vjp on the chain: backward(g) gives the cotangent of the
+    stage's input along the chain, then one per key, None where not wanted;
+    each of those is summed into the chain under its key."""
+    g_in, *rest = backward(g)
+    for key, c in zip(keys, rest):
+        if c is not None:
+            chain.add(key, c)
+    return g_in
 
 
 @dataclass(frozen=True)
@@ -554,16 +621,26 @@ def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
 def mlm_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
     """Vocabulary logits, (B, n, V): the quasi-labels Nz = N * Q_z over their
     root mean square, times gamma, through W_out and b_out; float64 whatever
-    Q_z's dtype. One tape node over (Q_z, gamma, W_out, b_out)."""
-    inputs = tuple(ad.as_var(x) for x in (state.q_z, params["gamma"], params["W_out"],
-                                          params["b_out"]))
-    q_z, gamma, w_out, b_out = (x.value for x in inputs)
+    Q_z's dtype. One stage over (Q_z, gamma, W_out, b_out), with the
+    closed-form vjp `_readout_backward`."""
+    head = (params["gamma"], params["W_out"], params["b_out"])
+    logits, kept = _readout_forward(config, val(state.q_z), *(val(x) for x in head))
+    chain = ad.chain_of(state.q_z, head)
+    if chain is None:
+        return logits
+    wanted = tuple(isinstance(x, Var) for x in (state.q_z, *head))
+    return chain.extend(logits, partial(
+        _stage_vjp, lambda g: _readout_backward(g, wanted, *kept), head))
+
+
+def _readout_forward(config: PTConfig, q_z, gamma, w_out, b_out):
+    """(logits, what `_readout_backward` reads) on plain arrays."""
     nz = q_z * np.float64(config.width)
     den = np.sqrt((nz * nz).sum(axis=-1, keepdims=True) * (1.0 / config.width) + config.rms_eps)
     normed = nz / den
     feature = normed * gamma
-    return ad.fused(np.matmul(feature, w_out) + b_out, inputs, lambda g, wanted: _readout_backward(
-        g, wanted, nz, den, normed, feature, gamma, w_out, b_out.shape))
+    logits = ad.matmul(feature, w_out) + b_out
+    return logits, (nz, den, normed, feature, gamma, w_out, b_out.shape)
 
 
 def _readout_backward(g, wanted, nz, den, normed, feature, gamma, w_out, b_shape):
@@ -595,15 +672,21 @@ def masked_ce_loss(logits, targets, positions):
 
     targets holds the original token at every selected position (values at
     unselected positions are ignored); positions is boolean with at least one
-    True entry. One tape node over the logits.
+    True entry. One stage over the logits, with the closed-form vjp
+    `_ce_backward`.
     """
+    loss, kept = _ce_forward(val(logits), targets, positions)
+    chain = ad.chain_of(logits)
+    return loss if chain is None else chain.extend(loss, lambda g, _: _ce_backward(g, *kept))
+
+
+def _ce_forward(x, targets, positions):
+    """(loss, what `_ce_backward` reads) on plain logits x."""
     positions = np.asarray(positions, dtype=bool)
     count = int(positions.sum())
     if count == 0:
         raise ConfigError("masked_ce_loss: no positions selected")
     safe_targets = np.where(positions, np.asarray(targets), 0)
-    logits = ad.as_var(logits)
-    x = logits.value
     top = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - top)
     total = e.sum(axis=-1, keepdims=True)
@@ -613,13 +696,14 @@ def masked_ce_loss(logits, targets, positions):
     picked = np.take_along_axis(x - lse, safe_targets[..., None], axis=-1)
     weights = positions.astype(np.float64)
     loss = (picked.reshape(positions.shape) * weights).sum() * (-1.0 / count)
-    return ad.fused(loss, (logits,), lambda g, wanted: (
-        _ce_backward(soft, safe_targets, (g * (-1.0 / count)) * weights),))
+    return loss, (soft, safe_targets, weights, count)
 
 
-def _ce_backward(soft, targets, g_picked):
-    """The logits' cotangent, softmax minus one-hot: g_picked scattered at the
-    targets, then its negated row sum times the softmax added."""
+def _ce_backward(g, soft, targets, weights, count):
+    """The logits' cotangent, softmax minus one-hot: g's share of each
+    selected position scattered at the targets, then its negated row sum
+    times the softmax added."""
+    g_picked = (g * (-1.0 / count)) * weights
     vocab = soft.shape[-1]
     flat = np.arange(targets.size) * vocab + targets.ravel() % vocab
     g = ad._scatter_add(flat, g_picked, soft.shape)

@@ -62,11 +62,11 @@ def _worker_count(n_jobs: int) -> int:
 
 def _run_job(i: int):
     fn, jobs = _WORKER_JOBS
-    return fn(*jobs[i])
+    return fn(*jobs[i][1])
 
 
-def map_jobs(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], the jobs spread over forked processes.
+def map_jobs(fn, jobs: list[tuple[str, tuple]]) -> list:
+    """[fn(*args) for label, args in jobs], the jobs spread over forked processes.
 
     Each job runs whole in one process, so its result is the one a serial
     call returns, bit for bit, and results come back in job order whatever
@@ -77,13 +77,14 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     workers inherit fn and the jobs by fork, so neither is pickled; results
     and exceptions are. An exception in a job, or a KeyboardInterrupt in the
     caller, ends every worker before it propagates, and a worker that dies
-    mid-job (as under the OOM killer) raises WorkerDied, naming the jobs that
-    did not finish and how the worker ended: no process outlives the call.
+    mid-job (as under the OOM killer) raises WorkerDied, naming by their
+    labels the jobs that did not finish and how the worker ended: no process
+    outlives the call.
     """
     global _WORKER_JOBS
     workers = _worker_count(len(jobs))
     if workers == 1:
-        return [fn(*job) for job in jobs]
+        return [fn(*args) for _, args in jobs]
     import multiprocessing
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
@@ -110,9 +111,10 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
     if results is not None:
         return results
-    lost = [str(i) for i, f in enumerate(futures) if f.cancelled() or f.exception() is not None]
-    raise WorkerDied(f"a pool worker died ({_endings(processes)}); "
-                     f"job{'s' * (len(lost) > 1)} {', '.join(lost)} of {len(jobs)} did not finish")
+    lost = [label for (label, _), f in zip(jobs, futures)
+            if f.cancelled() or f.exception() is not None]
+    raise WorkerDied(f"a pool worker died ({_endings(processes)}); {len(lost)} of {len(jobs)} "
+                     f"jobs did not finish: {', '.join(lost)}")
 
 
 def _endings(processes) -> str:

@@ -141,8 +141,9 @@ def verify_local_optimality(config: PTConfig, base_hp: HPPoint, corpus: Corpus,
 
     hps = sample_neighborhood(base_hp, n, SeededRng(seed).spawn("neighborhood"), scale)
     dists = [hp_distance(base_hp, hp) for hp in hps]
-    runs = map_jobs(train_run, [(config, hp, corpus, seed, settings)
-                                for hp in [base_hp, *hps]])
+    labels = ["base"] + [f"neighbour {i}" for i in range(1, n + 1)]
+    runs = map_jobs(train_run, [(label, (config, hp, corpus, seed, settings))
+                                for label, hp in zip(labels, [base_hp, *hps])])
     base_loss, *losses = [rec.final_eval_loss for rec in runs]
 
     n_better = sum(1 for x in losses if x < base_loss)

@@ -164,7 +164,7 @@ def evaluate(config: PTConfig, params: dict, hp: HPPoint,
         loss = _batch_loss(config, params, hp, corrupted, targets, selected,
                            token_mask, iters)
         k = int(selected.sum())
-        total += float(val(loss)) * k
+        total += float(loss) * k
         count += k
     if count == 0:
         raise ConfigError("evaluation set is empty")
@@ -199,7 +199,7 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
     and the masked-LM loss, and the gradient step is applied to
     params.tensors in place before the loss is yielded. After the first
     non-finite loss every later batch yields +inf and nothing steps again.
-    The step's tape and gradients are freed before its loss is yielded, so
+    The step's chain and gradients are freed before its loss is yielded, so
     the next step's forward never runs beside them; the heap they leave
     stays mapped (autodiff._pin_malloc), so the next step reuses it.
     """
@@ -330,8 +330,9 @@ def transfer_sweep(scaler: WidthScaler, widths: list[int], lr_grid: list[float],
     if len(set(widths)) != len(widths):
         raise ConfigError(f"widths must not repeat, got {list(widths)}")
     cells = sorted(((w, lr) for w in widths for lr in lr_grid), key=lambda c: -c[0])
-    runs = map_jobs(train_run, [(scaler.config_at(w), hp_base.with_lr(lr), corpus, seed,
-                                 settings) for w, lr in cells])
+    runs = map_jobs(train_run, [
+        (f"width {w}, lr {lr:g}", (scaler.config_at(w), hp_base.with_lr(lr), corpus, seed, settings))
+        for w, lr in cells])
     done = dict(zip(cells, runs))
     records = {(w, lr): done[(w, lr)] for w in widths for lr in lr_grid}
     finals = {w: [records[(w, lr)].final_eval_loss for lr in lr_grid] for w in widths}

@@ -1,4 +1,4 @@
-"""The mean-field sweep composed from `autodiff` ops, one tape node per op.
+"""The mean-field sweep composed from `reference_tape` ops, one tape node per op.
 
 This is how `model.sweep` was written before it became one fused node with a
 hand-derived vjp, kept here as the oracle the fused sweep is tested against:
@@ -8,7 +8,7 @@ composed sweep did.
 """
 import numpy as np
 
-from mupt import autodiff as ad
+import reference_tape as ad
 from mupt.model import MFVIState, _attn_mask, _valid_rows, position_buckets
 
 

@@ -20,7 +20,7 @@ from mupt import (DIAG_HP, PARADIGMS, SCALE_CHANNELS, SCALE_RANK, HPPoint,
                   energy_entropy_probe, entropy_uniform_exact,
                   equivalence_check, finite_diff_check, hp_distance,
                   init_variance_audit, logit_variance_scan, masked_ce_loss,
-                  min_samples, mlm_logits, run_mfvi, sample_size_bound,
+                  min_samples, mlm_logits, reverse_grad, run_mfvi, sample_size_bound,
                   synth_text, tau_cancellation_check, train_run,
                   transfer_sweep, verify_local_optimality)
 from mupt.diagnostics import write_coord_csv
@@ -98,7 +98,9 @@ def test_criterion_3_gradients_match_finite_differences(acceptance_record):
         state = run_mfvi(config, leaves, corrupted[None], iw, iters=2)
         return masked_ce_loss(mlm_logits(config, leaves, state), tokens[None], selected[None])
 
-    report = finite_diff_check(loss_fn, params.tensors, rtol=1e-6, atol=1e-8)
+    leaves = params.as_vars()
+    grads = reverse_grad(loss_fn(leaves), leaves)
+    report = finite_diff_check(loss_fn, params.tensors, grads, rtol=1e-6, atol=1e-8)
     acceptance_record(
         "criterion 3 (gradient vs finite differences, rtol 1e-6 atol 1e-8)",
         report.passed,

@@ -150,7 +150,7 @@ def _rewrite_header(path, key_path, value):
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + header_len:])
 
 
-S_ENTRY = {"name": "S", "shape": [17, 8], "dtype": "float64", "offset": 0}
+S_ENTRY = {"name": "S", "shape": [17, 8], "dtype": "float64", "offset": 0, "crc32": 0}
 
 
 @pytest.mark.parametrize("key_path, value, message", [
@@ -177,12 +177,18 @@ S_ENTRY = {"name": "S", "shape": [17, 8], "dtype": "float64", "offset": 0}
     (("tensors", -1, "offset"), True, "invalid offset True"),
     (("tensors", -1, "offset"), 1 << 40, "truncated checkpoint"),
     (("tensors", -1), _DROP, "lacks tensors ['P_rel']"),
+    (("tensors", 0, "crc32"), _DROP, "malformed tensor index entry"),
+    (("tensors", 0, "crc32"), "0", "invalid crc32 '0'"),
+    (("tensors", 0, "crc32"), -1, "invalid crc32 -1"),
+    (("tensors", 0, "crc32"), 1 << 32, "invalid crc32 4294967296"),
+    (("tensors", 0, "crc32"), 12345, "has payload crc32"),
 ], ids=["list-header", "no-config", "config-not-object", "unknown-config-key",
         "bad-config-value", "config-wrong-type", "no-index", "index-not-list",
         "extra-not-object", "entry-not-object", "entry-missing-field", "unknown-name",
         "unhashable-name", "duplicate-entry", "wrong-shape", "shape-not-list",
         "unknown-dtype", "unhashable-dtype", "negative-offset", "float-offset",
-        "bool-offset", "offset-past-end", "dropped-entry"])
+        "bool-offset", "offset-past-end", "dropped-entry", "no-crc32", "crc32-not-int",
+        "negative-crc32", "crc32-past-32-bits", "wrong-crc32"])
 def test_malformed_header_is_a_checkpoint_error(tmp_path, key_path, value, message):
     path = _save(tmp_path)
     _rewrite_header(path, key_path, value)
@@ -202,4 +208,41 @@ def test_legacy_sweep_count_in_config_is_ignored(tmp_path):
         np.testing.assert_array_equal(tensors[name], t)
     _rewrite_header(path, ("config", "mfvi_iter"), 6)
     with pytest.raises(CheckpointError, match="invalid config"):
+        load_checkpoint(path)
+
+
+def test_a_flipped_payload_byte_is_a_checkpoint_error(tmp_path):
+    path = _save(tmp_path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8 + header_len
+    header = json.loads(raw[len(MAGIC) + 8:start])
+    for entry in header["tensors"]:
+        broken = bytearray(raw)
+        broken[start + entry["offset"]] ^= 0x01      # the lowest bit of its first byte
+        path.write_bytes(bytes(broken))
+        with pytest.raises(CheckpointError, match=rf"tensor '{entry['name']}' has payload "
+                           rf"crc32 0x[0-9a-f]{{8}}, its index entry {entry['crc32']:#010x}"):
+            load_checkpoint(path)
+
+
+def test_a_version_1_file_without_checksums_still_loads(tmp_path):
+    params = _params()
+    path = _save(tmp_path, extra={"step": 3})
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(raw[start:start + header_len])
+    header["format_version"] = 1
+    for entry in header["tensors"]:
+        del entry["crc32"]
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + header_len:])
+    config, tensors, extra = load_checkpoint(path)
+    assert config == CFG and extra == {"step": 3}
+    for name, t in params.items():
+        assert tensors[name].tobytes() == t.tobytes()
+    # a version-1 entry carrying a checksum is malformed
+    _rewrite_header(path, ("tensors", 0, "crc32"), 0)
+    with pytest.raises(CheckpointError, match="malformed tensor index entry"):
         load_checkpoint(path)

@@ -1,13 +1,14 @@
-"""The readout and loss nodes against the NumPy expressions they run.
+"""The readout and loss stages against the NumPy expressions they run.
 
-`model.mlm_logits` and `model.masked_ce_loss` are one tape node each, with a
-hand-written vjp. `_oracle` writes out the operations of the composed ops
-they replaced, in their order: the quasi-labels, the RMS norm through a
-mean square and a square root, the output map; the log-softmax through a
-max-shifted logsumexp, the gather at the targets, the weighted sum and its
-scaling. The forward must match it bit for bit, and so must the loss's
-cotangent its closed form. The vjps are held to central finite differences
-for every input, and asked for the cotangents of the taped inputs only.
+`model.mlm_logits` and `model.masked_ce_loss` are one stage of the chain
+each, with a hand-written vjp. `_oracle` writes out the operations of the
+composed ops they replaced, in their order: the quasi-labels, the RMS norm
+through a mean square and a square root, the output map; the log-softmax
+through a max-shifted logsumexp, the gather at the targets, the weighted
+sum and its scaling. The forward must match it bit for bit, and so must the
+loss's cotangent its closed form. The vjps are held to central finite
+differences for every input, and asked for the cotangents of the Var
+inputs only.
 """
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_forward_is_the_composed_expressions_bit_for_bit(case):
     for inputs in (arrays, leaves):
         logits = _logits(config, inputs)
         loss = model.masked_ce_loss(logits, targets, selected)
-        assert logits.on_tape == loss.on_tape == (inputs is leaves)
+        assert isinstance(logits, ad.Var) == isinstance(loss, ad.Var) == (inputs is leaves)
         assert _bits(ad.val(logits)) == _bits(want_logits)
         assert _bits(ad.val(loss)) == _bits(want_loss)
 
@@ -100,18 +101,23 @@ def test_the_loss_cotangent_is_softmax_minus_one_hot_bit_for_bit(case):
     assert _bits(got) == _bits(want)
 
 
+def _fd_report(loss_fn, arrays):
+    """The chain's gradients of loss_fn at arrays against central differences."""
+    leaves = {k: ad.Var(v.copy()) for k, v in arrays.items()}
+    grads = ad.reverse_grad(loss_fn(leaves), leaves)
+    return ad.finite_diff_check(loss_fn, arrays, grads, rtol=1e-6)
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(case=_cases())
 def test_gradients_match_finite_differences(case):
     config, arrays, targets, selected = case
-    report = ad.finite_diff_check(
-        lambda p: model.masked_ce_loss(_logits(config, p), targets, selected), arrays,
-        rtol=1e-6)
+    report = _fd_report(lambda p: model.masked_ce_loss(_logits(config, p), targets, selected),
+                        arrays)
     assert report.passed, report
     logits = ad.val(_logits(config, arrays))
-    report = ad.finite_diff_check(
-        lambda p: model.masked_ce_loss(p["logits"], targets, selected), {"logits": logits},
-        rtol=1e-6)
+    report = _fd_report(lambda p: model.masked_ce_loss(p["logits"], targets, selected),
+                        {"logits": logits})
     assert report.passed, report
 
 

@@ -1,11 +1,11 @@
 """The fused sweep against the composed sweep it replaced.
 
-`model.sweep` is one tape node whose vjp is derived by hand; `composed_sweep`
-is the same sweep built from autodiff ops, one node per op. The forward must
-match bit for bit: every posterior and every logit tensor of every sweep. The
-gradients of a masked-LM loss through the sweeps must match to rounding,
-within 1e-12 of each tensor's largest entry, because the vjp sums some
-cotangents in another order. The example test pins the position bias, a
+`model.sweep` is one stage of the chain with a vjp derived by hand;
+`composed_sweep` is the same sweep built from `reference_tape` ops, one node
+per op. The forward must match bit for bit: every posterior and every logit
+tensor of every sweep. The gradients of a masked-LM loss through the sweeps
+must match to rounding, within 1e-12 of each tensor's largest entry,
+because the vjp sums some cotangents in another order. The example test pins the position bias, a
 padded position and both paradigms; the property test draws small
 geometries, information weights and token masks. Both run the sweep in two
 lanes, the size floor of `parallel.lanes` lowered to 0, and a third test
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_sweep
+import reference_tape as tape
 from mupt import autodiff as ad
 from mupt import model, parallel
 from mupt.config import InfoWeights, PTConfig
@@ -59,18 +60,27 @@ def _case(config, seed, batch, n):
     return params, tokens, selected
 
 
-def _loss(run, config, params, tokens, iw, token_mask, selected):
+def _chain_grads(config, params, tokens, iw, token_mask, selected):
+    """(loss, gradients) of a masked-LM loss through the model's chain."""
     leaves = params.as_vars()
-    state = run(config, leaves, tokens, iw, token_mask, iters=SWEEPS)
-    logits = model.mlm_logits(config, leaves, state)
-    return model.masked_ce_loss(logits, tokens, selected), leaves
+    state = model.run_mfvi(config, leaves, tokens, iw, token_mask, iters=SWEEPS)
+    loss = model.masked_ce_loss(model.mlm_logits(config, leaves, state), tokens, selected)
+    return ad.val(loss), ad.reverse_grad(loss, leaves)
+
+
+def _composed_grads(config, params, tokens, iw, token_mask, selected):
+    """(loss, gradients) of the same loss through the composed sweeps."""
+    leaves = {k: tape.Var(v) for k, v in params.tensors.items()}
+    state = composed_sweep.run(config, leaves, tokens, iw, token_mask, iters=SWEEPS)
+    loss = tape.loss(tape.readout(config, leaves, state), tokens, selected)
+    return tape.val(loss), tape.reverse_grad(loss, leaves)
 
 
 def _assert_matches_composed(config, params, tokens, iw, token_mask, selected):
     fused = model.init_mfvi(config, params.tensors, tokens, iw, token_mask)
     assert fused.invariants.lanes == 2
     composed = composed_sweep.init(config, params.tensors, tokens, iw, token_mask)
-    assert np.array_equal(ad.val(fused.q_z), ad.val(composed.q_z))
+    assert np.array_equal(fused.q_z, tape.val(composed.q_z))
     for t in range(1, SWEEPS + 1):
         fused, *f_logits = model.sweep(config, params.tensors, fused, iw)
         composed, *c_logits = composed_sweep.sweep(config, params.tensors, composed, iw)
@@ -78,16 +88,13 @@ def _assert_matches_composed(config, params, tokens, iw, token_mask, selected):
                     [fused.q_z, fused.q_h, fused.q_g, *f_logits],
                     [composed.q_z, composed.q_h, composed.q_g, *c_logits])
         for name, got, want in pairs:
-            got, want = ad.val(got), ad.val(want)
+            got, want = ad.val(got), tape.val(want)
             assert got.dtype == want.dtype and got.shape == want.shape, (t, name)
             assert got.tobytes() == want.tobytes(), (t, name)
 
-    loss, leaves = _loss(model.run_mfvi, config, params, tokens, iw, token_mask, selected)
-    ref_loss, ref_leaves = _loss(composed_sweep.run, config, params, tokens, iw,
-                                 token_mask, selected)
-    assert ad.val(loss) == ad.val(ref_loss)
-    grads = ad.reverse_grad(loss, leaves)
-    ref = ad.reverse_grad(ref_loss, ref_leaves)
+    loss, grads = _chain_grads(config, params, tokens, iw, token_mask, selected)
+    ref_loss, ref = _composed_grads(config, params, tokens, iw, token_mask, selected)
+    assert loss == ref_loss
     assert grads.keys() == ref.keys()
     for name, want in ref.items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-12,

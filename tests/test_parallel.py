@@ -26,7 +26,7 @@ def test_two_lanes_need_two_cpus_a_big_enough_pass_and_no_pool(monkeypatch):
     _cpus(monkeypatch, 2)
     assert lanes(LANE_MIN_MACS) == 2
     assert lanes(LANE_MIN_MACS - 1) == 1         # below the size floor
-    assert map_jobs(lanes, [(LANE_MIN_MACS,)] * 2) == [1, 1]    # in a worker
+    assert map_jobs(lanes, [("lanes", (LANE_MIN_MACS,))] * 2) == [1, 1]    # in a worker
     _cpus(monkeypatch, 1)                          # as under taskset -c 0
     assert lanes(LANE_MIN_MACS) == 1
     _cpus(monkeypatch, 3)
@@ -83,5 +83,5 @@ def test_the_pool_still_forks_after_a_two_lane_run(monkeypatch):
                             mfvi_iters=2))
     assert calls and set(calls) == {2}
     assert threading.active_count() == 1
-    pids = map_jobs(_pid_after_a_while, [(), ()])
+    pids = map_jobs(_pid_after_a_while, [("a", ()), ("b", ())])
     assert len(set(pids)) == 2 and os.getpid() not in pids

@@ -269,7 +269,7 @@ def _finish_in_reverse(i, n):
 
 def test_map_jobs_returns_results_in_job_order(monkeypatch):
     _cpus(monkeypatch, 2)
-    out = map_jobs(_finish_in_reverse, [(i, 4) for i in range(4)])
+    out = map_jobs(_finish_in_reverse, [(f"job {i}", (i, 4)) for i in range(4)])
     assert [i for i, _, _ in out] == [0, 1, 2, 3]
     finished = [t for _, _, t in out]
     assert finished != sorted(finished)          # some job overtook an earlier one
@@ -300,24 +300,24 @@ def test_worker_count(monkeypatch):
 def test_worker_count_is_one_inside_a_worker(monkeypatch):
     _cpus(monkeypatch, 2)
     assert parallel._worker_count(4) == 2
-    assert map_jobs(parallel._worker_count, [(4,), (4,)]) == [1, 1]
+    assert map_jobs(parallel._worker_count, [("a", (4,)), ("b", (4,))]) == [1, 1]
 
 
 def _worker_view():
-    nested = map_jobs(os.getpid, [(), ()])
+    nested = map_jobs(os.getpid, [("a", ()), ("b", ())])
     return os.getpid(), signal.getsignal(signal.SIGINT) == signal.SIG_IGN, nested
 
 
 def test_workers_ignore_ctrl_c_and_never_nest(monkeypatch):
     _cpus(monkeypatch, 2)
     handler = signal.getsignal(signal.SIGINT)
-    for pid, ignores_ctrl_c, nested in map_jobs(_worker_view, [()] * 2):
+    for pid, ignores_ctrl_c, nested in map_jobs(_worker_view, [("view", ())] * 2):
         assert pid != os.getpid() and ignores_ctrl_c
         assert nested == [pid, pid]             # serial, in the worker itself
     # the job table is the caller's only while its pool runs, errors or not
     assert parallel._WORKER_JOBS is None
     with pytest.raises(ZeroDivisionError):
-        map_jobs(_fail_on_second, [(i,) for i in range(4)])
+        map_jobs(_fail_on_second, [(f"job {i}", (i,)) for i in range(4)])
     assert parallel._WORKER_JOBS is None
     assert signal.getsignal(signal.SIGINT) is handler
     assert multiprocessing.active_children() == []
@@ -341,7 +341,7 @@ def test_no_fork_means_serial(monkeypatch):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert parallel._worker_count(4) == 1
-    assert map_jobs(os.getpid, [()] * 3) == [os.getpid()] * 3
+    assert map_jobs(os.getpid, [("pid", ())] * 3) == [os.getpid()] * 3
 
 
 def test_transfer_sweep_pooled_equals_serial(monkeypatch):
@@ -371,10 +371,10 @@ def _fail_on_second(i):
 def test_job_errors_escape_as_they_are(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
     with pytest.raises(ConfigError, match="vocab"):
-        map_jobs(train_run, [(CFG.with_(vocab_size=64), HP, _corpus(), 0, SETTINGS)] * 2)
+        map_jobs(train_run, [("run", (CFG.with_(vocab_size=64), HP, _corpus(), 0, SETTINGS))] * 2)
     assert multiprocessing.active_children() == []
     with pytest.raises(ZeroDivisionError, match="job 1"):
-        map_jobs(_fail_on_second, [(i,) for i in range(4)])
+        map_jobs(_fail_on_second, [(f"job {i}", (i,)) for i in range(4)])
     assert multiprocessing.active_children() == []
 
 
@@ -413,11 +413,11 @@ def job(i):
         os.kill(os.getpid(), signal.SIGKILL)
     return i
 try:
-    parallel.map_jobs(job, [(i,) for i in range(9)])
+    parallel.map_jobs(job, [(f"job {i}", (i,)) for i in range(9)])
 except WorkerDied as e:
     print(e)
 print(multiprocessing.active_children(), parallel._WORKER_JOBS)
-print(parallel.map_jobs(os.getpid, [(), ()]) != [os.getpid()] * 2)
+print(parallel.map_jobs(os.getpid, [("a", ()), ("b", ())]) != [os.getpid()] * 2)
 """
 
 
@@ -425,9 +425,10 @@ def test_a_killed_worker_is_an_error_not_a_hang():
     rc, out, err = _own_session(_KILLED_WORKER)
     assert rc == 0, out + err
     died, left, pooled_again = out.splitlines()
-    lost = re.fullmatch(r"a pool worker died \(SIGKILL\); jobs? ([\d, ]+) of 9 did not finish",
+    lost = re.fullmatch(r"a pool worker died \(SIGKILL\); (\d) of 9 jobs did not finish: (.+)",
                         died)
-    assert lost and "3" in lost.group(1).split(", "), died
+    assert lost and "job 3" in lost.group(2).split(", "), died
+    assert len(lost.group(2).split(", ")) == int(lost.group(1))
     assert left == "[] None"
     assert pooled_again == "True"                # the next call forks a pool again
 
@@ -456,7 +457,10 @@ def test_a_killed_worker_ends_the_cli_with_one_line_and_exit_1(tmp_path):
             "--set", "p=0.5", "--set", "alpha=0.5", "--set", "n=2"]
     rc, out, err = _own_session(_KILLED_VERIFY, str(tmp_path), "verify-local-opt", *tiny)
     assert rc == 1, out + err
-    assert err.startswith("error: a pool worker died (SIGKILL); job"), err
+    # the runs are named as the CLI user knows them: the base and neighbour i
+    assert re.fullmatch(r"error: a pool worker died \(SIGKILL\); \d of 3 jobs did not finish: "
+                        r"(base|neighbour \d)(, neighbour \d)*\n", err), err
+    assert "neighbour 1" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())           # nothing written on failure
 
