@@ -5,10 +5,12 @@ closed-form vjp (model.py): init_mfvi, one stage per mean-field sweep, the
 readout mlm_logits and the loss masked_ce_loss. A `Var` is a value plus the
 `Chain` that made it:
 
-  - `Var(x)` is a leaf, with no chain: a parameter for reverse_grad;
-  - a stage whose input along the chain is the latest output of a chain
-    extends that chain, and one whose inputs hold Vars but no chain starts
-    a new one (`chain_of`); its output is then a Var of that chain;
+  - `Var(x)` is a leaf, with no chain: a parameter for reverse_grad. A
+    recorded forward takes every parameter as a leaf;
+  - its first stage, init_mfvi, opens a new `Chain`; every later stage reads
+    the latest output of that chain along it and extends it (`chain_of`),
+    and its output is a Var of the chain. A stage given any other Var
+    there, an earlier output or a leaf, raises;
   - a stage on plain arrays records nothing and returns plain arrays, so a
     forward on plain arrays keeps nothing for a backward pass.
 
@@ -99,21 +101,19 @@ class Var:
 
 
 class Chain:
-    """The record of one forward: its stages' vjps in forward order, the leaf
-    its first stage read along the chain (or None), and the cotangents the
-    vjps have summed so far, by key.
+    """The record of one forward: its stages' vjps in forward order and the
+    cotangents the vjps have summed so far, by key.
 
     A vjp is called as vjp(g, chain) with the cotangent of its stage's
     output. It sums the cotangents of the stage's other inputs into the
-    chain (`add`) and returns that of its input along the chain, None for a
-    first stage with none.
+    chain (`add`) and returns that of its input along the chain, None for
+    the first stage, which has none.
     """
 
-    __slots__ = ("vjps", "root", "sums", "tip")
+    __slots__ = ("vjps", "sums", "tip")
 
-    def __init__(self, root: Var | None = None) -> None:
+    def __init__(self) -> None:
         self.vjps: list[Callable] = []
-        self.root = root
         self.sums: dict = {}
         self.tip = None     # id of the latest output: only it may be extended
 
@@ -130,18 +130,17 @@ class Chain:
         return out
 
 
-def chain_of(x, beside=()) -> Chain | None:
-    """The chain a stage extends that reads x along the chain and `beside`
-    next to it: x's own, if x is the latest output of a chain; a new one,
-    rooted at x, if x is a leaf; a new one if any of beside is a Var; else
-    None, and the stage records nothing."""
-    if isinstance(x, Var):
-        if x.chain is None:
-            return Chain(root=x)
-        if x.chain.tip != id(x):
-            raise ValueError("a recorded forward is one chain: extend it from its latest output")
-        return x.chain
-    return Chain() if any(isinstance(b, Var) for b in beside) else None
+def chain_of(x) -> Chain | None:
+    """The chain a stage extends that reads x along the chain: x's own, if x
+    is the latest output of a chain, or None for a plain array, and the
+    stage records nothing. A leaf, which no stage made, is no chain's
+    latest output."""
+    if not isinstance(x, Var):
+        return None
+    if x.chain is None or x.chain.tip != id(x):
+        raise ValueError("a recorded forward is one chain from init_mfvi: extend it from "
+                         "its latest output")
+    return x.chain
 
 
 def val(x) -> np.ndarray:
@@ -235,8 +234,6 @@ def reverse_grad(loss: Var, params: Mapping[str, Var]) -> dict[str, np.ndarray]:
         g = np.ones((), dtype=loss.value.dtype)
         while chain.vjps:
             g = chain.vjps.pop()(g, chain)
-        if chain.root is not None:
-            chain.add(chain.root, g)
         sums = chain.sums
     out = {}
     for name, p in params.items():

@@ -37,6 +37,7 @@ import os
 import sys
 
 from .errors import CheckFailure, CheckpointError, ConfigError, WorkerDied
+from .util import write_text
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -294,14 +295,6 @@ def _validated(command: str, cfg: dict) -> dict:
     return run
 
 
-def _write(path: str, text: str) -> str:
-    from .util import atomic_write
-
-    with atomic_write(path) as f:
-        f.write((text if text.endswith("\n") else text + "\n").encode("utf-8"))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies (heavy imports stay inside); each takes the validated
 # config, the seed, the tag naming its artifacts and the output directory
@@ -315,7 +308,7 @@ def _cmd_train(cfg, seed, tag, out_dir):
     config = cfg["model"]
     record, params = train_run(config, cfg["hp"], _corpus(cfg["corpus"]), seed, cfg["train"],
                                return_params=True)
-    json_path = _write(os.path.join(out_dir, f"run-{tag}.json"), record.to_json())
+    json_path = write_text(os.path.join(out_dir, f"run-{tag}.json"), record.to_json())
     curve = [("train", list(enumerate(record.train_losses, start=1))),
              ("eval", list(zip(record.eval_steps, record.eval_losses)))]
     svg_path = os.path.join(out_dir, f"run-{tag}-loss.svg")
@@ -344,7 +337,7 @@ def _cmd_coord_check(cfg, seed, tag, out_dir):
     violations = report.band_violations()
     csv_path = os.path.join(out_dir, f"coord-{tag}.csv")
     write_coord_csv(report, csv_path)
-    json_path = _write(os.path.join(out_dir, f"coord-{tag}.json"), coord_summary_json(report))
+    json_path = write_text(os.path.join(out_dir, f"coord-{tag}.json"), coord_summary_json(report))
     stable = not violations
     expect_stable = cfg["hidden_lr_scaling"] == "mup"
     print(f"coord-check[{cfg['hidden_lr_scaling']}]: "
@@ -382,7 +375,7 @@ def _cmd_init_stats(cfg, seed, tag, out_dir):
         print(f"init-stats w={width}: worst group error {worst:.3%} "
               f"(tol {tol:.0%}), zeros exact: {audit.zeros_exact} "
               f"-> {'ok' if good else 'FAIL'}")
-    path = _write(os.path.join(out_dir, f"init-stats-{tag}.json"),
+    path = write_text(os.path.join(out_dir, f"init-stats-{tag}.json"),
                   canonical_json({"schema_version": "1", "tolerance": tol, "audits": rows}))
     print(f"  wrote {path}")
     if not ok:
@@ -413,7 +406,7 @@ def _cmd_equivalence(cfg, seed, tag, out_dir):
         tau_worst = max(tau_worst, dev)
         print(f"  temperature cancellation N={n_val} r={r_val} "
               f"tau={n_val / r_val:g}: {dev:.3e}")
-    path = _write(os.path.join(out_dir, f"equivalence-{tag}.json"),
+    path = write_text(os.path.join(out_dir, f"equivalence-{tag}.json"),
                   canonical_json({"schema_version": "1", "tolerance": tol,
                                   "results": results, "tau_worst": tau_worst}))
     print(f"  wrote {path}")
@@ -460,7 +453,7 @@ def _cmd_energy_probe(cfg, seed, tag, out_dir):
     rel = abs(th - tln) / tln
     print(f"energy-probe closed form: tempered uniform entropy vs tau*ln(width): "
           f"rel diff {rel:.2e}")
-    path = _write(os.path.join(out_dir, f"energy-{tag}.json"),
+    path = write_text(os.path.join(out_dir, f"energy-{tag}.json"),
                   canonical_json({"schema_version": "1", "stage": "init",
                                   "fits": out, "uniform_exact_rel": rel}))
     print(f"  wrote {path}")
@@ -489,12 +482,12 @@ def _cmd_transfer_sweep(cfg, seed, tag, out_dir):
                            _corpus(cfg["corpus"]), seed, cfg["train"])
     best, disp = sweep.best_lr_index, sweep.argmin_displacement
     lost = [w for w, i in best.items() if i is None]   # every LR diverged there
-    paths = [_write(os.path.join(out_dir, f"sweep-{tag}.csv"), "\n".join(sweep.csv_rows()))]
+    paths = [write_text(os.path.join(out_dir, f"sweep-{tag}.csv"), "\n".join(sweep.csv_rows()))]
     if len(lost) < len(best):                           # else no finite loss to draw
         paths.append(os.path.join(out_dir, f"sweep-{tag}.svg"))
         _sweep_svg(paths[-1], {w: [(lr, sweep.records[(w, lr)].final_eval_loss)
                                    for lr in sweep.lr_grid] for w in sweep.widths})
-    paths.append(_write(os.path.join(out_dir, f"sweep-{tag}.json"),
+    paths.append(write_text(os.path.join(out_dir, f"sweep-{tag}.json"),
                         canonical_json({"schema_version": "1", "widths": sweep.widths,
                                         "lr_grid": sweep.lr_grid, "argmin_displacement": disp,
                                         "best_lr_index": {str(w): i for w, i in best.items()}})))

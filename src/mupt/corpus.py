@@ -124,17 +124,17 @@ def mask_tokens(seq: np.ndarray, ratio: float, rng: SeededRng,
 
     selected is boolean over positions; targets carries the original token at
     selected positions (zeros elsewhere, never read). Padding is never
-    maskable, and a ratio that rounds to zero selected positions is an error
-    rather than a silent no-op.
+    maskable. The ratio of the maskable positions is rounded, but at least
+    one is selected, so a short padded tail chunk still has a loss; a
+    sequence with no maskable position is an error.
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"mask ratio must be in (0, 1], got {ratio}")
     seq = np.asarray(seq)
     maskable_idx = np.flatnonzero(corpus.token_mask(seq))
-    count = int(round(ratio * maskable_idx.size))
-    if count == 0:
-        raise ConfigError(
-            f"mask ratio {ratio} selects zero of {maskable_idx.size} maskable positions")
+    if maskable_idx.size == 0:
+        raise ConfigError("mask_tokens: the sequence has no maskable position")
+    count = max(1, int(round(ratio * maskable_idx.size)))
     order = rng.permutation(maskable_idx.size)
     chosen = maskable_idx[order[:count]]
 

@@ -36,11 +36,15 @@ written by hand in the manner of CRF-as-RNN (arXiv:1502.03240): init_mfvi,
 one stage per sweep, the readout `mlm_logits` and the loss
 `masked_ce_loss`. Each stage's forward runs on plain arrays and returns its
 value and what its closed-form vjp reads (`_init_backward`,
-`_sweep_backward`, `_readout_backward`, `_ce_backward`); when the
-parameters are autodiff.Var leaves, the stage appends that vjp to the
-chain of its input (autodiff.Chain), and reverse_grad calls the vjps in
-reverse, each dropped once it has run. On plain arrays a forward records
-nothing.
+`_sweep_backward`, `_readout_backward`, `_ce_backward`). A forward is
+recorded when every parameter is an autodiff.Var leaf (ModelParams.as_vars)
+and on plain arrays otherwise; init_mfvi refuses a mix. A recorded forward
+starts at init_mfvi, which opens its chain (autodiff.Chain); every later
+stage appends its vjp to the chain its input belongs to, and only from that
+chain's latest output, so a stage given a leaf Var as that input raises.
+reverse_grad calls the vjps in reverse, each dropped once it has run, and
+every vjp returns the cotangents of all its inputs. A forward on plain
+arrays records nothing.
 
 A sweep's forward, `_sweep_forward`, runs update_topics, topic_message,
 low_rank_products, update_heads, ternary_messages and update_z, each in the
@@ -58,16 +62,19 @@ the incoming Q_z, S[tokens], the stacked U_s and V_s, B and the position
 bias; it keeps only the arrays it reads, not F or w_attn * F, and with two
 lanes it forms Nz U, Nz V and the ternary operands again beside the topic
 branch instead of keeping them. What every sweep reads but none changes
-(S[tokens], U_s, V_s, the position bias, the head support and the valid-row
-multiplier) init_mfvi forms once per forward, the `SweepInvariants`; the
-sweeps sum their cotangents into the chain, last sweep first, and
-init_mfvi's vjp takes each sum back to its parameter. tests/composed_sweep.py
-keeps the composed sweep, and tests/reference_tape.py the general tape the
-chain replaced, as oracles.
+init_mfvi forms once per forward as plain arrays, the `SweepInvariants`:
+S[tokens], U_s, V_s, the position bias, the head support and the valid-row
+multiplier; the sweeps sum their cotangents into the chain, last sweep
+first, and init_mfvi's vjp takes each sum back to its parameter.
+tests/composed_sweep.py keeps the composed sweep, and
+tests/reference_tape.py the general tape the chain replaced, as oracles.
 
 Shapes: tokens and token_mask are (B, n), the posteriors (B, n, N) /
 (B, C, n, n) / (B, n, M); a single sequence is a batch of one. token_mask marks
-real positions; masked-out positions neither attend nor get attended to.
+real positions; masked-out positions neither attend nor get attended to. The
+mask is always an array: init_mfvi reads token_mask=None as every position
+real, so one masked path serves every batch and multiplies by exact ones
+where nothing is padding.
 """
 from __future__ import annotations
 
@@ -163,17 +170,17 @@ class MFVIState:
 
     q_z: (B, n, N) labels; q_h: (B, C, n, n) head selections, row [b, c, i, :]
     is position i's distribution over heads j != i; q_g: (B, n, M) topics.
-    tokens and token_mask are (B, n). Only Q_z crosses sweeps, so only q_z is
-    a Var, the latest output of a chain, when the parameters are; q_h and
-    q_g are plain arrays. invariants is what init_mfvi formed for every
-    sweep to read.
+    tokens and the boolean token_mask are (B, n). Only Q_z crosses sweeps,
+    so only q_z is a Var, the latest output of a chain, when the parameters
+    are; q_h and q_g are plain arrays. invariants is what init_mfvi formed
+    for every sweep to read.
     """
 
     tokens: np.ndarray
     q_z: Union[Var, np.ndarray]
     q_h: np.ndarray
     q_g: np.ndarray
-    token_mask: np.ndarray | None = None
+    token_mask: np.ndarray
     sweeps: int = 0
     invariants: SweepInvariants | None = None
 
@@ -194,21 +201,6 @@ def position_buckets(n: int, n_buckets: int, clip: int) -> np.ndarray:
     return buckets.astype(np.int64)
 
 
-def _attn_mask(n: int, token_mask: np.ndarray | None) -> np.ndarray:
-    """Boolean support of the head distributions: j != i and j is real."""
-    off_diag = ~np.eye(n, dtype=bool)[None, None]
-    if token_mask is None:
-        return off_diag
-    return off_diag & np.asarray(token_mask, dtype=bool)[:, None, None, :]
-
-
-def _valid_rows(token_mask: np.ndarray | None):
-    """Multiplier zeroing head rows of padding positions, or None."""
-    if token_mask is None:
-        return None
-    return np.asarray(token_mask, dtype=np.float64)[:, None, :, None]
-
-
 @dataclass(frozen=True)
 class SweepInvariants:
     """What every sweep of one forward reads and no sweep changes.
@@ -216,11 +208,12 @@ class SweepInvariants:
     init_mfvi forms these once per forward, so the cotangent of each is summed
     once over the sweeps. s_rows is S[tokens], (B*n, N); u_s and v_s are the
     stacked factors, (N, C*r), column c*r + k holding U[c][:, k] (and V); bias
-    is the relative-position bias P_rel[c, bucket(i - j)], (C, n, n), or None;
-    support is the boolean head support, j != i and j real, broadcastable to
-    (B, C, n, n); rows_valid is the (B, 1, n, 1) multiplier zeroing the head
-    rows of padding positions, or None. lanes is how many lanes every sweep
-    of the forward and its vjp run on (parallel.lanes), decided once, here.
+    is the relative-position bias P_rel[c, bucket(i - j)], (C, n, n), or None
+    without one; support is the boolean head support, j != i and j real,
+    (B, 1, n, n); rows_valid is the (B, 1, n, 1) multiplier, 1.0 on a real
+    position's head row and 0.0 on a padding position's. lanes is how many
+    lanes every sweep of the forward and its vjp run on (parallel.lanes),
+    decided once, here.
     """
 
     s_rows: np.ndarray
@@ -228,18 +221,19 @@ class SweepInvariants:
     v_s: np.ndarray
     bias: np.ndarray | None
     support: np.ndarray
-    rows_valid: np.ndarray | None
+    rows_valid: np.ndarray
     lanes: int
 
 
 def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
               token_mask: np.ndarray | None = None) -> MFVIState:
     """Sweep-0 posteriors, unary-only labels with uniform heads and topics,
-    and the invariants every sweep reads.
+    and the invariants every sweep reads. token_mask=None marks every
+    position real.
 
-    The first stage of a chain when any parameter is a Var: its vjp,
-    `_init_backward`, takes the sweep-0 Q_z's cotangent and the invariants'
-    cotangents the sweeps summed into the chain."""
+    With every parameter a Var leaf, the first stage of a new chain: its
+    vjp, `_init_backward`, takes the sweep-0 Q_z's cotangent and the
+    invariants' cotangents the sweeps summed into the chain."""
     tokens = np.asarray(tokens)
     if not np.issubdtype(tokens.dtype, np.integer):
         raise ConfigError("tokens must be integers")
@@ -250,25 +244,28 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
         raise ConfigError("head selection undefined for single-token sequence")
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise ConfigError("token id out of range")
-    if token_mask is not None and np.shape(token_mask) != tokens.shape:
+    if token_mask is None:
+        token_mask = np.ones(tokens.shape, dtype=bool)
+    elif np.shape(token_mask) != tokens.shape:
         raise ConfigError(f"token_mask must have the tokens' shape {tokens.shape}, "
                           f"got {np.shape(token_mask)}")
+    token_mask = np.asarray(token_mask, dtype=bool)
+    # a real position's head candidates are the other real positions of its row
+    if (token_mask.sum(axis=1) == 1).any():
+        raise ConfigError("degenerate distribution support: a position has no head candidates")
+    leaves = [isinstance(p, Var) for p in params.values()]
+    if any(leaves) and not all(leaves):
+        raise ValueError("a recorded forward takes every parameter as a Var leaf")
 
     width, stacked = config.width, config.channels * config.rank
     flat_tokens = tokens.reshape(-1)
     s_rows = val(params["S"])[flat_tokens]
     q_z = ad._softmax_np((s_rows * np.float64(iw.w_unary)).reshape(batch, n, width), None)
 
-    support = _attn_mask(n, token_mask)
-    counts = support.sum(axis=-1, keepdims=True)
-    rows_valid = _valid_rows(token_mask)
-    uniform_h = np.where(support, 1.0, 0.0) / np.maximum(counts, 1)
-    if rows_valid is not None:
-        # a real position's head candidates are the other real positions of its row
-        if (rows_valid.sum(axis=2) == 1).any():
-            raise ConfigError("degenerate distribution support: a position has no head candidates")
-        uniform_h = uniform_h * rows_valid
-    q_h = np.broadcast_to(uniform_h, (batch, config.channels, n, n)).copy()
+    support = ~np.eye(n, dtype=bool) & token_mask[:, None, None, :]
+    rows_valid = token_mask.astype(np.float64)[:, None, :, None]
+    uniform_h = np.where(support, 1.0, 0.0) / np.maximum(support.sum(axis=-1, keepdims=True), 1)
+    q_h = np.broadcast_to(uniform_h * rows_valid, (batch, config.channels, n, n)).copy()
     q_g = np.full((batch, n, config.topics), 1.0 / config.topics, dtype=np.float64)
 
     bias = buckets = None
@@ -281,41 +278,37 @@ def init_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
         v_s=val(params["V"]).transpose(1, 0, 2).reshape(width, stacked),
         bias=bias, support=support, rows_valid=rows_valid,
         lanes=parallel.lanes(batch * n * width * config.topics))
-    chain = ad.chain_of(None, params.values())
-    if chain is not None:
-        leaves = {k: p for k, p in params.items() if isinstance(p, Var)}
-        q_z = chain.extend(q_z, partial(_init_backward, config, iw, leaves, flat_tokens,
-                                        buckets, q_z))
+    if all(leaves):
+        q_z = ad.Chain().extend(q_z, partial(_init_backward, config, iw, params, flat_tokens,
+                                             buckets, q_z))
     return MFVIState(tokens=tokens, q_z=q_z, q_h=q_h, q_g=q_g,
                      token_mask=token_mask, sweeps=0, invariants=invariants)
 
 
-def _init_backward(config: PTConfig, iw: InfoWeights, leaves: dict, flat_tokens: np.ndarray,
-                   buckets: np.ndarray | None, q_z: np.ndarray, g: np.ndarray,
-                   chain: ad.Chain) -> None:
+def _init_backward(config: PTConfig, iw: InfoWeights, leaves: Mapping[str, Var],
+                   flat_tokens: np.ndarray, buckets: np.ndarray | None, q_z: np.ndarray,
+                   g: np.ndarray, chain: ad.Chain) -> None:
     """The reverse of init_mfvi: from the cotangent g of the sweep-0 Q_z and
     those of the invariants, which the sweeps summed into the chain last
-    sweep first, to the cotangents of the leaves among S, U, V and P_rel.
+    sweep first, to the cotangents of the leaves S, U, V and P_rel.
 
     S[tokens]'s is the sweeps' sum plus the unary path's, through the label
     softmax and w_unary, and goes back to S by an exact scatter-add; U_s's
     and V_s's are reshaped and transposed back to (C, N, r); the bias's is
-    transposed back and scatter-added into the P_rel buckets.
+    transposed back and scatter-added into the P_rel buckets. With no sweep
+    there are no invariant sums, and U, V and P_rel keep exact zeros.
     """
-    sums = chain.sums
-    s = leaves.get("S")
-    if s is not None:
-        g_rows = ad._softmax_vjp(q_z, g).reshape(-1, config.width) * np.float64(iw.w_unary)
-        swept = sums.pop("s_rows", None)
-        g_rows = g_rows if swept is None else swept + g_rows
-        chain.add(s, ad._gather_vjp(flat_tokens, g_rows, s.value.shape))
+    sums, s = chain.sums, leaves["S"]
+    g_rows = ad._softmax_vjp(q_z, g).reshape(-1, config.width) * np.float64(iw.w_unary)
+    swept = sums.pop("s_rows", None)
+    g_rows = g_rows if swept is None else swept + g_rows
+    chain.add(s, ad._gather_vjp(flat_tokens, g_rows, s.value.shape))
     for name, key in (("U", "u_s"), ("V", "v_s")):
-        if name in leaves and key in sums:
-            factor = leaves[name]
+        if key in sums:
             g_factor = sums.pop(key).reshape(config.width, config.channels, config.rank)
-            chain.add(factor, g_factor.transpose(1, 0, 2))
-    p_rel = leaves.get("P_rel")
-    if p_rel is not None and "bias" in sums:
+            chain.add(leaves[name], g_factor.transpose(1, 0, 2))
+    if "bias" in sums:
+        p_rel = leaves["P_rel"]
         g_bias = sums.pop("bias").transpose(1, 2, 0)
         chain.add(p_rel, ad._gather_vjp(buckets, g_bias, p_rel.value.shape[::-1]).swapaxes(0, 1))
 
@@ -352,8 +345,7 @@ def update_heads(config: PTConfig, iw: InfoWeights, inv: SweepInvariants,
     if inv.bias is not None:
         f += inv.bias
     q_h = ad._softmax_np(f * iw.w_attn, inv.support)
-    if inv.rows_valid is not None:
-        q_h *= inv.rows_valid
+    q_h *= inv.rows_valid
     return f, q_h
 
 
@@ -417,7 +409,7 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
 
     Q_h and Q_g come from the incoming Q_z, then Q_z from the refreshed Q_h,
     Q_g and the incoming Q_z's messages (`_sweep_forward`). The sweep is one
-    stage of the chain its incoming Q_z belongs to, if it belongs to one.
+    stage of the chain its incoming Q_z belongs to, if that is a Var.
     Only the new Q_z crosses sweeps, so it is the stage's one output, a Var
     of that chain; Q_h, Q_g and the three logit tensors are plain arrays.
     Its vjp, `_sweep_backward`, keeps the arrays it reads, not F or
@@ -432,10 +424,8 @@ def sweep(config: PTConfig, params: ParamsLike, state: MFVIState, iw: InfoWeight
     q_z, q_h, q_g, f, g, z, kept = _sweep_forward(config, iw, inv, val(state.q_z), val(b))
     chain = ad.chain_of(state.q_z)
     if chain is not None:
-        taped = tuple(isinstance(params.get(k), Var) for k in ("S", "U", "V", "B", "P_rel"))
-        wanted = (True,) + taped[:4 if inv.bias is None else 5]
-        q_z = chain.extend(q_z, partial(_stage_vjp, lambda grad: _sweep_backward(
-            config, iw, kept, grad, wanted), ("s_rows", "u_s", "v_s", b, "bias")))
+        q_z = chain.extend(q_z, partial(_stage_vjp, partial(_sweep_backward, config, iw, kept),
+                                        ("s_rows", "u_s", "v_s", b, "bias")))
     return replace(state, q_z=q_z, q_h=q_h, q_g=q_g, sweeps=state.sweeps + 1), f, g, z
 
 
@@ -484,8 +474,9 @@ def _sweep_forward(config: PTConfig, iw: InfoWeights, inv: SweepInvariants, q_z:
 
 def _stage_vjp(backward, keys: tuple, g: np.ndarray, chain: ad.Chain):
     """A stage's vjp on the chain: backward(g) gives the cotangent of the
-    stage's input along the chain, then one per key, None where not wanted;
-    each of those is summed into the chain under its key."""
+    stage's input along the chain, then one per key, None for an input the
+    stage does not have (a sweep's bias without a position bias); each of
+    the others is summed into the chain under its key."""
     g_in, *rest = backward(g)
     for key, c in zip(keys, rest):
         if c is not None:
@@ -512,10 +503,10 @@ class _SweepKept:
     lanes: int
 
 
-def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.ndarray,
-                    wanted: tuple):
+def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.ndarray):
     """The reverse of one sweep: from the cotangent g of the new Q_z to those
-    of (incoming Q_z, s_rows, U_s, V_s, B[, bias]), None where not wanted.
+    of (incoming Q_z, s_rows, U_s, V_s, B, bias), the last None without a
+    position bias.
 
     Each step undoes one line of the forward, in reverse: the label softmax;
     the unary, topic and ternary messages; the topic softmax and logits; the
@@ -526,38 +517,26 @@ def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.n
     dead. Q_z's cotangent is the topic branch's part, then the U and then the
     V part of the other's, added after the join.
     """
-    want_qz, want_s, want_u, want_v, want_b = wanted[:5]
-    want_bias = len(wanted) > 5 and wanted[5]
     width, topics = config.width, config.topics
     u_s, v_s = kept.u_s, kept.v_s
     gl = ad._softmax_vjp(kept.q_z, g).reshape(-1, width)
     nz = (kept.q_z_in * float(width)).reshape(-1, width)
 
     def topic_branch():                     # binary message and topic update
-        g_nz = g_b = None
-        if not (want_qz or want_b):
-            return g_nz, g_b
         g_bin = gl * iw.w_binary
-        if want_b:
-            ng = (kept.q_g * float(topics)).reshape(-1, topics)
-            g_b = np.matmul(ng.swapaxes(-1, -2), g_bin)
-            del ng
+        ng = (kept.q_g * float(topics)).reshape(-1, topics)
+        g_b = np.matmul(ng.swapaxes(-1, -2), g_bin)
+        del ng
         g_ng = np.matmul(g_bin, kept.b.swapaxes(-1, -2))
         del g_bin
         g_ng *= float(topics)
         g_log = ad._softmax_vjp(kept.q_g, g_ng.reshape(kept.q_g.shape)).reshape(-1, topics)
         del g_ng
         g_log *= iw.w_topic * (topics / width)
-        if want_b:
-            g_b += np.matmul(nz.swapaxes(-1, -2), g_log).swapaxes(0, 1)
-        if want_qz:
-            g_nz = np.matmul(g_log, kept.b)
-        return g_nz, g_b
+        g_b += np.matmul(nz.swapaxes(-1, -2), g_log).swapaxes(0, 1)
+        return np.matmul(g_log, kept.b), g_b
 
     def head_branch():                      # ternary messages and heads
-        g_u = g_v = g_bias = t_u = t_v = None
-        if not (want_qz or want_u or want_v or want_bias):
-            return g_u, g_v, g_bias, t_u, t_v
         nz_u, nz_v = (kept.products[:2] if kept.products else
                       low_rank_products(kept, nz.reshape(kept.q_z_in.shape)))
         q, k = _per_channel(config, nz_u), _per_channel(config, nz_v)
@@ -570,8 +549,7 @@ def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.n
         g_f = ad._softmax_vjp(kept.q_h, g_qh)
         del g_qh
         g_f *= iw.w_attn
-        if want_bias:
-            g_bias = g_f.sum(axis=0)
+        g_bias = g_f.sum(axis=0) if config.pos_bias else None
         g_f *= 1.0 / config.rank
         g_q = np.matmul(g_f, k)
         g_q += np.matmul(kept.q_h, g_head_pc)
@@ -584,27 +562,21 @@ def _sweep_backward(config: PTConfig, iw: InfoWeights, kept: _SweepKept, g: np.n
         del g_q, g_k
         dep_in, head_in = (kept.products[2:] if kept.products else
                            _ternary_operands(config, kept.q_h, nz_u, nz_v))
-        if want_u:
-            g_u = np.matmul(nz.swapaxes(-1, -2), g_nz_u)
-            g_u += np.matmul(dep_in.swapaxes(-1, -2), g_dep).swapaxes(0, 1)
-        if want_v:
-            g_v = np.matmul(nz.swapaxes(-1, -2), g_nz_v)
-            g_v += np.matmul(head_in.swapaxes(-1, -2), g_head).swapaxes(0, 1)
-        if want_qz:
-            t_u = np.matmul(g_nz_u, u_s.swapaxes(-1, -2))
-            t_v = np.matmul(g_nz_v, v_s.swapaxes(-1, -2))
+        g_u = np.matmul(nz.swapaxes(-1, -2), g_nz_u)
+        g_u += np.matmul(dep_in.swapaxes(-1, -2), g_dep).swapaxes(0, 1)
+        g_v = np.matmul(nz.swapaxes(-1, -2), g_nz_v)
+        g_v += np.matmul(head_in.swapaxes(-1, -2), g_head).swapaxes(0, 1)
+        t_u = np.matmul(g_nz_u, u_s.swapaxes(-1, -2))
+        t_v = np.matmul(g_nz_v, v_s.swapaxes(-1, -2))
         return g_u, g_v, g_bias, t_u, t_v
 
-    g_s = gl * iw.w_unary if want_s else None
+    g_s = gl * iw.w_unary
     (g_nz, g_b), (g_u, g_v, g_bias, t_u, t_v) = parallel.fork_join(
         topic_branch, head_branch, kept.lanes)
-    g_qz = None
-    if want_qz:
-        g_nz += t_u
-        g_nz += t_v
-        g_nz *= float(width)
-        g_qz = g_nz.reshape(kept.q_z_in.shape)
-    return (g_qz, g_s, g_u, g_v, g_b, g_bias)[:len(wanted)]
+    g_nz += t_u
+    g_nz += t_v
+    g_nz *= float(width)
+    return g_nz.reshape(kept.q_z_in.shape), g_s, g_u, g_v, g_b, g_bias
 
 
 def run_mfvi(config: PTConfig, params: ParamsLike, tokens, iw: InfoWeights,
@@ -625,12 +597,10 @@ def mlm_logits(config: PTConfig, params: ParamsLike, state: MFVIState):
     closed-form vjp `_readout_backward`."""
     head = (params["gamma"], params["W_out"], params["b_out"])
     logits, kept = _readout_forward(config, val(state.q_z), *(val(x) for x in head))
-    chain = ad.chain_of(state.q_z, head)
+    chain = ad.chain_of(state.q_z)
     if chain is None:
         return logits
-    wanted = tuple(isinstance(x, Var) for x in (state.q_z, *head))
-    return chain.extend(logits, partial(
-        _stage_vjp, lambda g: _readout_backward(g, wanted, *kept), head))
+    return chain.extend(logits, partial(_stage_vjp, lambda g: _readout_backward(g, *kept), head))
 
 
 def _readout_forward(config: PTConfig, q_z, gamma, w_out, b_out):
@@ -643,28 +613,21 @@ def _readout_forward(config: PTConfig, q_z, gamma, w_out, b_out):
     return logits, (nz, den, normed, feature, gamma, w_out, b_out.shape)
 
 
-def _readout_backward(g, wanted, nz, den, normed, feature, gamma, w_out, b_shape):
+def _readout_backward(g, nz, den, normed, feature, gamma, w_out, b_shape):
     """The reverse of `mlm_logits`: from the logits' cotangent g to those of
-    (Q_z, gamma, W_out, b_out), None where not wanted. W_out's is a batched
-    product summed over the batch; Nz's is the part through Nz / den, then
-    the part through den's mean square."""
-    want_qz, want_gamma, want_w, want_b = wanted
-    g_qz = g_gamma = g_w = None
-    g_b = ad._unbroadcast(g, b_shape) if want_b else None
-    if want_w:
-        g_w = ad._unbroadcast(np.matmul(feature.swapaxes(-1, -2), g), w_out.shape)
-    if want_qz or want_gamma:
-        g_feature = np.matmul(g, w_out.swapaxes(-1, -2))
-        if want_gamma:
-            g_gamma = ad._unbroadcast(g_feature * normed, gamma.shape)
-        if want_qz:
-            width = nz.shape[-1]
-            g_normed = g_feature * gamma
-            g_den = ad._unbroadcast(-g_normed * normed / den, den.shape)
-            g_nz = g_normed / den
-            g_nz += g_den * (0.5 / den) * (1.0 / width) * (2.0 * nz)
-            g_qz = g_nz * float(width)
-    return g_qz, g_gamma, g_w, g_b
+    (Q_z, gamma, W_out, b_out). W_out's is a batched product summed over the
+    batch; Nz's is the part through Nz / den, then the part through den's
+    mean square."""
+    g_b = ad._unbroadcast(g, b_shape)
+    g_w = ad._unbroadcast(np.matmul(feature.swapaxes(-1, -2), g), w_out.shape)
+    g_feature = np.matmul(g, w_out.swapaxes(-1, -2))
+    g_gamma = ad._unbroadcast(g_feature * normed, gamma.shape)
+    width = nz.shape[-1]
+    g_normed = g_feature * gamma
+    g_den = ad._unbroadcast(-g_normed * normed / den, den.shape)
+    g_nz = g_normed / den
+    g_nz += g_den * (0.5 / den) * (1.0 / width) * (2.0 * nz)
+    return g_nz * float(width), g_gamma, g_w, g_b
 
 
 def masked_ce_loss(logits, targets, positions):

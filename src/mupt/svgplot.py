@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .util import atomic_write
+from .util import write_text
 
 __all__ = ["scatter_svg", "line_svg"]
 
@@ -127,8 +127,7 @@ def scatter_svg(path, points, title: str = "", xlabel: str = "", ylabel: str = "
             parts.append(f'<text x="{hx+9:.1f}" y="{hy-7:.1f}" fill="{_PALETTE[1]}">'
                          f'{_esc(highlight_label)}</text>')
     parts.append("</svg>")
-    with atomic_write(path) as f:
-        f.write(("\n".join(parts) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(parts))
 
 
 def line_svg(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -158,5 +157,4 @@ def line_svg(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
                          f'stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{_W-_MR-92}" y="{ly}">{_esc(label)}</text>')
     parts.append("</svg>")
-    with atomic_write(path) as f:
-        f.write(("\n".join(parts) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(parts))

@@ -4,7 +4,12 @@ Runs are pure functions of (geometry, hyperparameters, corpus, seed): data
 order, per-step corruption, and the frozen eval corruption all come from named
 child streams of the run seed, so a rerun reproduces every recorded number
 bit for bit. The wall-clock field is the one exception and is excluded from
-semantic equality. Being pure, the runs of a sweep are independent jobs, and
+semantic equality. Every training and evaluation batch carries its token
+mask, `corpus.token_mask` of its chunks, whether or not a chunk is padded. A
+training step runs a recorded forward on every parameter as a Var leaf
+(ModelParams.as_vars) and reverse_grad's gradients step the plain tensors;
+evaluation runs the same forward on the plain tensors and records nothing.
+Being pure, the runs of a sweep are independent jobs, and
 parallel.map_jobs trains them side by side in forked processes on the usable
 CPUs: the cells of transfer_sweep here, the runs of
 search.verify_local_optimality and the widths of diagnostics.coord_check.
@@ -134,20 +139,6 @@ def _corrupt_batch(chunks: np.ndarray, ratio: float, corpus: Corpus, rng: Seeded
     return corrupted, targets, selected
 
 
-def _token_mask_or_none(chunks: np.ndarray, corpus: Corpus):
-    """The chunks' token mask, or None (the fast path) where every token is real.
-
-    A mask costs each sweep an in-place `q_h *= rows_valid`, 0.08 ms at the
-    width-256 training shape (4, 8, 64, 64), three sweeps a step (timeit, min
-    of 5 x 200, one BLAS thread, 2-core Xeon); the sweep's vjp needs no
-    multiplier, because Q_h is already zero on the padding rows. Always
-    masking gives bit-identical results; merge the two paths only with a
-    benchmark.
-    """
-    tm = corpus.token_mask(chunks)
-    return None if tm.all() else tm
-
-
 def _batch_loss(config: PTConfig, params, hp: HPPoint, corrupted, targets,
                 selected, token_mask, iters):
     state = model.run_mfvi(config, params, corrupted, hp.weights,
@@ -181,7 +172,7 @@ def build_eval_batches(config: PTConfig, corpus: Corpus, eval_idx: np.ndarray,
         corrupted, targets, selected = _corrupt_batch(
             chunks, settings.mask_ratio, corpus, rng)
         batches.append((corrupted, targets, selected,
-                        _token_mask_or_none(chunks, corpus)))
+                        corpus.token_mask(chunks)))
     return batches
 
 
@@ -209,7 +200,7 @@ def train_steps(config: PTConfig, params: model.ModelParams, opt: AdamW,
             corrupted, targets, selected = _corrupt_batch(chunks, ratio, corpus, mask_rng)
             leaves = params.as_vars()
             loss = _batch_loss(config, leaves, hp, corrupted, targets, selected,
-                               _token_mask_or_none(chunks, corpus), iters)
+                               corpus.token_mask(chunks), iters)
             loss_val = float(val(loss))
             diverged = not math.isfinite(loss_val)
             if not diverged:

@@ -6,7 +6,7 @@ import json
 import os
 from contextlib import contextmanager, suppress
 
-__all__ = ["canonical_json", "short_hash", "atomic_write"]
+__all__ = ["canonical_json", "short_hash", "atomic_write", "write_text"]
 
 
 def canonical_json(obj) -> str:
@@ -39,3 +39,11 @@ def atomic_write(path):
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_text(path, text: str) -> str:
+    """Write text as UTF-8 to path atomically, ending it with one newline
+    if it has none; returns path."""
+    with atomic_write(path) as f:
+        f.write((text if text.endswith("\n") else text + "\n").encode("utf-8"))
+    return path

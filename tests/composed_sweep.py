@@ -4,12 +4,31 @@ This is how `model.sweep` was written before it became one fused node with a
 hand-derived vjp, kept here as the oracle the fused sweep is tested against:
 its forward must match bit for bit, its gradients to rounding. Every sweep
 re-forms S[tokens], the stacked factors and the position bias itself, as the
-composed sweep did.
+composed sweep did. It also keeps the unmasked path the model dropped: with
+token_mask None its head support is j != i alone and no multiplier touches
+Q_h, so it is the oracle that the model's always-masked sweep, on an
+all-true mask, is exactly the unmasked one.
 """
 import numpy as np
 
 import reference_tape as ad
-from mupt.model import MFVIState, _attn_mask, _valid_rows, position_buckets
+from mupt.model import MFVIState, position_buckets
+
+
+def _attn_mask(n, token_mask):
+    """Boolean support of the head distributions: j != i and j is real."""
+    off_diag = ~np.eye(n, dtype=bool)[None, None]
+    if token_mask is None:
+        return off_diag
+    return off_diag & np.asarray(token_mask, dtype=bool)[:, None, None, :]
+
+
+def _valid_rows(token_mask):
+    """Multiplier zeroing head rows of padding positions, or None: with no
+    mask the composed sweep multiplies by nothing, the fused sweep by ones."""
+    if token_mask is None:
+        return None
+    return np.asarray(token_mask, dtype=np.float64)[:, None, :, None]
 
 
 def quasi(q, count):

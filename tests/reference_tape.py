@@ -92,8 +92,9 @@ def fused(value, inputs: tuple, backward: Callable) -> Var:
 
     backward(g, wanted) gets the cotangent of `value` and one flag per input,
     true where the input is on the tape, and returns one cotangent per input
-    (None where the flag is false). It runs once per backward pass: the
-    node's per-input vjps share its result.
+    (it may return None where the flag is false); the tape keeps only those
+    of the inputs on it. It runs once per backward pass: the node's
+    per-input vjps share its result.
     """
     inputs = tuple(as_var(a) for a in inputs)
     wanted = tuple(a.on_tape for a in inputs)
@@ -263,7 +264,7 @@ def sweep(config, params, state, iw, taped):
         config, iw, state.invariants, q_z.value, b.value)
     inputs = (q_z, *taped[:3], b) + (() if taped[3] is None else (taped[3],))
     out = fused(q_z_next, inputs,
-                lambda grad, wanted: model._sweep_backward(config, iw, kept, grad, wanted))
+                lambda grad, wanted: model._sweep_backward(config, iw, kept, grad)[:len(inputs)])
     return replace(state, q_z=out, q_h=q_h, q_g=q_g, sweeps=state.sweeps + 1), f, g, z
 
 
@@ -279,7 +280,7 @@ def readout(config, params, state):
     inputs = tuple(as_var(x) for x in (state.q_z, params["gamma"], params["W_out"],
                                        params["b_out"]))
     logits, kept = model._readout_forward(config, *(x.value for x in inputs))
-    return fused(logits, inputs, lambda g, wanted: model._readout_backward(g, wanted, *kept))
+    return fused(logits, inputs, lambda g, wanted: model._readout_backward(g, *kept))
 
 
 def loss(logits, targets, positions):

@@ -4,12 +4,12 @@ import os
 
 import pytest
 
-from mupt import cli, svgplot
+from mupt import svgplot
 from mupt.checkpoint import save_checkpoint
 from mupt.config import PTConfig
 from mupt.model import ModelParams, tensor_order
 from mupt.rng import SeededRng
-from mupt.util import atomic_write
+from mupt.util import atomic_write, write_text
 
 CFG = PTConfig(width=8, rank=2, channels=2, topics=16, vocab_size=17,
                pos_bias=True, pos_buckets=8, pos_clip=4)
@@ -44,6 +44,13 @@ def test_a_finished_write_replaces_the_file_with_open_s_permissions(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["artifact", "plain"]
 
 
+def test_write_text_ends_the_file_with_exactly_one_newline(tmp_path):
+    path = tmp_path / "artifact"
+    for text in ("a,b\n1,2", "a,b\n1,2\n"):
+        assert write_text(path, text) == path
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+
 class _FailingParams(dict):
     """Tensors whose last one fails on its second read: save_checkpoint reads
     every tensor once to check it, then again to write its payload."""
@@ -75,7 +82,7 @@ def _checkpoint(path):
 
 
 def _text(path):
-    cli._write(str(path), "new text")
+    write_text(str(path), "new text")
 
 
 def _line(path):

@@ -8,6 +8,7 @@ and model.py) must give the same loss and every gradient bit for bit."""
 import contextlib
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,17 +205,13 @@ def _chain_loss(iters=2):
     return model.masked_ce_loss(logits, tokens, selected), leaves
 
 
-def _taped_loss(iters=2, params=None):
-    """(loss, leaves) of the same forward on the reference tape; params
-    (name -> array) replaces the case's, a parameter missing from it staying
-    a constant."""
+def _taped_loss(iters=2):
+    """(loss, leaves) of the same forward on the reference tape."""
     case, tokens, token_mask, selected = _tape_case()
-    arrays = case.tensors if params is None else params
-    leaves = {k: tape.Var(v) for k, v in arrays.items()}
-    inputs = {**case.tensors, **leaves}
-    state = tape.run(TAPE_CFG, inputs, tokens, DIAG_WEIGHTS, token_mask=token_mask,
+    leaves = {k: tape.Var(v) for k, v in case.tensors.items()}
+    state = tape.run(TAPE_CFG, leaves, tokens, DIAG_WEIGHTS, token_mask=token_mask,
                      iters=iters)
-    logits = tape.readout(TAPE_CFG, inputs, state)
+    logits = tape.readout(TAPE_CFG, leaves, state)
     return tape.loss(logits, tokens, selected), leaves
 
 
@@ -225,17 +222,13 @@ def test_reverse_grad_returns_exact_zeros_for_untouched_params():
     assert grads["unused"].shape == (4,)
     assert (grads["unused"] == 0.0).all()
     assert all(np.any(grads[k]) for k in leaves)
-    # a readout on a plain forward never touches the inference parameters
-    params, tokens, token_mask, selected = _tape_case()
-    state = model.run_mfvi(TAPE_CFG, params.tensors, tokens, DIAG_WEIGHTS,
-                           token_mask=token_mask, iters=2)
-    leaves = params.as_vars()
-    loss = model.masked_ce_loss(model.mlm_logits(TAPE_CFG, leaves, state), tokens, selected)
+    # with no sweep the loss never touches B, U, V or the position bias
+    loss, leaves = _chain_loss(iters=0)
     grads = ad.reverse_grad(loss, leaves)
-    for name in ("S", "U", "V", "B", "P_rel"):
-        assert grads[name].shape == params.tensors[name].shape
+    for name in ("U", "V", "B", "P_rel"):
+        assert grads[name].shape == leaves[name].value.shape
         assert not np.signbit(grads[name]).any() and not grads[name].any(), name
-    assert all(np.any(grads[k]) for k in ("gamma", "W_out", "b_out"))
+    assert all(np.any(grads[k]) for k in ("S", "gamma", "W_out", "b_out"))
 
 
 def test_backward_frees_what_its_vjps_read_and_walks_a_tape_once(monkeypatch):
@@ -264,13 +257,31 @@ def test_backward_frees_what_its_vjps_read_and_walks_a_tape_once(monkeypatch):
 
 
 def test_a_chain_is_extended_from_its_latest_output_only():
-    params, tokens, token_mask, _ = _tape_case()
+    params, tokens, token_mask, selected = _tape_case()
     leaves = params.as_vars()
     state = model.run_mfvi(TAPE_CFG, leaves, tokens, DIAG_WEIGHTS, token_mask=token_mask,
                            iters=1)
     model.sweep(TAPE_CFG, leaves, state, DIAG_WEIGHTS)
     with pytest.raises(ValueError, match="latest output"):
         model.mlm_logits(TAPE_CFG, leaves, state)
+    # a leaf is no chain's latest output: a recorded forward starts at init_mfvi
+    leaf_q_z = ad.Var(ad.val(state.q_z).copy())
+    with pytest.raises(ValueError, match="latest output"):
+        model.sweep(TAPE_CFG, leaves, replace(state, q_z=leaf_q_z), DIAG_WEIGHTS)
+    with pytest.raises(ValueError, match="latest output"):
+        model.mlm_logits(TAPE_CFG, leaves, replace(state, q_z=leaf_q_z))
+    logits = model.mlm_logits(TAPE_CFG, params.tensors, replace(state, q_z=leaf_q_z.value))
+    with pytest.raises(ValueError, match="latest output"):
+        model.masked_ce_loss(ad.Var(logits), tokens, selected)
+
+
+@pytest.mark.parametrize("plain", ["S", "gamma", "P_rel"])
+def test_a_forward_with_only_some_parameters_as_leaves_raises(plain):
+    params, tokens, token_mask, _ = _tape_case()
+    leaves = {k: v if k == plain else ad.Var(v) for k, v in params.tensors.items()}
+    with pytest.raises(ValueError, match="every parameter as a Var leaf"):
+        model.run_mfvi(TAPE_CFG, leaves, tokens, DIAG_WEIGHTS, token_mask=token_mask,
+                       iters=1)
 
 
 def test_ops_on_constants_stay_off_the_tape():
@@ -325,37 +336,6 @@ def test_backward_never_calls_the_vjp_of_a_constant(monkeypatch):
     assert on_tape and all(on_tape)
 
 
-def test_the_fused_sweep_computes_no_cotangent_of_a_constant(monkeypatch):
-    # with S a plain array, the first sweep's incoming Q_z and S[tokens] are
-    # constants, and with gamma a plain array the readout's gamma is: each
-    # vjp is asked for, and returns, only the other cotangents
-    asked = []
-    fused = tape.fused
-
-    def spy_fused(value, inputs, backward):
-        taped = tuple(tape.as_var(a).on_tape for a in inputs)
-
-        def recording(g, wanted):
-            out = backward(g, wanted)
-            asked.append((taped, wanted, tuple(c is not None for c in out)))
-            return out
-        return fused(value, inputs, recording)
-
-    monkeypatch.setattr(tape, "fused", spy_fused)
-    params = {k: v for k, v in _tape_case()[0].tensors.items() if k not in ("S", "gamma")}
-    loss, leaves = _taped_loss(params=params)
-    grads = tape.reverse_grad(loss, leaves)
-    # backward meets the loss (logits), the readout (Q_z, gamma, W_out,
-    # b_out), then the sweeps (Q_z, S[tokens], U_s, V_s, B, bias), last first
-    loss, readout, *sweeps = asked
-    assert loss[0] == (True,)
-    assert readout[0] == (True, False, True, True)
-    assert [a[0] for a in sweeps] == [(True, False, True, True, True, True),
-                                      (False, False, True, True, True, True)]
-    assert all(taped == wanted == computed for taped, wanted, computed in asked)
-    assert all(np.any(g) for g in grads.values())
-
-
 def test_tape_keeps_only_what_backward_reads(monkeypatch):
     want = ad.reverse_grad(*_chain_loss())
     dead, alive = [], []
@@ -392,8 +372,8 @@ def test_each_sweeps_record_is_released_once_its_vjp_has_run(monkeypatch):
         kept_q_h.append(weakref.ref(out[6].q_h))
         return out
 
-    def spy_backward(config, iw, kept, g, wanted):
-        out = backward(config, iw, kept, g, wanted)
+    def spy_backward(config, iw, kept, g):
+        out = backward(config, iw, kept, g)
         released.append([ref() is None for ref in kept_q_h])
         return out
 

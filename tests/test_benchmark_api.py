@@ -2,7 +2,8 @@
 
 `bench/workloads.py` checks every benchmark run against a central difference
 of the tape gradient and against a dense reference forward, and
-`bench/layer_trace.py` counts what a training step calls. The benchmark's
+`bench/layer_trace.py` counts what a training step calls. Both correctness
+checks also run on a corpus whose last chunk is padding at its end. The benchmark's
 files are imported here from their directory, unchanged, so a change to the
 package that breaks them fails this suite, not only `python -m pytest bench`
 or a benchmark run.
@@ -40,6 +41,16 @@ def case():
     return corpus, tensors
 
 
+@pytest.fixture(scope="module")
+def padded():
+    """Three full chunks and a tail chunk of 6 real tokens and 6 of padding:
+    fewer chunks than a gradient-check batch, so the check reads every one,
+    and at seed 7 the tail is the one held-out chunk."""
+    corpus = encode_corpus(synth_text(12 * 3 + 7, 0), seq_len=12)
+    assert corpus.token_mask(corpus.ids).sum(axis=1).tolist() == [12, 12, 12, 6]
+    return corpus, 7
+
+
 def test_the_gradient_check_passes(bench, case):
     workloads, _ = bench
     corpus, tensors = case
@@ -51,6 +62,21 @@ def test_evaluate_matches_the_dense_reference(bench, case):
     workloads, _ = bench
     corpus, tensors = case
     batches, _ = workloads._frozen_eval(TINY, corpus, seed=0, chunks=8)
+    got = training.evaluate(TINY, tensors, workloads.HP, batches, workloads.ITERS)
+    want = workloads.reference_eval_loss(TINY, tensors, workloads.HP.weights, batches,
+                                         workloads.ITERS)
+    assert abs(got - want) <= workloads.REFERENCE_RTOL * abs(want), (got, want)
+
+
+def test_the_correctness_checks_pass_on_a_padded_tail(bench, case, padded):
+    workloads, _ = bench
+    tensors = case[1]
+    corpus, seed = padded
+    assert corpus.num_chunks <= workloads.BATCH
+    ok, detail = workloads._check_gradient(TINY, tensors, corpus, seed=seed)
+    assert ok, detail
+    batches, _ = workloads._frozen_eval(TINY, corpus, seed=seed, chunks=8)
+    assert any(not token_mask.all() for *_, token_mask in batches)
     got = training.evaluate(TINY, tensors, workloads.HP, batches, workloads.ITERS)
     want = workloads.reference_eval_loss(TINY, tensors, workloads.HP.weights, batches,
                                          workloads.ITERS)

@@ -125,8 +125,11 @@ def test_mask_tokens_validation():
         mask_tokens(seq, 0.0, SeededRng(0), corpus)
     with pytest.raises(ConfigError):
         mask_tokens(seq, 1.5, SeededRng(0), corpus)
-    with pytest.raises(ConfigError, match="zero"):
-        mask_tokens(seq, 0.01, SeededRng(0), corpus)  # rounds to no positions
+    # a ratio that rounds to no position still selects exactly one
+    _, _, selected = mask_tokens(seq, 0.01, SeededRng(0), corpus)
+    assert int(selected.sum()) == 1
+    with pytest.raises(ConfigError, match="no maskable position"):
+        mask_tokens(np.full_like(seq, corpus.pad_id), 0.15, SeededRng(0), corpus)
 
 
 def test_split_chunks_disjoint_and_deterministic():

@@ -7,11 +7,10 @@ through a mean square and a square root, the output map; the log-softmax
 through a max-shifted logsumexp, the gather at the targets, the weighted
 sum and its scaling. The forward must match it bit for bit, and so must the
 loss's cotangent its closed form. The vjps are held to central finite
-differences for every input, and asked for the cotangents of the Var
-inputs only.
+differences for every input. A recorded forward starts at init_mfvi, so the
+stages' vjps are called here directly, as the chain calls them.
 """
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,10 +56,19 @@ def _oracle(config, arrays, targets, selected):
 
 
 def _logits(config, inputs):
-    batch, n = ad.val(inputs["q_z"]).shape[:2]
+    batch, n = inputs["q_z"].shape[:2]
     state = model.MFVIState(tokens=np.zeros((batch, n), dtype=np.int64), q_z=inputs["q_z"],
-                            q_h=None, q_g=None)
+                            q_h=None, q_g=None, token_mask=np.ones((batch, n), dtype=bool))
     return model.mlm_logits(config, inputs, state)
+
+
+def _stage_grads(config, arrays, targets, selected):
+    """(the logits' cotangent, {name: cotangent} of the readout's inputs) of
+    the loss, by the two stages' vjps in the order the chain calls them."""
+    logits, read = model._readout_forward(config, *(arrays[k] for k in NAMES))
+    _, kept = model._ce_forward(logits, targets, selected)
+    g_logits = model._ce_backward(np.ones(()), *kept)
+    return g_logits, dict(zip(NAMES, model._readout_backward(g_logits, *read)))
 
 
 def _bits(a):
@@ -73,13 +81,11 @@ def _bits(a):
 def test_forward_is_the_composed_expressions_bit_for_bit(case):
     config, arrays, targets, selected = case
     want_logits, want_loss = _oracle(config, arrays, targets, selected)
-    leaves = {k: ad.Var(v.copy()) for k, v in arrays.items()}
-    for inputs in (arrays, leaves):
-        logits = _logits(config, inputs)
-        loss = model.masked_ce_loss(logits, targets, selected)
-        assert isinstance(logits, ad.Var) == isinstance(loss, ad.Var) == (inputs is leaves)
-        assert _bits(ad.val(logits)) == _bits(want_logits)
-        assert _bits(ad.val(loss)) == _bits(want_loss)
+    logits = _logits(config, arrays)
+    loss = model.masked_ce_loss(logits, targets, selected)
+    assert type(logits) is np.ndarray and not isinstance(loss, ad.Var)
+    assert _bits(logits) == _bits(want_logits)
+    assert _bits(loss) == _bits(want_loss)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -88,9 +94,8 @@ def test_the_loss_cotangent_is_softmax_minus_one_hot_bit_for_bit(case):
     # -count^-1 at each selected target, -0.0 at an unselected one, summed
     # into zeros as np.add.at does; then the negated row sum times the softmax
     config, arrays, targets, selected = case
-    x = ad.val(_logits(config, arrays))
-    leaf = ad.Var(x.copy())
-    got = ad.reverse_grad(model.masked_ce_loss(leaf, targets, selected), {"x": leaf})["x"]
+    x = _logits(config, arrays)
+    got = _stage_grads(config, arrays, targets, selected)[0]
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
     want = np.zeros_like(x)
@@ -101,47 +106,14 @@ def test_the_loss_cotangent_is_softmax_minus_one_hot_bit_for_bit(case):
     assert _bits(got) == _bits(want)
 
 
-def _fd_report(loss_fn, arrays):
-    """The chain's gradients of loss_fn at arrays against central differences."""
-    leaves = {k: ad.Var(v.copy()) for k, v in arrays.items()}
-    grads = ad.reverse_grad(loss_fn(leaves), leaves)
-    return ad.finite_diff_check(loss_fn, arrays, grads, rtol=1e-6)
-
-
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(case=_cases())
 def test_gradients_match_finite_differences(case):
     config, arrays, targets, selected = case
-    report = _fd_report(lambda p: model.masked_ce_loss(_logits(config, p), targets, selected),
-                        arrays)
+    g_logits, grads = _stage_grads(config, arrays, targets, selected)
+    report = ad.finite_diff_check(
+        lambda p: model.masked_ce_loss(_logits(config, p), targets, selected), arrays, grads)
     assert report.passed, report
-    logits = ad.val(_logits(config, arrays))
-    report = _fd_report(lambda p: model.masked_ce_loss(p["logits"], targets, selected),
-                        {"logits": logits})
+    report = ad.finite_diff_check(lambda p: model.masked_ce_loss(p["logits"], targets, selected),
+                                  {"logits": _logits(config, arrays)}, {"logits": g_logits})
     assert report.passed, report
-
-
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(case=_cases(), taped=st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
-def test_a_constant_inputs_cotangent_is_never_computed(case, taped):
-    config, arrays, targets, selected = case
-    every = {k: ad.Var(v.copy()) for k, v in arrays.items()}
-    want = ad.reverse_grad(model.masked_ce_loss(_logits(config, every), targets, selected),
-                           every)
-    asked = []
-    backward = model._readout_backward
-
-    def recording(g, wanted, *kept):
-        out = backward(g, wanted, *kept)
-        asked.append((wanted, tuple(c is not None for c in out)))
-        return out
-
-    leaves = {k: ad.Var(arrays[k].copy()) for k, t in zip(NAMES, taped) if t}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_readout_backward", recording)
-        loss = model.masked_ce_loss(_logits(config, {**arrays, **leaves}), targets, selected)
-        grads = ad.reverse_grad(loss, leaves)
-    assert asked == [(tuple(taped), tuple(taped))]
-    # what is computed is the same bits as with every input taped
-    for name, g in grads.items():
-        assert _bits(g) == _bits(want[name]), name

@@ -7,7 +7,9 @@ tensor of every sweep. The gradients of a masked-LM loss through the sweeps
 must match to rounding, within 1e-12 of each tensor's largest entry,
 because the vjp sums some cotangents in another order. The example test pins the position bias, a
 padded position and both paradigms; the property test draws small
-geometries, information weights and token masks. Both run the sweep in two
+geometries, information weights and token masks: none, all true or padded.
+The model always masks, so on an all-true mask it is held to the composed
+sweep without one, which applies no mask at all. Both run the sweep in two
 lanes, the size floor of `parallel.lanes` lowered to 0, and a third test
 holds one lane against two, where the vjp forms Nz U, Nz V and the ternary
 operands again instead of keeping them: every forward tensor and every
@@ -76,10 +78,13 @@ def _composed_grads(config, params, tokens, iw, token_mask, selected):
     return tape.val(loss), tape.reverse_grad(loss, leaves)
 
 
-def _assert_matches_composed(config, params, tokens, iw, token_mask, selected):
+def _assert_matches_composed(config, params, tokens, iw, token_mask, oracle_mask, selected):
+    """The model on token_mask against the composed sweep on oracle_mask:
+    None there where token_mask is all true holds the always-masked sweep to
+    the unmasked one."""
     fused = model.init_mfvi(config, params.tensors, tokens, iw, token_mask)
     assert fused.invariants.lanes == 2
-    composed = composed_sweep.init(config, params.tensors, tokens, iw, token_mask)
+    composed = composed_sweep.init(config, params.tensors, tokens, iw, oracle_mask)
     assert np.array_equal(fused.q_z, tape.val(composed.q_z))
     for t in range(1, SWEEPS + 1):
         fused, *f_logits = model.sweep(config, params.tensors, fused, iw)
@@ -93,7 +98,7 @@ def _assert_matches_composed(config, params, tokens, iw, token_mask, selected):
             assert got.tobytes() == want.tobytes(), (t, name)
 
     loss, grads = _chain_grads(config, params, tokens, iw, token_mask, selected)
-    ref_loss, ref = _composed_grads(config, params, tokens, iw, token_mask, selected)
+    ref_loss, ref = _composed_grads(config, params, tokens, iw, oracle_mask, selected)
     assert loss == ref_loss
     assert grads.keys() == ref.keys()
     for name, want in ref.items():
@@ -112,7 +117,7 @@ def test_fused_sweep_matches_the_composed_sweep(paradigm, width, masked):
         token_mask[1, -1] = False
     params, tokens, selected = _case(config, 5, 2, 6)
     with _lanes(2):
-        _assert_matches_composed(config, params, tokens, IW, token_mask, selected)
+        _assert_matches_composed(config, params, tokens, IW, token_mask, token_mask, selected)
 
 
 @st.composite
@@ -124,23 +129,28 @@ def _geometries(draw):
                       vocab_size=7, pos_bias=draw(st.booleans()),
                       pos_buckets=2 * pos_clip, pos_clip=pos_clip)
     batch, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
-    token_mask = None
-    if draw(st.booleans()):
+    # (model's mask, oracle's mask): none, all true against none, or padded
+    kind = draw(st.sampled_from(["none", "all-true", "padded"]))
+    masks = (None, None)
+    if kind == "all-true":
+        masks = (np.ones((batch, n), dtype=bool), None)
+    elif kind == "padded":
         # at least 2 real tokens per row, so every position has a head candidate
         rows = [draw(st.lists(st.booleans(), min_size=n, max_size=n)
                      .filter(lambda row: sum(row) >= 2)) for _ in range(batch)]
-        token_mask = np.array(rows, dtype=bool)
+        masks = (np.array(rows, dtype=bool),) * 2
     weights = draw(st.lists(st.floats(0.25, 1.75), min_size=6, max_size=6))
-    return config, batch, n, token_mask, InfoWeights.from_array(weights)
+    return config, batch, n, masks, InfoWeights.from_array(weights)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(case=_geometries(), seed=st.integers(0, 2**16))
 def test_fused_sweep_matches_the_composed_sweep_on_random_geometries(case, seed):
-    config, batch, n, token_mask, iw = case
+    config, batch, n, (token_mask, oracle_mask), iw = case
     params, tokens, selected = _case(config, seed, batch, n)
     with _lanes(2):
-        _assert_matches_composed(config, params, tokens, iw, token_mask, selected)
+        _assert_matches_composed(config, params, tokens, iw, token_mask, oracle_mask,
+                                 selected)
 
 
 def _in_lanes(n, config, params, tokens, token_mask, selected):
@@ -189,7 +199,8 @@ def test_two_lanes_compute_the_same_bits_as_one(paradigm, pos_bias, masked):
     for got, want in zip(two[0], one[0], strict=True):
         assert np.array_equal(got, want)
     for got, want in zip(two[1], one[1], strict=True):
-        assert len(got) == len(want) == (6 if pos_bias else 5)
+        assert len(got) == len(want) == 6
+        assert (got[5] is None) == (not pos_bias)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
             assert g is None or np.array_equal(g, w)

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 from mupt import autodiff as ad
-from mupt.autodiff import Var, val
+from mupt.autodiff import val
 from mupt.config import InfoWeights, PTConfig
 from mupt.errors import ConfigError
 from mupt.mup import PARADIGMS, scale_width
 from mupt.model import (
     MFVIState,
+    _ce_backward,
+    _ce_forward,
+    _readout_backward,
+    _readout_forward,
     ModelParams,
     init_mfvi,
     masked_ce_loss,
@@ -138,18 +142,32 @@ def test_mlm_logits_hand_case():
     params["W_out"] = np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 1.0]])
     params["b_out"] = np.array([0.1, 0.2, 0.3])
     q_z = np.full((1, 2, 2), 0.5)  # Nz = [1, 1], rms = 1, feature = [1, 1]
-    state = MFVIState(tokens=np.array([[0, 1]]), q_z=Var(q_z),
-                      q_h=np.zeros((1, 1, 2, 2)), q_g=np.full((1, 2, 2), 0.5))
-    out = val(mlm_logits(cfg, params, state))[0]
+    state = MFVIState(tokens=np.array([[0, 1]]), q_z=q_z, q_h=np.zeros((1, 1, 2, 2)),
+                      q_g=np.full((1, 2, 2), 0.5), token_mask=np.ones((1, 2), dtype=bool))
+    out = mlm_logits(cfg, params, state)[0]
     np.testing.assert_allclose(out, [[1.6, 2.2, 1.3]] * 2, atol=1e-14)
+    # the readout's vjp: a cotangent on logit 0 alone reaches W_out's first
+    # column as the feature, b_out's first entry, and gamma as feature * W_out[:, 0]
+    _, kept = _readout_forward(cfg, q_z, params["gamma"], params["W_out"], params["b_out"])
+    g = np.zeros((1, 2, 3))
+    g[..., 0] = 1.0
+    g_qz, g_gamma, g_w, g_b = _readout_backward(g, *kept)
+    np.testing.assert_allclose(g_w, [[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(g_b, [2.0, 0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(g_gamma, [2.0, 1.0], atol=1e-14)
+    assert g_qz.shape == q_z.shape
 
 
 def test_masked_ce_loss_hand_case():
-    logits = Var(np.array([[0.0, np.log(3.0)], [0.0, 0.0]]))
+    logits = np.array([[0.0, np.log(3.0)], [0.0, 0.0]])
     targets = np.array([1, 0])
-    loss = val(masked_ce_loss(logits, targets, np.array([True, False])))
+    loss = masked_ce_loss(logits, targets, np.array([True, False]))
     np.testing.assert_allclose(loss, np.log(4.0 / 3.0), atol=1e-14)
-    both = val(masked_ce_loss(logits, targets, np.array([True, True])))
+    # its vjp: softmax minus one-hot at the selected position, zero elsewhere
+    _, kept = _ce_forward(logits, targets, np.array([True, False]))
+    np.testing.assert_allclose(_ce_backward(np.float64(1.0), *kept),
+                               [[0.25, -0.25], [0.0, 0.0]], atol=1e-15)
+    both = masked_ce_loss(logits, targets, np.array([True, True]))
     np.testing.assert_allclose(both, (np.log(4.0 / 3.0) + np.log(2.0)) / 2, atol=1e-14)
     with pytest.raises(ConfigError):
         masked_ce_loss(logits, targets, np.array([False, False]))
@@ -384,7 +402,7 @@ def test_input_validation():
     state = init_mfvi(cfg, params, np.array([[0, 1]]), IW)
     with pytest.raises(ConfigError, match="init_mfvi"):
         sweep(cfg, params, MFVIState(tokens=state.tokens, q_z=state.q_z, q_h=state.q_h,
-                                     q_g=state.q_g), IW)
+                                     q_g=state.q_g, token_mask=state.token_mask), IW)
 
 
 # ------------------------------------------------------------------- plumbing

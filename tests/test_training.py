@@ -51,6 +51,17 @@ def test_run_is_deterministic():
     assert c.semantic_digest() != a.semantic_digest()
 
 
+def test_a_corpus_whose_tail_chunk_has_two_real_tokens_trains():
+    # 40 full chunks of 64 and a tail of 3 bytes, 2 of them real tokens: 15%
+    # of 2 rounds to no position, and the tail still gets one masked
+    corpus = encode_corpus(synth_text(64 * 40 + 3, 1), seq_len=64)
+    assert int(corpus.token_mask(corpus.ids[-1]).sum()) == 2
+    settings = TrainSettings(steps=10, batch_size=4, eval_interval=5, mfvi_iters=1)
+    rec = train_run(CFG, HP, corpus, seed=0, settings=settings)
+    assert len(rec.train_losses) == 10 and not rec.diverged
+    assert all(math.isfinite(x) for x in rec.train_losses + rec.eval_losses)
+
+
 def test_record_shape_and_eval_cadence():
     rec = train_run(CFG, HP, _corpus(), seed=0, settings=SETTINGS)
     assert rec.steps == 3
